@@ -68,9 +68,14 @@ std::string Histogram::ascii_chart(std::size_t buckets,
     const auto bar_len = static_cast<std::size_t>(
         static_cast<double>(counts[b]) / static_cast<double>(peak) *
         static_cast<double>(width));
-    out += "  [" + std::to_string(lo) + "+] ";
+    // Appended piecewise: operator+ chains trip GCC 12's -O3 -Wrestrict.
+    out += "  [";
+    out += std::to_string(lo);
+    out += "+] ";
     out.append(bar_len, '#');
-    out += " " + std::to_string(counts[b]) + "\n";
+    out += ' ';
+    out += std::to_string(counts[b]);
+    out += '\n';
   }
   return out;
 }

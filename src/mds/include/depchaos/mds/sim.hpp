@@ -127,7 +127,7 @@ struct SimResult {
   std::uint64_t max_queue_depth = 0;  // deepest pending queue observed
   double mean_batch = 0;
   /// Per-request server latency (arrival -> completion): exact mean/max,
-  /// p50/p99 from a 1/8-decade log-scale histogram.
+  /// p50/p99 from support::LogHistogram (within 1/16, inside [min, max]).
   double latency_mean_s = 0;
   double latency_p50_s = 0;
   double latency_p99_s = 0;

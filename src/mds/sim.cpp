@@ -36,6 +36,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "depchaos/support/log_histogram.hpp"
 #include "depchaos/support/rng.hpp"
 
 namespace depchaos::mds {
@@ -43,54 +44,6 @@ namespace depchaos::mds {
 namespace {
 
 void reject(const char* what) { throw std::invalid_argument(what); }
-
-/// 1/8-decade log-scale latency histogram: memory-bounded, deterministic,
-/// good to ~15% relative error on quantiles — plenty for percentile rows.
-class LatencyHistogram {
- public:
-  static constexpr int kDecadeLo = -8;  // 10 ns
-  static constexpr int kDecadeHi = 4;   // 10 ks
-  static constexpr int kPerDecade = 8;
-  static constexpr int kBuckets = (kDecadeHi - kDecadeLo) * kPerDecade;
-
-  void add(double seconds) {
-    ++count_;
-    sum_ += seconds;
-    max_ = std::max(max_, seconds);
-    int idx = 0;
-    if (seconds > 0) {
-      const double pos = (std::log10(seconds) - kDecadeLo) * kPerDecade;
-      idx = std::clamp(static_cast<int>(std::floor(pos)), 0, kBuckets - 1);
-    }
-    ++buckets_[idx];
-  }
-
-  double quantile(double q) const {
-    if (count_ == 0) return 0;
-    const std::uint64_t target = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(count_)));
-    std::uint64_t seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
-      seen += buckets_[i];
-      if (seen >= std::max<std::uint64_t>(target, 1)) {
-        // Geometric bucket midpoint.
-        return std::pow(10.0, kDecadeLo +
-                                  (i + 0.5) / static_cast<double>(kPerDecade));
-      }
-    }
-    return max_;
-  }
-
-  std::uint64_t count() const { return count_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0; }
-  double max() const { return max_; }
-
- private:
-  std::uint64_t buckets_[kBuckets] = {};
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
-  double max_ = 0;
-};
 
 double sample_service(const ServiceModel& service, support::Rng& rng) {
   switch (service.dist) {
@@ -363,7 +316,7 @@ class Run {
   void complete(double done) {
     busy_ = false;
     for (const Request& req : batch_) {
-      latency_.add(done - req.arrival);
+      latency_.record(done - req.arrival);
       ++result_.server_requests;
       ++result_.ranks[req.rank].server_ops;
       const vfs::OpRecord served{vfs::OpKind::Stat, req.hit, req.shared,
@@ -426,7 +379,7 @@ class Run {
   std::unordered_set<std::uint32_t> resolver_inflight_;
   bool resolver_stream_done_ = false;
 
-  LatencyHistogram latency_;
+  support::LogHistogram latency_;
   std::uint64_t batch_size_sum_ = 0;
   SimResult result_;
 };

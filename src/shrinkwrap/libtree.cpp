@@ -83,7 +83,7 @@ std::string render_tree(const loader::LoadReport& report,
                         const TreeOptions& options,
                         support::PathTable& paths) {
   if (report.load_order.empty()) return "(empty load)\n";
-  TreeBuilder builder{report, options, paths};
+  TreeBuilder builder{report, options, paths, {}, {}, {}};
   for (std::size_t i = 0; i < report.requests.size(); ++i) {
     builder.children[builder.key_of(report.requests[i].requested_by)]
         .push_back(i);

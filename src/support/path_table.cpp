@@ -20,7 +20,7 @@ PathTable::PathTable()
   auto* chunk = new Entry[kChunkSize];
   chunk[kRoot].parent = kRoot;
   chunk[kRoot].name_len = 1;
-  chunk[kRoot].full = "/";
+  chunk[kRoot].full.push_back('/');  // not = "/": GCC 12 -O3 -Wrestrict
   chunks_[0].store(chunk, std::memory_order_release);
   count_.store(2, std::memory_order_release);
   bytes_.store(entry_cost(1, 1), std::memory_order_relaxed);

@@ -168,6 +168,8 @@ struct QueryResult {
   bool pristine = true;  // no mutating request executed on this fork
 };
 
+/// count and max are exact; the quantiles come from a log-bucket histogram
+/// (support::LogHistogram) and are within 1/16 of the exact value.
 struct OpLatency {
   std::uint64_t count = 0;
   double p50_us = 0;
@@ -272,6 +274,37 @@ class SessionPool {
   /// Replace the client's fork with a fresh pristine fork of the base.
   std::future<void> reset(ClientId client);
 
+  // ---- batched admission (front ends) -------------------------------------
+  /// Scoped admission for a front end that submits many commands at once
+  /// (WireServer, one socket read at a time). While it is alive, commands
+  /// submitted on THIS thread are queued without waking their shard's
+  /// strand; the destructor wakes each touched shard once, so a burst of N
+  /// commands costs one wake per shard instead of N. Each such command also
+  /// calls `on_done(tag)` on the executing worker right after its future's
+  /// result (or exception) is set, with the value last passed to tag(): how
+  /// a front end learns which future is ready without polling any. The
+  /// submit_* calls keep their signatures and still throw Overloaded
+  /// synchronously. `on_done` must stay callable until drain() returns.
+  class Admission {
+   public:
+    Admission(SessionPool& pool, std::function<void(std::uint64_t)> on_done);
+    ~Admission();
+
+    Admission(const Admission&) = delete;
+    Admission& operator=(const Admission&) = delete;
+
+    /// The tag carried by the commands submitted next.
+    void tag(std::uint64_t tag) { tag_ = tag; }
+
+   private:
+    friend class SessionPool;
+    SessionPool& pool_;
+    std::function<void(std::uint64_t)> on_done_;
+    std::uint64_t tag_ = 0;
+    std::vector<bool> touched_;   // by shard index
+    Admission* outer_ = nullptr;  // this thread's enclosing scope, if any
+  };
+
   // ---- control ------------------------------------------------------------
   /// Block until every admitted command has completed (quiescence).
   void drain();
@@ -281,6 +314,7 @@ class SessionPool {
   std::size_t pump();
 
   PoolStats stats() const;
+  const PoolConfig& config() const { return config_; }
   /// Which shard serves this client (submission-order domain).
   std::size_t shard_of(ClientId client) const;
   /// Whether Load dedup is active. Under a latency model the memo stays
@@ -306,6 +340,9 @@ class SessionPool {
   std::size_t drain_cycle(Shard& shard);  // strand body; returns commands run
   void enqueue(ClientId client, RequestKind kind, Command command);
   void execute(Shard& shard, Command& command);
+  void notify(Shard& shard, Command& command);  // the Admission completion
+  void retire();  // one admitted command is done: count it off pending_
+  void wake_touched(const Admission& admission);
   void sweep_idle(Shard& shard);
   void finish(Shard& shard, RequestKind kind, bool error, bool memo_hit,
               double wait_s, double service_s);

@@ -47,7 +47,11 @@
 // answered with a clean Error frame and a connection close — never a
 // crash or a hung strand; writes are MSG_NOSIGNAL (SIGPIPE-safe) and a
 // peer that disconnects mid-request just has its in-flight responses
-// discarded. Graceful shutdown stops accepting, flushes every in-flight
+// discarded. Per-connection state is bounded: a connection stops being
+// read while it has more than the pool's queue_high_water requests in
+// flight or more than max_frame_bytes of replies unsent, so a client that
+// pipelines and never reads meets TCP backpressure instead of growing
+// server memory. Graceful shutdown stops accepting, flushes every in-flight
 // response (bounded by drain_deadline_s), then drains the pool.
 //
 //   svc::SessionPool pool(std::move(base));
@@ -59,12 +63,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "depchaos/svc/session_pool.hpp"
@@ -160,7 +166,9 @@ struct WireConfig {
   std::uint16_t port = 0;
   /// Frames whose payload length exceeds this are decode errors (error
   /// frame, then close) — a garbage length prefix cannot make the server
-  /// buffer gigabytes.
+  /// buffer gigabytes. Also bounds each connection's unsent replies (past
+  /// it the connection is not read) and the server's cache of encoded
+  /// memo-shared Load reports.
   std::uint32_t max_frame_bytes = 8u << 20;
   /// A connection sitting on a PARTIAL frame longer than this gets an
   /// error frame and a close (idle connections between frames are fine).
@@ -183,16 +191,32 @@ struct WireStats {
   std::uint64_t overloaded = 0;     // responses carrying backpressure
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
+  /// Load replies whose report the pool's memo shares between clients:
+  /// encoded once, then copied from the server's encode cache.
+  std::uint64_t shared_replies = 0;
+  /// Reply bytes queued in connection buffers, not yet sent (gauge).
+  std::uint64_t buffered_out = 0;
 };
 
-/// Poll-driven socket front end over a SessionPool. One acceptor+IO
-/// thread owns every connection: it decodes frames into pool submit_*
-/// calls (so admission, fairness, memoization, and backpressure are the
-/// pool's — unchanged), keeps each connection's in-flight futures in a
-/// pending set, and writes responses AS THEY COMPLETE, tagged by request
-/// sequence number — a slow shrinkwrap never blocks a later query on the
-/// same connection (out-of-order completion is the contract; clients
-/// match on seq).
+/// Completion-driven socket front end over a SessionPool. One
+/// acceptor+IO thread owns every connection and sleeps in poll(2) until a
+/// socket or a completed request needs it. It decodes every complete frame
+/// of a read into pool submit_* calls inside one SessionPool::Admission
+/// (so admission, fairness, memoization, and backpressure are the pool's —
+/// unchanged — and each touched shard is woken once per read), and writes
+/// responses AS THEY COMPLETE: each command's completion queues its ticket
+/// for the IO thread and writes the wake pipe only when that queue was
+/// empty. Responses are tagged by request sequence number — a slow
+/// shrinkwrap never blocks a later query on the same connection
+/// (out-of-order completion is the contract; clients match on seq).
+///
+/// Encode once: a Load reply whose report the pool shares between clients
+/// (the one object every model-free memo hit returns) is encoded the first
+/// time and served from a cache keyed by the report's identity afterwards.
+/// The cache pins the reports it holds, so an address cannot be reused by
+/// another report, and keeps at most max_frame_bytes of encoded payload.
+/// Reports nothing else holds (re-priced hits under a latency model, loads
+/// on diverged forks) are encoded straight into the reply and not cached.
 class WireServer {
  public:
   /// Binds and starts serving immediately. Throws WireError if the
@@ -223,17 +247,44 @@ class WireServer {
  private:
   struct Connection;
 
+  /// A pool future per request kind; the IO thread reads the one a
+  /// completion names, which is ready by then.
+  using Reply =
+      std::variant<std::future<std::shared_ptr<const loader::LoadReport>>,
+                   std::future<std::vector<loader::LoadReport>>,
+                   std::future<core::Session::WhatIfReport>,
+                   std::future<shrinkwrap::WrapReport>,
+                   std::future<QueryResult>, std::future<void>>;
+  struct InFlight {
+    std::uint64_t connection = 0;  // Connection::id (never reused)
+    std::uint64_t seq = 0;
+    WireKind kind = WireKind::Load;
+    Reply reply;
+  };
+  struct Encoded {
+    std::shared_ptr<const loader::LoadReport> pin;
+    std::string bytes;
+  };
+
   void io_loop();
   void accept_ready();
   void read_ready(Connection& conn);
-  bool parse_frames(Connection& conn);  // false = close this connection
-  void dispatch(Connection& conn, WireKind kind, ClientId client,
-                std::uint64_t seq, std::string payload);
-  void poll_pending(Connection& conn);
+  bool accepting_reads(const Connection& conn) const;
+  /// Admit the complete frames buffered on `conn`; false = close it.
+  bool parse_frames(Connection& conn, SessionPool::Admission& admission);
+  void dispatch(Connection& conn, SessionPool::Admission& admission,
+                WireKind kind, ClientId client, std::uint64_t seq,
+                std::string payload);
+  void post_completion(std::uint64_t ticket);  // pool worker threads
+  void take_completions();
+  void answer(Connection& conn, InFlight& request);
+  void put_load(std::string& out,
+                std::shared_ptr<const loader::LoadReport> report);
+  void settle_connections();
   bool flush_writes(Connection& conn);  // false = peer gone, close
   void respond(Connection& conn, WireStatus status, WireKind kind,
                std::uint64_t seq, std::string_view payload);
-  void close_connection(int fd);
+  void close_connection(std::uint64_t id);
   void wake();
 
   SessionPool& pool_;
@@ -246,8 +297,18 @@ class WireServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
 
+  // Completed tickets, pushed by pool workers and taken by the IO thread.
+  std::mutex completions_mutex_;
+  std::vector<std::uint64_t> completions_;
+
   // Owned exclusively by the IO thread after construction.
-  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> connections_;
+  std::uint64_t next_connection_id_ = 1;
+  std::unordered_map<std::uint64_t, InFlight> in_flight_;  // by ticket
+  std::uint64_t next_ticket_ = 1;
+  std::vector<std::uint64_t> ready_;  // tickets being answered
+  std::unordered_map<const loader::LoadReport*, Encoded> encoded_;
+  std::size_t encoded_bytes_ = 0;
 
   // Counters are atomics: written by the IO thread, read by stats().
   std::atomic<std::uint64_t> accepted_{0};
@@ -259,6 +320,8 @@ class WireServer {
   std::atomic<std::uint64_t> overloaded_{0};
   std::atomic<std::uint64_t> bytes_in_{0};
   std::atomic<std::uint64_t> bytes_out_{0};
+  std::atomic<std::uint64_t> shared_replies_{0};
+  std::atomic<std::uint64_t> buffered_out_{0};
 
   std::mutex join_mutex_;  // serializes the join in stop()/wait()
   std::thread io_thread_;
@@ -316,7 +379,11 @@ class WireClient {
 
   int fd_ = -1;
   std::uint64_t next_seq_ = 1;
+  /// Received bytes; those before read_pos_ are consumed. Compacted only
+  /// when a refill needs room, so pipelined replies are never memmoved
+  /// once per frame.
   std::string read_buffer_;
+  std::size_t read_pos_ = 0;
   std::unordered_map<std::uint64_t, WireResponse> stash_;
 };
 

@@ -9,7 +9,7 @@
 #include <utility>
 #include <variant>
 
-#include "depchaos/analysis/histogram.hpp"
+#include "depchaos/support/log_histogram.hpp"
 
 namespace depchaos::svc {
 
@@ -171,6 +171,10 @@ struct SessionPool::Command {
   std::variant<LoadCmd, SharedLoadCmd, LoadManyCmd, WhatifCmd, WrapCmd,
                FleetCmd, QueryCmd, ControlCmd>
       op;
+  /// Set when submitted inside an Admission: called with `tag` once the
+  /// result is set.
+  std::function<void(std::uint64_t)> on_done;
+  std::uint64_t tag = 0;
 };
 
 struct SessionPool::ClientState {
@@ -196,7 +200,7 @@ struct SessionPool::Shard {
   std::uint64_t errors = 0;
   std::uint64_t cycles = 0;
   std::size_t max_clients_per_cycle = 0;  // fairness dashboard high-water
-  std::array<analysis::Histogram, kRequestKinds> latency;
+  std::array<support::LogHistogram, kRequestKinds> latency;  // microseconds
 
   /// Client map AND the sessions inside it. The strand holds it for the
   /// duration of each command so stats() can read live-fork aggregates
@@ -205,7 +209,7 @@ struct SessionPool::Shard {
   std::unordered_map<ClientId, ClientState> clients;
 
   /// Commands executed per drain-cycle batch (PoolStats::drain_batch).
-  analysis::Histogram batch_sizes;
+  support::LogHistogram batch_sizes;
 };
 
 /// One bucket of the load memo. The hit path — the common case under
@@ -277,11 +281,37 @@ SessionPool::MemoShard& SessionPool::memo_shard_for(const std::string& key) {
 
 // ---- admission ------------------------------------------------------------
 
+namespace {
+// The Admission scope open on this thread (innermost), if any.
+thread_local SessionPool::Admission* t_admission = nullptr;
+}  // namespace
+
+SessionPool::Admission::Admission(SessionPool& pool,
+                                  std::function<void(std::uint64_t)> on_done)
+    : pool_(pool),
+      on_done_(std::move(on_done)),
+      touched_(pool.shards_.size(), false),
+      outer_(t_admission) {
+  t_admission = this;
+}
+
+SessionPool::Admission::~Admission() {
+  t_admission = outer_;
+  pool_.wake_touched(*this);
+}
+
 void SessionPool::enqueue(ClientId client, RequestKind kind, Command command) {
   Shard& shard = shard_for(client);
+  Admission* admission =
+      t_admission != nullptr && &t_admission->pool_ == this ? t_admission
+                                                            : nullptr;
   command.client = client;
   command.kind = kind;
   command.enqueued = Clock::now();
+  if (admission) {
+    command.on_done = admission->on_done_;
+    command.tag = admission->tag_;
+  }
   {
     std::lock_guard lock(shard.mutex);
     // Control commands (release/reset) shed state and bypass the bound —
@@ -295,7 +325,9 @@ void SessionPool::enqueue(ClientId client, RequestKind kind, Command command) {
     }
     pending_.fetch_add(1, std::memory_order_acq_rel);
     shard.queue.push_back(std::move(command));
-    if (!config_.manual_drain) {
+    if (admission) {
+      admission->touched_[shard.index] = true;  // woken when the scope ends
+    } else if (!config_.manual_drain) {
       try {
         schedule_drain(shard);
       } catch (...) {
@@ -307,13 +339,59 @@ void SessionPool::enqueue(ClientId client, RequestKind kind, Command command) {
         // future. Without this the counter leaked and drain() hung.
         shard.queue.pop_back();
         ++shard.rejected;
-        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard quiesce_lock(quiesce_mutex_);
-          quiesce_cv_.notify_all();
-        }
+        retire();
         throw;
       }
     }
+  }
+}
+
+void SessionPool::wake_touched(const Admission& admission) {
+  if (config_.manual_drain) return;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (!admission.touched_[i]) continue;
+    Shard& shard = *shards_[i];
+    std::deque<Command> orphans;
+    std::exception_ptr error;
+    {
+      std::lock_guard lock(shard.mutex);
+      if (shard.queue.empty()) continue;
+      try {
+        schedule_drain(shard);
+      } catch (...) {
+        // No strand will run what is queued (no drain is in flight, or
+        // schedule_drain would have returned early): fail those commands
+        // through their futures instead of leaving drain() waiting on them.
+        error = std::current_exception();
+        orphans.swap(shard.queue);
+        shard.rejected += orphans.size();
+      }
+    }
+    for (Command& command : orphans) {
+      std::visit([&](auto& cmd) { cmd.done.set_exception(error); },
+                 command.op);
+      notify(shard, command);
+      retire();
+    }
+  }
+}
+
+void SessionPool::retire() {
+  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    std::lock_guard lock(quiesce_mutex_);
+    quiesce_cv_.notify_all();
+  }
+}
+
+void SessionPool::notify(Shard& shard, Command& command) {
+  if (!command.on_done) return;
+  try {
+    command.on_done(command.tag);
+  } catch (...) {
+    // The front end could not take the completion (out of memory); the
+    // strand must still retire the command, so count it and move on.
+    std::lock_guard lock(shard.mutex);
+    ++shard.errors;
   }
 }
 
@@ -382,10 +460,8 @@ std::size_t SessionPool::drain_cycle(Shard& shard) {
   // next cycle of the same task (the while-loop in schedule_drain).
   for (Command& command : batch) {
     execute(shard, command);
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lock(quiesce_mutex_);
-      quiesce_cv_.notify_all();
-    }
+    notify(shard, command);
+    retire();
   }
   {
     std::lock_guard lock(shard.client_mutex);
@@ -395,7 +471,7 @@ std::size_t SessionPool::drain_cycle(Shard& shard) {
     std::lock_guard lock(shard.mutex);
     shard.max_clients_per_cycle =
         std::max(shard.max_clients_per_cycle, clients_served);
-    shard.batch_sizes.add(batch.size());
+    shard.batch_sizes.record(static_cast<double>(batch.size()));
     while (!deferred.empty()) {
       shard.queue.push_front(std::move(deferred.back()));
       deferred.pop_back();
@@ -439,8 +515,7 @@ void SessionPool::finish(Shard& shard, RequestKind kind, bool error,
   ++shard.executed;
   if (error) ++shard.errors;
   if (memo_hit) ++shard.memoized;
-  shard.latency[static_cast<std::size_t>(kind)].add(
-      static_cast<std::uint64_t>(total_us));
+  shard.latency[static_cast<std::size_t>(kind)].record(total_us);
   shard.service_ema_s = 0.9 * shard.service_ema_s + 0.1 * service_s;
 }
 
@@ -803,8 +878,8 @@ PoolStats SessionPool::stats() const {
   PoolStats stats;
   stats.shards = shards_.size();
   stats.queue_depths.reserve(shards_.size());
-  std::array<analysis::Histogram, kRequestKinds> merged;
-  analysis::Histogram batches;
+  std::array<support::LogHistogram, kRequestKinds> merged;
+  support::LogHistogram batches;
   for (const auto& shard : shards_) {
     {
       std::lock_guard lock(shard->mutex);
@@ -819,13 +894,9 @@ PoolStats SessionPool::stats() const {
       stats.max_clients_per_cycle =
           std::max(stats.max_clients_per_cycle, shard->max_clients_per_cycle);
       for (std::size_t k = 0; k < kRequestKinds; ++k) {
-        for (const std::uint64_t sample : shard->latency[k].samples()) {
-          merged[k].add(sample);
-        }
+        merged[k].merge(shard->latency[k]);
       }
-      for (const std::uint64_t sample : shard->batch_sizes.samples()) {
-        batches.add(sample);
-      }
+      batches.merge(shard->batch_sizes);
     }
     std::lock_guard lock(shard->client_mutex);
     for (const auto& [id, state] : shard->clients) {
@@ -848,21 +919,21 @@ PoolStats SessionPool::stats() const {
     stats.memo_misses += misses;
   }
   if (!batches.empty()) {
-    stats.drain_batch.cycles = batches.size();
-    stats.drain_batch.p50 = static_cast<double>(batches.quantile(0.50));
-    stats.drain_batch.p99 = static_cast<double>(batches.quantile(0.99));
-    stats.drain_batch.max = batches.max();
+    stats.drain_batch.cycles = batches.count();
+    stats.drain_batch.p50 = batches.quantile(0.50);
+    stats.drain_batch.p99 = batches.quantile(0.99);
+    stats.drain_batch.max = static_cast<std::uint64_t>(batches.max());
   }
   stats.pool_threads = pool_->size();
   stats.pool_steals = pool_->steal_count();
   for (std::size_t k = 0; k < kRequestKinds; ++k) {
-    const analysis::Histogram& h = merged[k];
+    const support::LogHistogram& h = merged[k];
     if (h.empty()) continue;
     OpLatency& lat = stats.latency[k];
-    lat.count = h.size();
-    lat.p50_us = static_cast<double>(h.quantile(0.50));
-    lat.p99_us = static_cast<double>(h.quantile(0.99));
-    lat.max_us = static_cast<double>(h.max());
+    lat.count = h.count();
+    lat.p50_us = h.quantile(0.50);
+    lat.p99_us = h.quantile(0.99);
+    lat.max_us = h.max();
   }
   return stats;
 }

@@ -13,9 +13,9 @@
 #include <bit>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
-#include <functional>
-#include <future>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -46,6 +46,13 @@ void put_u16(std::string& out, std::uint16_t v) {
 void put_u32(std::string& out, std::uint32_t v) {
   for (int shift = 0; shift < 32; shift += 8) {
     out.push_back(static_cast<char>((v >> shift) & 0xff));
+  }
+}
+
+/// Overwrite the u32 at `at` (a length written before its payload).
+void set_u32(std::string& out, std::size_t at, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out[at++] = static_cast<char>((v >> shift) & 0xff);
   }
 }
 
@@ -246,6 +253,12 @@ void put_wrap_report(std::string& out, const shrinkwrap::WrapReport& r) {
   put_u8(out, r.changed ? 1 : 0);
 }
 
+void put_load_reports(std::string& out,
+                      const std::vector<loader::LoadReport>& reports) {
+  put_u32(out, static_cast<std::uint32_t>(reports.size()));
+  for (const auto& r : reports) put_load_report(out, r);
+}
+
 shrinkwrap::WrapReport get_wrap_report(Cursor& in) {
   shrinkwrap::WrapReport r;
   r.old_needed = get_strings(in);
@@ -261,6 +274,40 @@ shrinkwrap::WrapReport get_wrap_report(Cursor& in) {
   r.wrap_cost = get_stats(in);
   r.changed = in.u8() != 0;
   return r;
+}
+
+void put_whatif_report(std::string& out,
+                       const core::Session::WhatIfReport& report) {
+  put_wrap_report(out, report.wrap);
+  put_load_report(out, report.before);
+  put_load_report(out, report.after);
+  put_str(out, report.before_tree);
+  put_str(out, report.after_tree);
+  put_str(out, report.tree_diff);
+}
+
+void put_query_result(std::string& out, const QueryResult& result) {
+  put_u64(out, result.inode_count);
+  put_u64(out, result.layer_depth);
+  put_u64(out, result.owned_bytes);
+  put_u64(out, result.interned_paths);
+  put_u64(out, result.mount_count);
+  put_str(out, result.default_exe);
+  put_u8(out, result.pristine ? 1 : 0);
+}
+
+// Offset of the payload length inside a response header.
+constexpr std::size_t kResponseLengthOffset = 16;
+
+void put_response_header(std::string& out, WireStatus status, WireKind kind,
+                         std::uint64_t seq, std::size_t length) {
+  if (length > 0xffffffffu) throw WireError("response payload too long");
+  put_u32(out, kWireMagic);
+  put_u16(out, kWireVersion);
+  put_u8(out, static_cast<std::uint8_t>(status));
+  put_u8(out, static_cast<std::uint8_t>(kind));
+  put_u64(out, seq);
+  put_u32(out, static_cast<std::uint32_t>(length));
 }
 
 }  // namespace
@@ -303,8 +350,7 @@ loader::LoadReport decode_load_report(std::string_view bytes) {
 std::string encode_load_reports(
     const std::vector<loader::LoadReport>& reports) {
   std::string out;
-  put_u32(out, static_cast<std::uint32_t>(reports.size()));
-  for (const auto& r : reports) put_load_report(out, r);
+  put_load_reports(out, reports);
   return out;
 }
 
@@ -333,12 +379,7 @@ shrinkwrap::WrapReport decode_wrap_report(std::string_view bytes) {
 
 std::string encode_whatif_report(const core::Session::WhatIfReport& report) {
   std::string out;
-  put_wrap_report(out, report.wrap);
-  put_load_report(out, report.before);
-  put_load_report(out, report.after);
-  put_str(out, report.before_tree);
-  put_str(out, report.after_tree);
-  put_str(out, report.tree_diff);
+  put_whatif_report(out, report);
   return out;
 }
 
@@ -357,13 +398,7 @@ core::Session::WhatIfReport decode_whatif_report(std::string_view bytes) {
 
 std::string encode_query_result(const QueryResult& result) {
   std::string out;
-  put_u64(out, result.inode_count);
-  put_u64(out, result.layer_depth);
-  put_u64(out, result.owned_bytes);
-  put_u64(out, result.interned_paths);
-  put_u64(out, result.mount_count);
-  put_str(out, result.default_exe);
-  put_u8(out, result.pristine ? 1 : 0);
+  put_query_result(out, result);
   return out;
 }
 
@@ -402,27 +437,10 @@ std::string encode_response_frame(WireStatus status, WireKind kind,
                                   std::uint64_t seq, std::string_view payload) {
   std::string out;
   out.reserve(kWireResponseHeaderBytes + payload.size());
-  put_u32(out, kWireMagic);
-  put_u16(out, kWireVersion);
-  put_u8(out, static_cast<std::uint8_t>(status));
-  put_u8(out, static_cast<std::uint8_t>(kind));
-  put_u64(out, seq);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_response_header(out, status, kind, seq, payload.size());
   out.append(payload);
   return out;
 }
-
-namespace {
-
-std::string encode_overloaded(const Overloaded& o) {
-  std::string out;
-  put_u64(out, o.shard());
-  put_u64(out, o.queue_depth());
-  put_f64(out, o.retry_after_s());
-  return out;
-}
-
-}  // namespace
 
 void WireResponse::throw_if_failed() const {
   switch (status) {
@@ -453,57 +471,30 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Wrap a pool future so the IO thread can poll it without blocking
-/// indefinitely: returns true once the result (or its exception) has been
-/// folded into (status, payload). `wait_us` bounds how long the call may
-/// block — 0 is a pure poll; the io_loop spends its idle budget here so
-/// completions are answered the moment they land instead of at poll(2)
-/// granularity.
-template <typename T, typename Encode>
-std::function<bool(WireStatus*, std::string*, int)> make_poller(
-    std::future<T> fut, Encode encode) {
-  auto shared = std::make_shared<std::future<T>>(std::move(fut));
-  return [shared, encode](WireStatus* status, std::string* payload,
-                          int wait_us) -> bool {
-    if (shared->wait_for(std::chrono::microseconds(wait_us)) !=
-        std::future_status::ready) {
-      return false;
-    }
-    try {
-      if constexpr (std::is_void_v<T>) {
-        shared->get();
-        payload->clear();
-      } else {
-        *payload = encode(shared->get());
-      }
-      *status = WireStatus::Ok;
-    } catch (const std::exception& error) {
-      // The verb threw (bad exe, wrap failure): the client's problem,
-      // reported as an Error frame; the connection stays open.
-      *status = WireStatus::Error;
-      *payload = error.what();
-    }
-    return true;
-  };
+void put_result(std::string& out, const std::vector<loader::LoadReport>& r) {
+  put_load_reports(out, r);
+}
+void put_result(std::string& out, const core::Session::WhatIfReport& r) {
+  put_whatif_report(out, r);
+}
+void put_result(std::string& out, const shrinkwrap::WrapReport& r) {
+  put_wrap_report(out, r);
+}
+void put_result(std::string& out, const QueryResult& r) {
+  put_query_result(out, r);
 }
 
 }  // namespace
 
 struct WireServer::Connection {
+  std::uint64_t id = 0;
   int fd = -1;
   std::string inbuf;
   std::string outbuf;
   Clock::time_point last_read = Clock::now();
-  /// No more reads: flush outbuf and finish pending responses, then close.
+  std::size_t in_flight = 0;  // admitted requests not yet answered
+  /// No more reads: flush outbuf and finish in-flight requests, then close.
   bool closing = false;
-
-  struct Pending {
-    std::uint64_t seq = 0;
-    WireKind kind = WireKind::Load;
-    /// Third arg is a wait budget in microseconds (0 = pure poll).
-    std::function<bool(WireStatus*, std::string*, int)> poll;
-  };
-  std::vector<Pending> pending;
 };
 
 WireServer::WireServer(SessionPool& pool, WireConfig config)
@@ -552,7 +543,13 @@ WireServer::WireServer(SessionPool& pool, WireConfig config)
   io_thread_ = std::thread([this] { io_loop(); });
 }
 
-WireServer::~WireServer() { stop(); }
+WireServer::~WireServer() {
+  stop();
+  // Closed only after the join: stop() and late completions write the
+  // pipe, and must never race with (or outlive) these descriptors.
+  ::close(wake_read_fd_);
+  ::close(wake_write_fd_);
+}
 
 void WireServer::wake() {
   const char byte = 1;
@@ -581,13 +578,18 @@ WireStats WireServer::stats() const {
   stats.overloaded = overloaded_.load(std::memory_order_relaxed);
   stats.bytes_in = bytes_in_.load(std::memory_order_relaxed);
   stats.bytes_out = bytes_out_.load(std::memory_order_relaxed);
+  stats.shared_replies = shared_replies_.load(std::memory_order_relaxed);
+  stats.buffered_out = buffered_out_.load(std::memory_order_relaxed);
   return stats;
 }
 
-void WireServer::close_connection(int fd) {
-  auto it = connections_.find(fd);
+void WireServer::close_connection(std::uint64_t id) {
+  auto it = connections_.find(id);
   if (it == connections_.end()) return;
-  ::close(fd);
+  // Its in-flight requests still complete; their replies are dropped when
+  // take_completions() finds no connection with this id (ids are never
+  // reused, even when the fd number is).
+  ::close(it->second->fd);
   connections_.erase(it);
   active_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -600,8 +602,9 @@ void WireServer::accept_ready() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Connection>();
+    conn->id = next_connection_id_++;
     conn->fd = fd;
-    connections_.emplace(fd, std::move(conn));
+    connections_.emplace(conn->id, std::move(conn));
     accepted_.fetch_add(1, std::memory_order_relaxed);
     active_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -609,82 +612,62 @@ void WireServer::accept_ready() {
 
 void WireServer::respond(Connection& conn, WireStatus status, WireKind kind,
                          std::uint64_t seq, std::string_view payload) {
-  conn.outbuf += encode_response_frame(status, kind, seq, payload);
+  put_response_header(conn.outbuf, status, kind, seq, payload.size());
+  conn.outbuf.append(payload);
   frames_out_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void WireServer::dispatch(Connection& conn, WireKind kind, ClientId client,
-                          std::uint64_t seq, std::string payload) {
-  Connection::Pending pending;
-  pending.seq = seq;
-  pending.kind = kind;
+void WireServer::dispatch(Connection& conn, SessionPool::Admission& admission,
+                          WireKind kind, ClientId client, std::uint64_t seq,
+                          std::string payload) {
+  const std::uint64_t ticket = next_ticket_++;
+  admission.tag(ticket);
+  Reply reply;
   try {
     switch (kind) {
-      case WireKind::Load: {
-        // submit_load_shared: byte-identical reports, and N remote clients
-        // storming one exe share one immutable payload inside the server.
-        pending.poll = make_poller(
-            pool_.submit_load_shared(client, std::move(payload)),
-            [](const std::shared_ptr<const loader::LoadReport>& r) {
-              return encode_load_report(*r);
-            });
+      case WireKind::Load:
+        // submit_load_shared: N remote clients storming one exe share one
+        // immutable report inside the server — and one encoding (put_load).
+        reply = pool_.submit_load_shared(client, std::move(payload));
         break;
-      }
       case WireKind::LoadMany: {
         Cursor in{payload};
         std::vector<std::string> exes = get_strings(in);
         in.expect_done();
-        pending.poll =
-            make_poller(pool_.submit_load_many(client, std::move(exes)),
-                        [](const std::vector<loader::LoadReport>& r) {
-                          return encode_load_reports(r);
-                        });
+        reply = pool_.submit_load_many(client, std::move(exes));
         break;
       }
-      case WireKind::Whatif: {
-        pending.poll =
-            make_poller(pool_.submit_whatif(client, std::move(payload)),
-                        [](const core::Session::WhatIfReport& r) {
-                          return encode_whatif_report(r);
-                        });
+      case WireKind::Whatif:
+        reply = pool_.submit_whatif(client, std::move(payload));
         break;
-      }
-      case WireKind::Shrinkwrap: {
-        pending.poll =
-            make_poller(pool_.submit_shrinkwrap(client, std::move(payload)),
-                        [](const shrinkwrap::WrapReport& r) {
-                          return encode_wrap_report(r);
-                        });
+      case WireKind::Shrinkwrap:
+        reply = pool_.submit_shrinkwrap(client, std::move(payload));
         break;
-      }
-      case WireKind::Query: {
-        pending.poll = make_poller(
-            pool_.submit_query(client),
-            [](const QueryResult& r) { return encode_query_result(r); });
+      case WireKind::Query:
+        reply = pool_.submit_query(client);
         break;
-      }
-      case WireKind::Release: {
-        pending.poll = make_poller(pool_.release(client), nullptr);
+      case WireKind::Release:
+        reply = pool_.release(client);
         break;
-      }
-      case WireKind::Reset: {
-        pending.poll = make_poller(pool_.reset(client), nullptr);
+      case WireKind::Reset:
+        reply = pool_.reset(client);
         break;
-      }
-      case WireKind::Shutdown: {
+      case WireKind::Shutdown:
         // Acknowledge first, then begin the same graceful drain stop()
         // performs; the response reaches the client because draining
         // flushes outbufs before closing.
         respond(conn, WireStatus::Ok, kind, seq, {});
         stop_requested_.store(true, std::memory_order_release);
         return;
-      }
     }
   } catch (const Overloaded& overloaded) {
     // Admission rejected synchronously: the remote client gets the same
     // shard/depth/retry-after an in-process submitter would, immediately.
-    respond(conn, WireStatus::Overloaded, kind, seq,
-            encode_overloaded(overloaded));
+    std::string out;
+    put_u64(out, overloaded.shard());
+    put_u64(out, overloaded.queue_depth());
+    put_f64(out, overloaded.retry_after_s());
+    respond(conn, WireStatus::Overloaded, kind, seq, out);
     overloaded_.fetch_add(1, std::memory_order_relaxed);
     return;
   } catch (const WireError&) {
@@ -695,13 +678,26 @@ void WireServer::dispatch(Connection& conn, WireKind kind, ClientId client,
     respond(conn, WireStatus::Error, kind, seq, error.what());
     return;
   }
-  conn.pending.push_back(std::move(pending));
+  in_flight_.emplace(ticket, InFlight{conn.id, seq, kind, std::move(reply)});
+  ++conn.in_flight;
 }
 
-bool WireServer::parse_frames(Connection& conn) {
-  for (;;) {
-    if (conn.inbuf.size() < kWireRequestHeaderBytes) return true;
-    Cursor header{conn.inbuf};
+bool WireServer::accepting_reads(const Connection& conn) const {
+  // Up to queue_high_water in flight, a full shard answers the next
+  // request with Overloaded exactly as it would an in-process submitter;
+  // past it the connection waits for replies to drain.
+  return !conn.closing && conn.in_flight <= pool_.config().queue_high_water &&
+         conn.outbuf.size() <= config_.max_frame_bytes;
+}
+
+bool WireServer::parse_frames(Connection& conn,
+                              SessionPool::Admission& admission) {
+  std::size_t consumed = 0;
+  bool ok = true;
+  while (accepting_reads(conn)) {
+    const std::string_view rest = std::string_view(conn.inbuf).substr(consumed);
+    if (rest.size() < kWireRequestHeaderBytes) break;
+    Cursor header{rest};
     const std::uint32_t magic = header.u32();
     const std::uint16_t version = header.u16();
     const std::uint8_t kind_raw = header.u8();
@@ -709,53 +705,51 @@ bool WireServer::parse_frames(Connection& conn) {
     const ClientId client = header.u64();
     const std::uint64_t seq = header.u64();
     const std::uint32_t length = header.u32();
+    std::string error;
+    WireKind error_kind = WireKind::Load;
     if (magic != kWireMagic) {
+      error = "bad magic";
+    } else if (version != kWireVersion) {
+      error = "unsupported protocol version " + std::to_string(version);
+    } else if (kind_raw > kWireKindMax || reserved != 0) {
+      error = "bad request kind " + std::to_string(kind_raw);
+    } else if (length > config_.max_frame_bytes) {
+      error_kind = static_cast<WireKind>(kind_raw);
+      error = "frame payload " + std::to_string(length) +
+              " bytes exceeds max " + std::to_string(config_.max_frame_bytes);
+    }
+    if (!error.empty()) {
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn, WireStatus::Error, WireKind::Load, seq, "bad magic");
-      return false;
+      respond(conn, WireStatus::Error, error_kind, seq, error);
+      ok = false;
+      break;
     }
-    if (version != kWireVersion) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn, WireStatus::Error, WireKind::Load, seq,
-              "unsupported protocol version " + std::to_string(version));
-      return false;
+    if (rest.size() - kWireRequestHeaderBytes < length) {
+      break;  // wait for the rest (read deadline bounds the wait)
     }
-    if (kind_raw > kWireKindMax || reserved != 0) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn, WireStatus::Error, WireKind::Load, seq,
-              "bad request kind " + std::to_string(kind_raw));
-      return false;
-    }
-    if (length > config_.max_frame_bytes) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn, WireStatus::Error, static_cast<WireKind>(kind_raw), seq,
-              "frame payload " + std::to_string(length) +
-                  " bytes exceeds max " +
-                  std::to_string(config_.max_frame_bytes));
-      return false;
-    }
-    if (conn.inbuf.size() - kWireRequestHeaderBytes < length) {
-      return true;  // wait for the rest (read deadline bounds the wait)
-    }
-    std::string payload =
-        conn.inbuf.substr(kWireRequestHeaderBytes, length);
-    conn.inbuf.erase(0, kWireRequestHeaderBytes + length);
+    std::string payload(rest.substr(kWireRequestHeaderBytes, length));
+    consumed += kWireRequestHeaderBytes + length;
     frames_in_.fetch_add(1, std::memory_order_relaxed);
     try {
-      dispatch(conn, static_cast<WireKind>(kind_raw), client, seq,
+      dispatch(conn, admission, static_cast<WireKind>(kind_raw), client, seq,
                std::move(payload));
-    } catch (const WireError& error) {
+    } catch (const WireError& decode_error) {
       // Payload decode failure (e.g. a LoadMany whose strings overrun the
       // frame): malformed by construction — error frame, then close.
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
       respond(conn, WireStatus::Error, static_cast<WireKind>(kind_raw), seq,
-              error.what());
-      return false;
+              decode_error.what());
+      ok = false;
+      break;
     }
   }
+  conn.inbuf.erase(0, consumed);
+  return ok;
 }
 
 void WireServer::read_ready(Connection& conn) {
+  // One recv per readiness: inbuf grows by at most one buffer's worth
+  // beyond what accepting_reads() lets parse_frames admit.
   char buffer[64 * 1024];
   for (;;) {
     const ssize_t n = ::recv(conn.fd, buffer, sizeof(buffer), 0);
@@ -764,7 +758,7 @@ void WireServer::read_ready(Connection& conn) {
       bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
                           std::memory_order_relaxed);
       conn.last_read = Clock::now();
-      continue;
+      return;
     }
     if (n == 0) {
       // Peer finished sending. Whatever is in flight still gets flushed
@@ -779,39 +773,157 @@ void WireServer::read_ready(Connection& conn) {
   }
 }
 
-void WireServer::poll_pending(Connection& conn) {
-  for (auto it = conn.pending.begin(); it != conn.pending.end();) {
-    WireStatus status = WireStatus::Ok;
-    std::string payload;
-    if (it->poll(&status, &payload, 0)) {
-      respond(conn, status, it->kind, it->seq, payload);
-      it = conn.pending.erase(it);
-    } else {
-      ++it;
-    }
+void WireServer::post_completion(std::uint64_t ticket) {
+  bool was_empty = false;
+  {
+    std::lock_guard lock(completions_mutex_);
+    was_empty = completions_.empty();
+    completions_.push_back(ticket);
   }
+  // One pipe write per batch: while the queue is non-empty the IO thread
+  // already has a wake-up coming.
+  if (was_empty) wake();
+}
+
+void WireServer::take_completions() {
+  {
+    std::lock_guard lock(completions_mutex_);
+    ready_.swap(completions_);
+  }
+  for (const std::uint64_t ticket : ready_) {
+    auto request = in_flight_.find(ticket);
+    if (request == in_flight_.end()) continue;
+    auto conn = connections_.find(request->second.connection);
+    if (conn != connections_.end()) {
+      --conn->second->in_flight;
+      answer(*conn->second, request->second);
+    }
+    in_flight_.erase(request);
+  }
+  ready_.clear();
+}
+
+void WireServer::answer(Connection& conn, InFlight& request) {
+  // Header and payload go straight into outbuf; the length is patched in
+  // once the payload is written.
+  std::string& out = conn.outbuf;
+  const std::size_t start = out.size();
+  try {
+    put_response_header(out, WireStatus::Ok, request.kind, request.seq, 0);
+    std::visit(
+        [&](auto& future) {
+          using T = decltype(future.get());
+          if constexpr (std::is_void_v<T>) {
+            future.get();
+          } else if constexpr (std::is_same_v<
+                                   T, std::shared_ptr<const loader::LoadReport>>) {
+            put_load(out, future.get());
+          } else {
+            put_result(out, future.get());
+          }
+        },
+        request.reply);
+    const std::size_t length = out.size() - start - kWireResponseHeaderBytes;
+    if (length > 0xffffffffu) throw WireError("response payload too long");
+    set_u32(out, start + kResponseLengthOffset,
+            static_cast<std::uint32_t>(length));
+  } catch (const std::exception& error) {
+    // The verb threw (bad exe, wrap failure): the client's problem,
+    // reported as an Error frame; the connection stays open.
+    out.resize(start);
+    respond(conn, WireStatus::Error, request.kind, request.seq, error.what());
+    return;
+  }
+  frames_out_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void WireServer::put_load(std::string& out,
+                          std::shared_ptr<const loader::LoadReport> report) {
+  const loader::LoadReport* const key = report.get();
+  if (auto it = encoded_.find(key); it != encoded_.end()) {
+    out += it->second.bytes;
+    shared_replies_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // The future handed its reference over, so a count of 1 means no other
+  // holder (memo entry, another reply) exists: a fresh report only this
+  // reply will ever carry. Encode it in place, uncached.
+  const std::size_t start = out.size();
+  put_load_report(out, *report);
+  if (report.use_count() == 1) return;
+  shared_replies_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t size = out.size() - start;
+  if (size > config_.max_frame_bytes) return;
+  if (encoded_bytes_ + size > config_.max_frame_bytes) {
+    encoded_.clear();
+    encoded_bytes_ = 0;
+  }
+  encoded_bytes_ += size;
+  encoded_.emplace(key, Encoded{std::move(report), out.substr(start, size)});
 }
 
 bool WireServer::flush_writes(Connection& conn) {
-  while (!conn.outbuf.empty()) {
-    const ssize_t n = ::send(conn.fd, conn.outbuf.data(), conn.outbuf.size(),
-                             MSG_NOSIGNAL);
+  std::size_t sent = 0;
+  bool alive = true;
+  while (sent < conn.outbuf.size()) {
+    const ssize_t n = ::send(conn.fd, conn.outbuf.data() + sent,
+                             conn.outbuf.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
-      bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
-                           std::memory_order_relaxed);
-      conn.outbuf.erase(0, static_cast<std::size_t>(n));
+      sent += static_cast<std::size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n < 0 && errno == EINTR) continue;
-    return false;  // EPIPE/ECONNRESET: the peer is gone
+    // EAGAIN: the rest waits for POLLOUT. Anything else (EPIPE,
+    // ECONNRESET): the peer is gone.
+    alive = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    break;
   }
-  return true;
+  bytes_out_.fetch_add(sent, std::memory_order_relaxed);
+  conn.outbuf.erase(0, sent);
+  return alive;
+}
+
+void WireServer::settle_connections() {
+  const Clock::time_point now = Clock::now();
+  std::vector<std::uint64_t> done;
+  std::uint64_t buffered = 0;
+  for (auto& [id, conn_ptr] : connections_) {
+    Connection& conn = *conn_ptr;
+    if (!conn.outbuf.empty() && !flush_writes(conn)) {
+      done.push_back(id);
+      continue;
+    }
+    if (!accepting_reads(conn)) {
+      // The server is not reading this connection, so it cannot be
+      // stalling mid-frame: its read deadline starts when reading resumes.
+      if (!conn.closing) conn.last_read = now;
+    } else if (!conn.inbuf.empty() &&
+               seconds_between(conn.last_read, now) > config_.read_deadline_s) {
+      // A PARTIAL frame that stalls is a protocol failure (complete ones
+      // were admitted when it was read).
+      timeouts_.fetch_add(1, std::memory_order_relaxed);
+      respond(conn, WireStatus::Error, WireKind::Load, 0,
+              "read deadline exceeded mid-frame");
+      flush_writes(conn);
+      conn.closing = true;
+      conn.inbuf.clear();
+    }
+    if (conn.closing && conn.in_flight == 0 && conn.outbuf.empty()) {
+      done.push_back(id);
+      continue;
+    }
+    buffered += conn.outbuf.size();
+  }
+  for (const std::uint64_t id : done) close_connection(id);
+  buffered_out_.store(buffered, std::memory_order_relaxed);
 }
 
 void WireServer::io_loop() {
   bool draining = false;
   Clock::time_point drain_start{};
+  std::vector<pollfd> pfds;
+  std::vector<std::uint64_t> polled;  // connection id of each pfds entry
+  const auto on_done = [this](std::uint64_t ticket) { post_completion(ticket); };
 
   for (;;) {
     if (stop_requested_.load(std::memory_order_acquire) && !draining) {
@@ -822,139 +934,98 @@ void WireServer::io_loop() {
         listen_fd_ = -1;
       }
       // Stop reading new requests; what was admitted will be answered.
-      for (auto& [fd, conn] : connections_) conn->closing = true;
+      for (auto& [id, conn] : connections_) conn->closing = true;
     }
 
-    // Fold completed futures into response frames and push bytes out.
-    std::vector<int> fds;
-    fds.reserve(connections_.size());
-    for (const auto& [fd, conn] : connections_) fds.push_back(fd);
-    bool any_pending = false;
-    for (const int fd : fds) {
-      auto it = connections_.find(fd);
-      if (it == connections_.end()) continue;
-      Connection& conn = *it->second;
-      poll_pending(conn);
-      if (!flush_writes(conn)) {
-        close_connection(fd);
-        continue;
-      }
-      // Read-deadline: a PARTIAL frame that stalls is a protocol failure.
-      if (!conn.closing && !conn.inbuf.empty() &&
-          seconds_between(conn.last_read, Clock::now()) >
-              config_.read_deadline_s) {
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
-        respond(conn, WireStatus::Error, WireKind::Load, 0,
-                "read deadline exceeded mid-frame");
-        flush_writes(conn);
-        conn.closing = true;
-        conn.inbuf.clear();
-      }
-      if (conn.closing && conn.pending.empty() && conn.outbuf.empty()) {
-        close_connection(fd);
-        continue;
-      }
-      if (!conn.pending.empty()) any_pending = true;
-    }
+    // Push replies out, enforce read deadlines, reap finished connections.
+    settle_connections();
+    const Clock::time_point now = Clock::now();
+    const double drain_left_s =
+        config_.drain_deadline_s - seconds_between(drain_start, now);
+    if (draining && (connections_.empty() || drain_left_s < 0)) break;
 
-    if (draining) {
-      const bool overdue = seconds_between(drain_start, Clock::now()) >
-                           config_.drain_deadline_s;
-      if (connections_.empty() || overdue) break;
-    }
-
-    // While futures are in flight they complete on pool workers — not on
-    // any fd poll() can wait on. Sleeping in poll() would add scheduler
-    // granularity (~2 ms) to every response, so instead spend a bounded
-    // wait inside ONE in-flight future and keep the socket poll at zero
-    // timeout: completions are answered the moment they land while new
-    // connections and reads are still serviced at >= 1 kHz.
-    int timeout_ms = draining ? 2 : 200;
-    if (any_pending) {
-      timeout_ms = 0;
-      for (auto& [fd, conn] : connections_) {
-        if (conn->pending.empty()) continue;
-        Connection::Pending& head = conn->pending.front();
-        WireStatus status = WireStatus::Ok;
-        std::string payload;
-        if (head.poll(&status, &payload, 1000)) {
-          respond(*conn, status, head.kind, head.seq, payload);
-          conn->pending.erase(conn->pending.begin());
-          // Flushed at the top of the next iteration (timeout is 0).
-        }
-        break;
-      }
-    }
-
-    // Poll sockets. Zero timeout while futures are in flight (the wait
-    // budget was already spent above, inside wait_for).
-    std::vector<pollfd> pfds;
-    pfds.reserve(connections_.size() + 2);
+    // Sleep until a socket, a completion (wake pipe) or the nearest
+    // deadline needs the IO thread; nothing is polled on a timer.
+    double wait_s = -1;  // forever
+    const auto wake_within = [&wait_s](double seconds) {
+      seconds = std::max(seconds, 0.0);
+      wait_s = wait_s < 0 ? seconds : std::min(wait_s, seconds);
+    };
+    if (draining) wake_within(drain_left_s);
+    pfds.clear();
+    polled.clear();
     pfds.push_back(pollfd{wake_read_fd_, POLLIN, 0});
     if (listen_fd_ >= 0) pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    for (const auto& [fd, conn] : connections_) {
+    const std::size_t first_conn = pfds.size();
+    for (const auto& [id, conn] : connections_) {
       short events = 0;
-      if (!conn->closing) events |= POLLIN;
-      if (!conn->outbuf.empty()) events |= POLLOUT;
-      pfds.push_back(pollfd{fd, events, 0});
-    }
-    ::poll(pfds.data(), pfds.size(), timeout_ms);
-
-    // Drain the wake pipe.
-    if (pfds[0].revents & POLLIN) {
-      char sink[64];
-      while (::read(wake_read_fd_, sink, sizeof(sink)) > 0) {
-      }
-    }
-    std::size_t index = 1;
-    if (listen_fd_ >= 0) {
-      if (pfds[index].revents & POLLIN) accept_ready();
-      ++index;
-    }
-    for (; index < pfds.size(); ++index) {
-      auto it = connections_.find(pfds[index].fd);
-      if (it == connections_.end()) continue;
-      Connection& conn = *it->second;
-      if (pfds[index].revents & (POLLERR | POLLNVAL)) {
-        close_connection(conn.fd);
-        continue;
-      }
-      if (pfds[index].revents & (POLLIN | POLLHUP)) {
-        if (!conn.closing) {
-          read_ready(conn);
-          if (!parse_frames(conn)) {
-            // Malformed frame: the error response is already queued; stop
-            // reading and close once it is flushed.
-            flush_writes(conn);
-            conn.closing = true;
-            conn.inbuf.clear();
-          }
-        } else if (pfds[index].revents & POLLHUP) {
-          // Peer hung up while we were already closing; no reads left.
-          if (conn.pending.empty() && conn.outbuf.empty()) {
-            close_connection(conn.fd);
-            continue;
-          }
+      if (accepting_reads(*conn)) {
+        events |= POLLIN;
+        if (!conn->inbuf.empty()) {
+          wake_within(config_.read_deadline_s -
+                      seconds_between(conn->last_read, now));
         }
+      }
+      if (!conn->outbuf.empty()) events |= POLLOUT;
+      pfds.push_back(pollfd{conn->fd, events, 0});
+      polled.push_back(id);
+    }
+    ::poll(pfds.data(), pfds.size(),
+           wait_s < 0 ? -1 : static_cast<int>(std::ceil(wait_s * 1e3)));
+
+    if (pfds[0].revents & POLLIN) {
+      // Completions write one byte per batch, so one read empties the pipe
+      // (anything left just wakes the next poll).
+      char sink[64];
+      [[maybe_unused]] const ssize_t n =
+          ::read(wake_read_fd_, sink, sizeof(sink));
+    }
+    // After reading the pipe: a completion posted from here on writes it
+    // again, so none is missed.
+    take_completions();
+    if (first_conn > 1 && (pfds[1].revents & POLLIN)) accept_ready();
+
+    for (std::size_t i = 0; i < polled.size(); ++i) {
+      const short revents = pfds[first_conn + i].revents;
+      auto it = connections_.find(polled[i]);
+      if (revents == 0 || it == connections_.end()) continue;
+      Connection& conn = *it->second;
+      if ((revents & (POLLERR | POLLNVAL)) ||
+          ((revents & POLLHUP) && conn.closing)) {
+        // Broken, or hung up while we were already closing: nothing more
+        // can be delivered.
+        close_connection(conn.id);
+      } else if ((revents & (POLLIN | POLLHUP)) && !conn.closing) {
+        read_ready(conn);
+      }
+    }
+
+    // Admit every complete frame buffered on any connection — this read's
+    // and those held back while a connection was at its limits — in one
+    // Admission, so each touched shard is woken once.
+    std::optional<SessionPool::Admission> admission;
+    for (auto& [id, conn] : connections_) {
+      if (conn->inbuf.empty() || !accepting_reads(*conn)) continue;
+      if (!admission) admission.emplace(pool_, on_done);
+      if (!parse_frames(*conn, *admission)) {
+        // Malformed frame: the error response is already queued; stop
+        // reading and close once it is flushed.
+        conn->closing = true;
+        conn->inbuf.clear();
       }
     }
   }
 
   // Teardown: anything still open is force-closed (drain deadline), then
-  // the pool quiesces so a caller observing !running() sees a settled
-  // service.
-  std::vector<int> fds;
-  fds.reserve(connections_.size());
-  for (const auto& [fd, conn] : connections_) fds.push_back(fd);
-  for (const int fd : fds) close_connection(fd);
+  // the pool quiesces, which also runs every outstanding completion.
+  while (!connections_.empty()) close_connection(connections_.begin()->first);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
   pool_.drain();
-  ::close(wake_read_fd_);
-  ::close(wake_write_fd_);
-  wake_read_fd_ = wake_write_fd_ = -1;
+  in_flight_.clear();
+  encoded_.clear();
   running_.store(false, std::memory_order_release);
 }
 
@@ -1023,8 +1094,13 @@ std::uint64_t WireClient::send(WireKind kind, ClientId client,
 }
 
 WireResponse WireClient::recv_response() {
+  // Make `needed` unconsumed bytes available from read_pos_.
   auto fill_to = [this](std::size_t needed) {
-    while (read_buffer_.size() < needed) {
+    while (read_buffer_.size() - read_pos_ < needed) {
+      if (read_pos_ != 0) {  // refill: drop the consumed prefix first
+        read_buffer_.erase(0, read_pos_);
+        read_pos_ = 0;
+      }
       char buffer[64 * 1024];
       const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
       if (n > 0) {
@@ -1040,7 +1116,7 @@ WireResponse WireClient::recv_response() {
     }
   };
   fill_to(kWireResponseHeaderBytes);
-  Cursor header{read_buffer_};
+  Cursor header{std::string_view(read_buffer_).substr(read_pos_)};
   const std::uint32_t magic = header.u32();
   const std::uint16_t version = header.u16();
   const std::uint8_t status = header.u8();
@@ -1061,8 +1137,13 @@ WireResponse WireClient::recv_response() {
   response.status = static_cast<WireStatus>(status);
   response.kind = static_cast<WireKind>(kind);
   response.seq = seq;
-  response.payload = read_buffer_.substr(kWireResponseHeaderBytes, length);
-  read_buffer_.erase(0, kWireResponseHeaderBytes + length);
+  response.payload =
+      read_buffer_.substr(read_pos_ + kWireResponseHeaderBytes, length);
+  read_pos_ += kWireResponseHeaderBytes + length;
+  if (read_pos_ == read_buffer_.size()) {
+    read_buffer_.clear();
+    read_pos_ = 0;
+  }
   return response;
 }
 

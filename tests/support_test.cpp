@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <numeric>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "depchaos/support/log_histogram.hpp"
 #include "depchaos/support/path_table.hpp"
 #include "depchaos/support/rng.hpp"
 #include "depchaos/support/sha256.hpp"
@@ -416,6 +420,115 @@ TEST(ThreadPool, ParallelForRethrowsFirstChunkError) {
   // not polluted by parallel_for's private capture.
   EXPECT_GT(visited.load(), 500);
   EXPECT_FALSE(pool.has_errors());
+}
+
+// --------------------------------------------------------- log histogram
+
+// Exact nearest-rank quantile over the raw samples (the reference).
+double nearest_rank(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(samples.size())));
+  return samples[rank == 0 ? 0 : rank - 1];
+}
+
+// Named sample sets spanning what the histogram records in practice: pool
+// latencies (microseconds), drain-batch sizes (small integers) and MDS
+// latencies (seconds), plus a point mass and a heavy tail.
+std::vector<std::pair<std::string, std::vector<double>>> random_sample_sets(
+    std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> uniform(0.0, 1000.0);
+  std::exponential_distribution<double> exponential(1.0 / 40.0);
+  std::lognormal_distribution<double> lognormal(-7.0, 2.0);
+  std::uniform_int_distribution<int> batch(1, 40);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<std::pair<std::string, std::vector<double>>> sets(6);
+  sets[0].first = "uniform us";
+  sets[1].first = "exponential us";
+  sets[2].first = "lognormal seconds";
+  sets[3].first = "integer batches";
+  sets[4].first = "point mass";
+  sets[5].first = "pareto tail";
+  for (int i = 0; i < 5000; ++i) {
+    sets[0].second.push_back(uniform(rng));
+    sets[1].second.push_back(exponential(rng));
+    sets[2].second.push_back(lognormal(rng));
+    sets[3].second.push_back(batch(rng));
+    sets[4].second.push_back(3.7);
+    sets[5].second.push_back(10.0 * std::pow(1.0 - unit(rng), -1.0 / 1.2));
+  }
+  return sets;
+}
+
+TEST(LogHistogram, QuantilesWithinOneBucketOfNearestRankOnRandomSamples) {
+  const std::vector<double> qs = {0.0, 0.01, 0.1, 0.25, 0.5,
+                                  0.75, 0.9, 0.99, 0.999, 1.0};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const auto& [name, samples] : random_sample_sets(seed)) {
+      SCOPED_TRACE(name + " seed " + std::to_string(seed));
+      LogHistogram h;
+      double sum = 0;
+      for (const double v : samples) {
+        h.record(v);
+        sum += v;
+      }
+      EXPECT_EQ(h.count(), samples.size());
+      EXPECT_EQ(h.min(), *std::min_element(samples.begin(), samples.end()));
+      EXPECT_EQ(h.max(), *std::max_element(samples.begin(), samples.end()));
+      EXPECT_NEAR(h.sum(), sum, std::abs(sum) * 1e-12);
+      for (const double q : qs) {
+        const double exact = nearest_rank(samples, q);
+        // A bucket is at most 1/kSubBuckets of its lower bound wide.
+        EXPECT_LE(std::abs(h.quantile(q) - exact),
+                  exact / LogHistogram::kSubBuckets)
+            << "q=" << q;
+      }
+      EXPECT_LE(h.min(), h.quantile(0.5));
+      EXPECT_LE(h.quantile(0.5), h.quantile(0.99));
+      EXPECT_LE(h.quantile(0.99), h.max());
+    }
+  }
+}
+
+TEST(LogHistogram, MergeEqualsRecordingEverythingIntoOne) {
+  for (const auto& [name, samples] : random_sample_sets(9)) {
+    SCOPED_TRACE(name);
+    LogHistogram whole;
+    std::vector<LogHistogram> parts(3);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      whole.record(samples[i]);
+      parts[(i * 7) % parts.size()].record(samples[i]);
+    }
+    LogHistogram merged;
+    merged.merge(LogHistogram{});  // an empty operand changes nothing
+    for (const LogHistogram& part : parts) merged.merge(part);
+    EXPECT_EQ(merged.count(), whole.count());
+    EXPECT_EQ(merged.min(), whole.min());
+    EXPECT_EQ(merged.max(), whole.max());
+    EXPECT_NEAR(merged.sum(), whole.sum(), std::abs(whole.sum()) * 1e-12);
+    for (double q = 0; q <= 1.0; q += 0.01) {
+      EXPECT_EQ(merged.quantile(q), whole.quantile(q)) << "q=" << q;
+    }
+  }
+}
+
+TEST(LogHistogram, EmptyAndOutOfRangeValuesStayInsideMinMax) {
+  LogHistogram h;
+  EXPECT_TRUE(h.empty());
+  EXPECT_EQ(h.quantile(0.5), 0.0);
+  EXPECT_EQ(h.mean(), 0.0);
+
+  h.record(-5.0);  // counts as 0
+  h.record(1e-15);  // below the smallest bucket
+  h.record(1e12);   // above the largest
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 1e12);
+  EXPECT_EQ(h.quantile(0.0), 0.0);
+  EXPECT_EQ(h.quantile(1.0), 1e12);
+  EXPECT_GE(h.quantile(0.5), h.min());
+  EXPECT_LE(h.quantile(0.5), 1e-14);
 }
 
 }  // namespace

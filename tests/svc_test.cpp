@@ -8,8 +8,11 @@
 // eviction/collapse — must be invisible in the reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
@@ -658,6 +661,116 @@ TEST(SessionPool, FailedDrainSchedulingDoesNotLeakPendingOrWedgeTheShard) {
   const PoolStats stats = pool.stats();
   EXPECT_EQ(stats.executed, 1u);
   EXPECT_EQ(stats.rejected, 1u);  // the failed admission was counted
+}
+
+// Telemetry is bounded: latencies and batch sizes live in fixed-size
+// histograms, so stats() merges buckets and its cost does not grow with
+// the number of requests served.
+TEST(SessionPool, StatsStaysUnderAMillisecondAfterAMillionRequests) {
+  PoolConfig config;
+  config.manual_drain = true;  // the test thread runs every drain cycle
+  SessionPool pool(make_world(1), config);
+  constexpr std::size_t kRequests = 1'000'000;
+  constexpr std::size_t kChunk = 1000;  // under the high-water mark
+  for (std::size_t done = 0; done < kRequests; done += kChunk) {
+    for (std::size_t i = 0; i < kChunk; ++i) {
+      pool.release(static_cast<ClientId>(i % 64));
+    }
+    while (pool.pump() != 0) {
+    }
+  }
+  double best_ms = 1e9;
+  PoolStats stats;
+  for (int round = 0; round < 5; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    stats = pool.stats();
+    best_ms = std::min(
+        best_ms, std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  EXPECT_LE(best_ms, 1.0);
+  const OpLatency& control =
+      stats.latency[static_cast<std::size_t>(RequestKind::Control)];
+  EXPECT_EQ(control.count, kRequests);
+  EXPECT_LE(control.p50_us, control.p99_us);
+  EXPECT_LE(control.p99_us, control.max_us);
+  EXPECT_EQ(stats.drain_batch.cycles, stats.drain_cycles);
+}
+
+// Batched admission: commands submitted inside one Admission wait for the
+// scope to end, each touched shard then runs them as ONE drain cycle, and
+// every command's completion fires with its tag after its result is set.
+TEST(SessionPool, AdmissionWakesEachShardOnceAndCompletesEveryTag) {
+  SessionPool pool(make_world());
+  const std::string exe = "/apps/a0/bin/app";
+  ASSERT_TRUE(pool.submit_load(1, exe).get().success);  // memo warm
+  pool.drain();
+  const PoolStats before = pool.stats();
+
+  constexpr std::uint64_t kCommands = 64;
+  std::vector<std::future<std::shared_ptr<const loader::LoadReport>>> futures(
+      kCommands);
+  std::mutex done_mutex;
+  std::vector<std::uint64_t> done_tags;
+  std::atomic<int> ready_before_completion{0};
+  {
+    SessionPool::Admission admission(pool, [&](std::uint64_t tag) {
+      if (futures[tag].wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
+        ready_before_completion.fetch_add(1);
+      }
+      std::lock_guard lock(done_mutex);
+      done_tags.push_back(tag);
+    });
+    std::vector<bool> shard_used(pool.stats().shards, false);
+    for (std::uint64_t tag = 0; tag < kCommands; ++tag) {
+      admission.tag(tag);
+      futures[tag] = pool.submit_load_shared(100 + tag, exe);
+      shard_used[pool.shard_of(100 + tag)] = true;
+    }
+    // Nothing runs while the scope is open: no strand was woken.
+    for (auto& future : futures) {
+      EXPECT_EQ(future.wait_for(std::chrono::milliseconds(0)),
+                std::future_status::timeout);
+    }
+  }
+  pool.drain();
+  for (auto& future : futures) EXPECT_TRUE(future.get()->success);
+  std::sort(done_tags.begin(), done_tags.end());
+  ASSERT_EQ(done_tags.size(), kCommands);
+  for (std::uint64_t tag = 0; tag < kCommands; ++tag) {
+    EXPECT_EQ(done_tags[tag], tag);
+  }
+  EXPECT_EQ(ready_before_completion.load(), static_cast<int>(kCommands));
+  const PoolStats after = pool.stats();
+  // One cycle per shard the scope touched (every client lands somewhere).
+  EXPECT_LE(after.drain_cycles - before.drain_cycles, after.shards);
+  EXPECT_EQ(after.executed - before.executed, kCommands);
+}
+
+// Scheduling fails after an Admission queued commands: they are failed
+// through their futures and completions instead of wedging drain().
+TEST(SessionPool, AdmissionFailsQueuedCommandsWhenTheDrainCannotBeScheduled) {
+  PoolConfig config;
+  config.drain_submit_fault = [] {
+    throw std::runtime_error("worker pool rejected the drain task");
+  };
+  SessionPool pool(make_world(), config);
+  std::atomic<int> completions{0};
+  std::future<loader::LoadReport> load;
+  std::future<void> reset;
+  {
+    SessionPool::Admission admission(
+        pool, [&](std::uint64_t) { completions.fetch_add(1); });
+    load = pool.submit_load(1, "/apps/a0/bin/app");
+    reset = pool.reset(2);
+  }
+  pool.drain();  // must not hang
+  EXPECT_THROW(load.get(), std::runtime_error);
+  EXPECT_THROW(reset.get(), std::runtime_error);
+  EXPECT_EQ(completions.load(), 2);
+  EXPECT_EQ(pool.stats().rejected, 2u);
 }
 
 }  // namespace

@@ -12,14 +12,18 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,6 +112,24 @@ class RawConn {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
   }
+
+  /// Abort the connection with an RST (SO_LINGER 0), so the server sees it
+  /// fail at once instead of an orderly end of stream.
+  void reset() {
+    const linger abort{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+    close();
+  }
+
+  /// Non-blocking send of as much of `bytes` as the socket takes; returns
+  /// the count (0 when the socket is full or gone).
+  std::size_t try_write(std::string_view bytes) {
+    const ssize_t n = ::send(fd_, bytes.data(), bytes.size(),
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    return n > 0 ? static_cast<std::size_t>(n) : 0;
+  }
+
+  int fd() const { return fd_; }
 
   void write_bytes(std::string_view bytes) {
     std::size_t sent = 0;
@@ -531,6 +553,220 @@ TEST(WireServer, StalledPartialFrameHitsReadDeadline) {
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   EXPECT_TRUE(client.load(1, "/apps/a0/bin/app").success);
   EXPECT_EQ(server.stats().timeouts, 1u);
+}
+
+// ------------------------------------------- completion-driven front end
+
+std::vector<pid_t> thread_ids() {
+  std::vector<pid_t> ids;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (const dirent* entry = ::readdir(dir)) {
+      if (entry->d_name[0] != '.') ids.push_back(std::stoi(entry->d_name));
+    }
+    ::closedir(dir);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+long voluntary_switches(pid_t tid) {
+  std::ifstream status("/proc/self/task/" + std::to_string(tid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    const std::string key = "voluntary_ctxt_switches:";
+    if (line.rfind(key, 0) == 0) return std::stol(line.substr(key.size()));
+  }
+  return -1;
+}
+
+template <typename Predicate>
+bool eventually(Predicate done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// The IO thread sleeps in poll() while a request is in flight: the parked
+// Load's completion, not a timer, is what will wake it.
+TEST(WireServer, IdleIoThreadSleepsWhileARequestIsParked) {
+  PoolConfig config;
+  config.manual_drain = true;  // the Load stays queued until pump()
+  SessionPool pool(make_world(), config);
+  const std::vector<pid_t> before = thread_ids();
+  WireServer server(pool);
+  const std::vector<pid_t> after = thread_ids();
+  std::vector<pid_t> added;
+  std::set_difference(after.begin(), after.end(), before.begin(), before.end(),
+                      std::back_inserter(added));
+  ASSERT_EQ(added.size(), 1u) << "cannot tell the IO thread apart";
+  const pid_t io = added.front();
+
+  WireClient client("127.0.0.1", server.port());
+  const std::uint64_t seq = client.send(WireKind::Load, 1, "/apps/a0/bin/app");
+  ASSERT_TRUE(eventually([&] { return server.stats().frames_in == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const long start = voluntary_switches(io);
+  ASSERT_GE(start, 0);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(voluntary_switches(io) - start, 50);
+
+  pool.pump();
+  EXPECT_EQ(client.recv_for(seq).status, WireStatus::Ok);
+}
+
+// Encode once: memo-shared reports are served from the encode cache, and
+// every such reply is byte-identical to encoding the in-process result —
+// across many client ids, pipelined, after the cache is warm.
+TEST(WireServer, MemoSharedRepliesFromTheEncodeCacheAreByteIdentical) {
+  WorldBuilder twin_a;
+  const auto exes = install_fleet(twin_a, 4);
+  WorldBuilder twin_b;
+  install_fleet(twin_b, 4);
+  SessionPool local(twin_a.build());
+  SessionPool served(twin_b.build());
+  WireServer server(served);
+  WireClient client("127.0.0.1", server.port());
+
+  std::vector<std::string> expected;
+  for (const auto& exe : exes) {
+    expected.push_back(encode_load_report(*local.submit_load_shared(1, exe).get()));
+    EXPECT_EQ(client.call(WireKind::Load, 1, exe).payload, expected.back());
+  }
+  std::vector<std::pair<std::uint64_t, std::size_t>> sent;
+  for (int round = 0; round < 3; ++round) {
+    for (ClientId id = 2; id < 66; ++id) {
+      const std::size_t exe = (id + round) % exes.size();
+      sent.emplace_back(client.send(WireKind::Load, id, exes[exe]), exe);
+    }
+  }
+  for (const auto& [seq, exe] : sent) {
+    const WireResponse response = client.recv_for(seq);
+    EXPECT_EQ(response.status, WireStatus::Ok);
+    EXPECT_EQ(response.payload, expected[exe]) << exes[exe];
+  }
+  // Misses are memo entries too: every reply carried a shared report.
+  EXPECT_EQ(server.stats().shared_replies, exes.size() + sent.size());
+}
+
+// Under a latency model memo hits are re-priced per client — fresh reports
+// the cache must never serve: each client's reply equals its twin pool's,
+// so no client receives another client's sim_time_s.
+TEST(WireServer, RepricedRepliesUnderNfsModelMatchTheTwinPool) {
+  WorldBuilder twin_a;
+  const auto exes = install_fleet(twin_a, 3);
+  WorldBuilder twin_b;
+  install_fleet(twin_b, 3);
+  Session base_a = twin_a.build();
+  base_a.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  Session base_b = twin_b.build();
+  base_b.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  SessionPool local(std::move(base_a));
+  SessionPool served(std::move(base_b));
+  ASSERT_TRUE(served.repricing_active());
+  WireServer server(served);
+  WireClient client("127.0.0.1", server.port());
+
+  std::size_t checked = 0;
+  std::set<std::string> distinct;
+  for (int round = 0; round < 3; ++round) {
+    for (ClientId id = 1; id <= 8; ++id) {
+      const std::string& exe = exes[(id + round) % exes.size()];
+      const std::string want =
+          encode_load_report(*local.submit_load_shared(id, exe).get());
+      const WireResponse response = client.call(WireKind::Load, id, exe);
+      EXPECT_EQ(response.status, WireStatus::Ok);
+      EXPECT_EQ(response.payload, want) << "client " << id << " " << exe;
+      distinct.insert(want);
+      ++checked;
+    }
+  }
+  // Warm and cold clients were priced differently, so a cache keyed on
+  // anything but the report's identity would have shown up above.
+  EXPECT_GT(distinct.size(), exes.size());
+  EXPECT_EQ(checked, 24u);
+}
+
+// A completion that lands after its connection was torn down is dropped;
+// the next connection — likely on the very same fd number — only ever sees
+// its own replies.
+TEST(WireServer, StaleCompletionNeverReachesTheNextConnection) {
+  PoolConfig config;
+  config.manual_drain = true;
+  SessionPool pool(make_world(), config);
+  WireServer server(pool);
+  {
+    RawConn doomed(server.port());
+    doomed.write_bytes(
+        encode_request_frame(WireKind::Load, 1, 777, "/apps/a0/bin/app"));
+    ASSERT_TRUE(eventually([&] { return server.stats().frames_in == 1; }));
+    doomed.reset();
+  }
+  ASSERT_TRUE(eventually([&] { return server.stats().active == 0; }));
+
+  WireClient next("127.0.0.1", server.port());
+  ASSERT_TRUE(eventually([&] { return server.stats().active == 1; }));
+  pool.pump();  // completes seq 777 for a connection that no longer exists
+  const std::uint64_t seq = next.send(WireKind::Load, 2, "/apps/a1/bin/app");
+  ASSERT_TRUE(eventually([&] { return server.stats().frames_in == 2; }));
+  pool.pump();
+  const WireResponse response = next.recv_response();
+  EXPECT_EQ(response.seq, seq);
+  EXPECT_EQ(response.status, WireStatus::Ok);
+  EXPECT_EQ(server.stats().frames_out, 1u);
+}
+
+// A client that pipelines without ever reading: the server stops reading
+// it once its unsent replies pass max_frame_bytes, so TCP backpressure —
+// not server memory — absorbs the flood, and other clients are served.
+TEST(WireServer, NeverReadingClientMeetsBackpressureOthersAreServed) {
+  PoolConfig pool_config;
+  pool_config.queue_high_water = 64;
+  SessionPool pool(make_world(), pool_config);
+  WireConfig config;
+  config.max_frame_bytes = 64 * 1024;
+  WireServer server(pool, config);
+  const std::string exe = "/apps/a0/bin/app";
+  const std::size_t reply_frame =
+      kWireResponseHeaderBytes +
+      encode_load_report(*pool.submit_load_shared(99, exe).get()).size();
+
+  constexpr std::uint64_t kFrames = 100'000;
+  std::string flood;
+  for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
+    flood += encode_request_frame(WireKind::Load, seq % 16, seq, exe);
+  }
+  RawConn flooder(server.port());
+  std::size_t sent = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (sent < flood.size() &&
+         std::chrono::steady_clock::now() - last_progress <
+             std::chrono::milliseconds(500)) {
+    const std::size_t n = flooder.try_write(std::string_view(flood).substr(sent));
+    if (n > 0) {
+      sent += n;
+      last_progress = std::chrono::steady_clock::now();
+    } else {
+      pollfd pfd{flooder.fd(), POLLOUT, 0};
+      ::poll(&pfd, 1, 50);
+    }
+  }
+  // Let the in-flight requests finish into the outbuf.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  const WireStats stats = server.stats();
+  EXPECT_LT(stats.frames_in, kFrames) << "the server never stopped reading";
+  // Past max_frame_bytes the connection is not read; what can still land
+  // are the replies of requests already in flight (at most the pool's
+  // high-water mark plus one) and the frames of the read that crossed it.
+  EXPECT_LE(stats.buffered_out,
+            config.max_frame_bytes +
+                (pool_config.queue_high_water + 2) * reply_frame);
+
+  WireClient other("127.0.0.1", server.port());
+  EXPECT_TRUE(other.load(7, exe).success);
 }
 
 }  // namespace

@@ -544,6 +544,10 @@ void print_wire_stats(const svc::WireStats& wire) {
               static_cast<unsigned long long>(wire.decode_errors),
               static_cast<unsigned long long>(wire.timeouts),
               static_cast<unsigned long long>(wire.overloaded));
+  std::printf("wire shared replies %llu (memo-shared loads, encoded once); "
+              "%llu bytes unsent\n",
+              static_cast<unsigned long long>(wire.shared_replies),
+              static_cast<unsigned long long>(wire.buffered_out));
 }
 
 // `depchaos serve` — the session service. Two modes share one pool setup:
