@@ -178,26 +178,15 @@ class Loader {
     std::string path;
     HowFound how = HowFound::NotFound;
     /// Interned id of `path` when the resolver produced one (probe reuse);
-    /// kNone for paths carried through verbatim (app cache, preloads) or
-    /// produced past the interner's byte budget.
+    /// kNone for paths carried through verbatim (app cache, preloads).
     support::PathId id = support::PathTable::kNone;
-  };
-
-  /// A search directory for probe_dirs: interned on the fast path; `text`
-  /// carries the original spelling only when interning hit the
-  /// PathTable's byte budget (the uncached string-sweep fallback).
-  struct DirRef {
-    support::PathId id = support::PathTable::kNone;
-    std::string text;
   };
 
   /// Outcome of a batched directory sweep: which search dir accepted the
-  /// candidate (index into the swept dir list), the candidate's id (kNone
-  /// on the budget-fallback sweep), and its path string.
+  /// candidate (index into the swept dir list) and the candidate's id.
   struct DirProbe {
     std::size_t dir = vfs::FileSystem::npos;
     support::PathId id = support::PathTable::kNone;
-    std::string path;
     bool found() const { return dir != vfs::FileSystem::npos; }
   };
 
@@ -211,14 +200,10 @@ class Loader {
   struct Session {
     LoadReport report;
     // Dedup indices into report.load_order. Names and sonames are request
-    // strings; the inode-proxy map is keyed by interned canonical PathId,
-    // with a string-keyed sibling for real paths that could not be
-    // interned past the byte budget (a path interns to the same id — or
-    // consistently fails — every time, so the two maps never alias).
+    // strings; the inode-proxy map is keyed by interned canonical PathId.
     std::unordered_map<std::string, std::size_t> by_name;      // request str
     std::unordered_map<std::string, std::size_t> by_soname;    // DT_SONAME
     std::unordered_map<support::PathId, std::size_t> by_realpath;
-    std::unordered_map<std::string, std::size_t> by_realpath_str;
     // Parsed per-application loader cache ("" when absent/disabled).
     std::unordered_map<std::string, std::string> app_cache;
     const Environment* env = nullptr;
@@ -228,28 +213,17 @@ class Loader {
                                                   bool count_read);
   std::optional<std::size_t> dedup_lookup(Session& session,
                                           const std::string& name) const;
-  /// The inode-proxy dedup invariant in one place: a real path keys
-  /// by_realpath when it interns, by_realpath_str when the byte budget
-  /// refuses it — and a given path lands in the same map every time.
-  void note_realpath(Session& session, const std::string& real_path,
-                     std::size_t index) const;
-  std::optional<std::size_t> find_realpath(const Session& session,
-                                           const std::string& real_path) const;
   Resolution search(Session& session, const std::string& name,
                     std::size_t requester_index);
   /// Intern a search directory: absolute dirs directly, relative dirs (a
   /// historic security hole) resolved against / — functional but
-  /// unremarkable, as before. kNone past the interner byte budget.
+  /// unremarkable, as before.
   support::PathId intern_dir(std::string_view dir) const;
-  /// intern_dir + the original spelling kept for the budget fallback.
-  DirRef dir_ref(std::string_view dir) const;
   /// Sweep `dirs` for `name`, hwcaps subdirectories before each plain dir,
   /// as ONE batched VFS probe call — candidates are (dir id, name) steps in
-  /// the interner, never string concatenation. When candidate interning
-  /// hits the byte budget the sweep degrades to per-candidate string
-  /// probes with identical counters, latency, and probe-log lines.
-  DirProbe probe_dirs(std::span<const DirRef> dirs, const std::string& name,
-                      elf::Machine machine);
+  /// the interner, never string concatenation.
+  DirProbe probe_dirs(std::span<const support::PathId> dirs,
+                      const std::string& name, elf::Machine machine);
   /// Shared probe verdict: ELF magic + architecture checks with LD_DEBUG
   /// style logging. `data` is the already-opened candidate (null = ENOENT).
   bool classify_probe(const std::string& path, const vfs::FileData* data,
@@ -269,13 +243,13 @@ class Loader {
   Resolution search_phase(SearchPhase phase, Session& session,
                           const std::string& name, std::size_t requester_index,
                           elf::Machine machine);
-  /// The inherited rpath chain for `requester`, as interned dir refs.
+  /// The inherited rpath chain for `requester`, as interned dir ids.
   /// `own_count` receives how many leading entries came from the
   /// requester's own dynamic section (they are reported HowFound::Rpath;
   /// the rest RpathAncestor).
-  std::vector<DirRef> effective_rpath_chain(const Session& session,
-                                            std::size_t requester_index,
-                                            std::size_t& own_count) const;
+  std::vector<support::PathId> effective_rpath_chain(
+      const Session& session, std::size_t requester_index,
+      std::size_t& own_count) const;
 
   /// Expand $ORIGIN/${ORIGIN} in one pass. Returns `entry` itself when
   /// there is nothing to expand (no allocation — the common case), else a

@@ -127,15 +127,6 @@ std::string_view Loader::expand_origin(std::string_view entry,
 std::shared_ptr<const elf::Object> Loader::fetch_object(
     const std::string& path, bool count_read) {
   const support::PathId id = fs_.intern(path);
-  if (id == support::PathTable::kNone) {
-    // Interner byte budget exhausted: parse uncached (same charges — the
-    // read below is the only counted op either way).
-    const vfs::FileData* data = fs_.peek(path);
-    if (data == nullptr || !elf::looks_like_self(data->bytes)) return nullptr;
-    auto object = std::make_shared<const elf::Object>(elf::parse(data->bytes));
-    if (count_read) fs_.count_read(path);
-    return object;
-  }
   const support::PathId canonical = fs_.resolve_canonical(id);
   const support::PathId key =
       canonical != support::PathTable::kNone ? canonical : id;
@@ -180,11 +171,7 @@ bool Loader::classify_probe(const std::string& path,
 
 bool Loader::probe_file(support::PathId id, elf::Machine machine,
                         const std::string* log_as) {
-  // kNone (possible past the interner byte budget) probes by string;
-  // either way the candidate is charged exactly one counted open(2).
-  const vfs::FileData* data = id != support::PathTable::kNone
-                                  ? fs_.open(id)
-                                  : fs_.open(*log_as);
+  const vfs::FileData* data = fs_.open(id);  // one counted open(2)
   return classify_probe(log_as != nullptr ? *log_as : paths_->str(id), data,
                         machine);
 }
@@ -202,14 +189,7 @@ support::PathId Loader::intern_dir(std::string_view dir) const {
   return paths_->intern(dir);
 }
 
-Loader::DirRef Loader::dir_ref(std::string_view dir) const {
-  DirRef ref;
-  ref.id = intern_dir(dir);
-  if (ref.id == support::PathTable::kNone) ref.text = std::string(dir);
-  return ref;
-}
-
-Loader::DirProbe Loader::probe_dirs(std::span<const DirRef> dirs,
+Loader::DirProbe Loader::probe_dirs(std::span<const support::PathId> dirs,
                                     const std::string& name,
                                     elf::Machine machine) {
   // Lay out every candidate for this soname — hwcaps subdirectories before
@@ -222,75 +202,23 @@ Loader::DirProbe Loader::probe_dirs(std::span<const DirRef> dirs,
   candidates.clear();
   candidate_dir.clear();
   const bool hwcaps = policy_->probes_hwcaps();
-  bool interned = true;
-  for (std::size_t d = 0; d < dirs.size() && interned; ++d) {
-    if (dirs[d].id == support::PathTable::kNone) {
-      interned = false;
-      break;
-    }
+  for (std::size_t d = 0; d < dirs.size(); ++d) {
     if (hwcaps) {
       for (const auto& hwcap : config_.hwcaps) {
-        const support::PathId sub = paths_->intern_under(dirs[d].id, hwcap);
-        const support::PathId cand =
-            sub != support::PathTable::kNone ? paths_->child(sub, name)
-                                             : support::PathTable::kNone;
-        if (cand == support::PathTable::kNone) {
-          interned = false;
-          break;
-        }
-        candidates.push_back(cand);
+        candidates.push_back(
+            paths_->child(paths_->intern_under(dirs[d], hwcap), name));
         candidate_dir.push_back(d);
       }
-      if (!interned) break;
     }
-    const support::PathId cand = paths_->child(dirs[d].id, name);
-    if (cand == support::PathTable::kNone) {
-      interned = false;
-      break;
-    }
-    candidates.push_back(cand);
+    candidates.push_back(paths_->child(dirs[d], name));
     candidate_dir.push_back(d);
   }
-  if (interned) {
-    const std::size_t hit = fs_.open_first(
-        candidates, [&](std::size_t i, const vfs::FileData* data) {
-          return classify_probe(paths_->str(candidates[i]), data, machine);
-        });
-    if (hit == vfs::FileSystem::npos) return DirProbe{};
-    return DirProbe{candidate_dir[hit], candidates[hit],
-                    paths_->str(candidates[hit])};
-  }
-  // Interner byte budget exhausted mid-layout (nothing has been probed
-  // yet): sweep the same candidates as strings — one counted open(2) per
-  // attempt, same order, same probe-log spelling, no interning.
-  const auto dir_text = [&](const DirRef& ref) {
-    if (ref.id != support::PathTable::kNone) return paths_->str(ref.id);
-    return vfs::normalize_path(ref.text.empty() || ref.text.front() != '/'
-                                   ? "/" + ref.text
-                                   : ref.text);
-  };
-  for (std::size_t d = 0; d < dirs.size(); ++d) {
-    const std::string base = dir_text(dirs[d]);
-    const auto join = [&](std::string_view a, std::string_view b) {
-      std::string out(a == "/" ? std::string_view{} : a);
-      out += '/';
-      out += b;
-      return out;
-    };
-    const auto try_path = [&](const std::string& path) {
-      const vfs::FileData* data = fs_.open(path);  // counted, budget-safe
-      return classify_probe(path, data, machine);
-    };
-    if (hwcaps) {
-      for (const auto& hwcap : config_.hwcaps) {
-        const std::string path = join(join(base, hwcap), name);
-        if (try_path(path)) return DirProbe{d, support::PathTable::kNone, path};
-      }
-    }
-    const std::string path = join(base, name);
-    if (try_path(path)) return DirProbe{d, support::PathTable::kNone, path};
-  }
-  return DirProbe{};
+  const std::size_t hit = fs_.open_first(
+      candidates, [&](std::size_t i, const vfs::FileData* data) {
+        return classify_probe(paths_->str(candidates[i]), data, machine);
+      });
+  if (hit == vfs::FileSystem::npos) return DirProbe{};
+  return DirProbe{candidate_dir[hit], candidates[hit]};
 }
 
 void Loader::ensure_ld_cache() {
@@ -302,16 +230,11 @@ void Loader::ensure_ld_cache() {
       if (!fs_.exists(dir)) continue;
       const support::PathId dir_id = intern_dir(dir);
       for (const auto& name : fs_.list_dir(dir)) {
-        const std::string path = dir + "/" + name;
-        if (!ld_cache_.contains(name)) {
-          // Entries keep working past the interner byte budget: a kNone id
-          // just means the eventual probe goes by string.
-          const support::PathId cand =
-              dir_id != support::PathTable::kNone
-                  ? paths_->child(dir_id, name)
-                  : support::PathTable::kNone;
-          ld_cache_.emplace(name, Resolution{path, how, cand});
-        }
+        if (ld_cache_.contains(name)) continue;
+        // Spelled by the interned id, like the directory sweep, so a conf
+        // dir given as "/usr/lib/" or "/usr//lib" reports "/usr/lib/x".
+        const support::PathId cand = paths_->child(dir_id, name);
+        ld_cache_.emplace(name, Resolution{paths_->str(cand), how, cand});
       }
     }
   };
@@ -319,7 +242,7 @@ void Loader::ensure_ld_cache() {
   scan(config_.default_paths, HowFound::DefaultPath);
 }
 
-std::vector<Loader::DirRef> Loader::effective_rpath_chain(
+std::vector<support::PathId> Loader::effective_rpath_chain(
     const Session& session, std::size_t requester_index,
     std::size_t& own_count) const {
   // Non-melding (glibc, Table I): DT_RPATH of the requester, then of each
@@ -330,7 +253,7 @@ std::vector<Loader::DirRef> Loader::effective_rpath_chain(
   // interned dir ids — $ORIGIN expansion is the only string work left, and
   // only for entries that actually carry a DST.
   const bool meld = policy_->melds_rpath_runpath();
-  std::vector<DirRef> dirs;
+  std::vector<support::PathId> dirs;
   own_count = 0;
   const auto& order = session.report.load_order;
   const LoadedObject& requester = order[requester_index];
@@ -347,13 +270,13 @@ std::vector<Loader::DirRef> Loader::effective_rpath_chain(
       const bool has_runpath = !node.object->dyn.runpath.empty();
       if (meld || !has_runpath) {
         for (const auto& dir : node.object->dyn.rpath) {
-          dirs.push_back(dir_ref(expand_origin(dir, node.path, storage)));
+          dirs.push_back(intern_dir(expand_origin(dir, node.path, storage)));
           if (first) ++own_count;
         }
       }
       if (meld) {
         for (const auto& dir : node.object->dyn.runpath) {
-          dirs.push_back(dir_ref(expand_origin(dir, node.path, storage)));
+          dirs.push_back(intern_dir(expand_origin(dir, node.path, storage)));
           if (first) ++own_count;
         }
       }
@@ -362,32 +285,6 @@ std::vector<Loader::DirRef> Loader::effective_rpath_chain(
     index = node.parent_index;
   }
   return dirs;
-}
-
-void Loader::note_realpath(Session& session, const std::string& real_path,
-                           std::size_t index) const {
-  if (real_path.empty()) return;
-  if (const support::PathId id = fs_.intern(real_path);
-      id != support::PathTable::kNone) {
-    session.by_realpath.emplace(id, index);
-  } else {  // interner budget exhausted: string-keyed inode proxy
-    session.by_realpath_str.emplace(real_path, index);
-  }
-}
-
-std::optional<std::size_t> Loader::find_realpath(
-    const Session& session, const std::string& real_path) const {
-  if (const support::PathId id = fs_.intern(real_path);
-      id != support::PathTable::kNone) {
-    if (const auto it = session.by_realpath.find(id);
-        it != session.by_realpath.end()) {
-      return it->second;
-    }
-  } else if (const auto it = session.by_realpath_str.find(real_path);
-             it != session.by_realpath_str.end()) {
-    return it->second;
-  }
-  return std::nullopt;
 }
 
 std::optional<std::size_t> Loader::dedup_lookup(Session& session,
@@ -420,13 +317,6 @@ Loader::Resolution Loader::search(Session& session, const std::string& name,
         expand_origin(name, requester.path, storage);
     if (!expanded.empty() && expanded.front() == '/') {
       const support::PathId id = paths_->intern(expanded);
-      if (id == support::PathTable::kNone) {  // interner budget exhausted
-        std::string path = vfs::normalize_path(expanded);
-        if (probe_file(path, machine)) {
-          return Resolution{std::move(path), HowFound::AbsolutePath};
-        }
-        return Resolution{{}, HowFound::NotFound};
-      }
       if (probe_file(id, machine)) {
         return Resolution{paths_->str(id), HowFound::AbsolutePath, id};
       }
@@ -473,7 +363,7 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
     case SearchPhase::RpathChain: {
       std::size_t own = 0;
       const auto chain = effective_rpath_chain(session, requester_index, own);
-      DirProbe hit = probe_dirs(chain, name, machine);
+      const DirProbe hit = probe_dirs(chain, name, machine);
       if (!hit.found()) return Resolution{{}, HowFound::NotFound};
       // Melding dialects historically label only the first own entry as
       // the requester's rpath (musl has no RPATH/RUNPATH distinction to
@@ -481,38 +371,38 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
       const bool own_hit = policy_->melds_rpath_runpath()
                                ? (hit.dir == 0 && own > 0)
                                : (hit.dir < own);
-      return Resolution{std::move(hit.path),
+      return Resolution{paths_->str(hit.id),
                         own_hit ? HowFound::Rpath : HowFound::RpathAncestor,
                         hit.id};
     }
     case SearchPhase::LdLibraryPath: {
-      std::vector<DirRef> dirs;
+      std::vector<support::PathId> dirs;
       dirs.reserve(session.env->ld_library_path.size());
       for (const auto& dir : session.env->ld_library_path) {
-        dirs.push_back(dir_ref(dir));
+        dirs.push_back(intern_dir(dir));
       }
-      DirProbe hit = probe_dirs(dirs, name, machine);
+      const DirProbe hit = probe_dirs(dirs, name, machine);
       if (!hit.found()) return Resolution{{}, HowFound::NotFound};
-      return Resolution{std::move(hit.path), HowFound::LdLibraryPath, hit.id};
+      return Resolution{paths_->str(hit.id), HowFound::LdLibraryPath, hit.id};
     }
     case SearchPhase::Runpath: {
       if (!requester.object) return Resolution{{}, HowFound::NotFound};
-      std::vector<DirRef> dirs;
+      std::vector<support::PathId> dirs;
       dirs.reserve(requester.object->dyn.runpath.size());
       std::string storage;
       for (const auto& dir : requester.object->dyn.runpath) {
-        dirs.push_back(dir_ref(expand_origin(dir, requester.path, storage)));
+        dirs.push_back(intern_dir(expand_origin(dir, requester.path, storage)));
       }
-      DirProbe hit = probe_dirs(dirs, name, machine);
+      const DirProbe hit = probe_dirs(dirs, name, machine);
       if (!hit.found()) return Resolution{{}, HowFound::NotFound};
-      return Resolution{std::move(hit.path), HowFound::Runpath, hit.id};
+      return Resolution{paths_->str(hit.id), HowFound::Runpath, hit.id};
     }
     case SearchPhase::SystemPaths: {
       if (policy_->uses_ld_cache() && config_.use_ld_cache) {
         ensure_ld_cache();
         if (const auto it = ld_cache_.find(name); it != ld_cache_.end()) {
           // The cache told us where to look; the loader still open()s it.
-          if (probe_file(it->second.id, machine, &it->second.path)) {
+          if (probe_file(it->second.id, machine)) {
             return it->second;
           }
         }
@@ -520,17 +410,17 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
       }
       // No cache: sweep ld.so.conf dirs then the trusted defaults as one
       // batch; the boundary index decides the label.
-      std::vector<DirRef> dirs;
+      std::vector<support::PathId> dirs;
       dirs.reserve(config_.ld_so_conf.size() + config_.default_paths.size());
       for (const auto& dir : config_.ld_so_conf) {
-        dirs.push_back(dir_ref(dir));
+        dirs.push_back(intern_dir(dir));
       }
       for (const auto& dir : config_.default_paths) {
-        dirs.push_back(dir_ref(dir));
+        dirs.push_back(intern_dir(dir));
       }
-      DirProbe hit = probe_dirs(dirs, name, machine);
+      const DirProbe hit = probe_dirs(dirs, name, machine);
       if (!hit.found()) return Resolution{{}, HowFound::NotFound};
-      return Resolution{std::move(hit.path),
+      return Resolution{paths_->str(hit.id),
                         hit.dir < config_.ld_so_conf.size()
                             ? HowFound::LdSoConf
                             : HowFound::DefaultPath,
@@ -546,7 +436,9 @@ std::size_t Loader::register_object(Session& session, LoadedObject loaded) {
   // Dedup keys. Musl never dedups by soname (§IV); both dedup by the
   // requested string and by canonical path (the inode proxy).
   session.by_name.emplace(loaded.name, index);
-  note_realpath(session, loaded.real_path, index);
+  if (!loaded.real_path.empty()) {
+    session.by_realpath.emplace(fs_.intern(loaded.real_path), index);
+  }
   if (loaded.object && !loaded.object->dyn.soname.empty() &&
       policy_->dedups_by_soname()) {
     session.by_soname.emplace(loaded.object->dyn.soname, index);
@@ -691,13 +583,15 @@ void Loader::process_request(Session& session, const WorkItem& item,
 
   // Post-resolution inode dedup (both dialects; this is how musl avoids
   // double-loading a file reached via two different strings).
-  const auto real_hit = find_realpath(session, request.real_path);
-  if (real_hit.has_value()) {
-    const LoadedObject& original = session.report.load_order[*real_hit];
+  if (const auto real_hit =
+          session.by_realpath.find(fs_.intern(request.real_path));
+      real_hit != session.by_realpath.end()) {
+    const LoadedObject& original =
+        session.report.load_order[real_hit->second];
     request.how = HowFound::Cache;
     request.object = original.object;
     // Record the requested name as now-known (glibc adds it to l_libname).
-    session.by_name.emplace(item.name, *real_hit);
+    session.by_name.emplace(item.name, real_hit->second);
     session.report.requests.push_back(std::move(request));
     return;
   }
@@ -728,7 +622,9 @@ LoadedObject Loader::dlopen(LoadReport& report, const std::string& caller_path,
   for (std::size_t i = 0; i < session.report.load_order.size(); ++i) {
     const auto& obj = session.report.load_order[i];
     session.by_name.emplace(obj.name, i);
-    note_realpath(session, obj.real_path, i);
+    if (!obj.real_path.empty()) {
+      session.by_realpath.emplace(fs_.intern(obj.real_path), i);
+    }
     if (policy_->dedups_by_soname() && obj.object &&
         !obj.object->dyn.soname.empty()) {
       session.by_soname.emplace(obj.object->dyn.soname, i);

@@ -14,31 +14,22 @@ namespace {
 struct TreeBuilder {
   const loader::LoadReport& report;
   const TreeOptions& options;
-  // Requester-path key -> indices into report.requests, in request
-  // order: the recursion walks keys, usually PathIds of the world's own
-  // interner (paths already interned by the load). Non-path requesters
-  // ("LD_PRELOAD", "") share the 0 (kNone) bucket, which the render walk
-  // never visits. Past the interner's byte budget a requester may refuse
-  // to intern; such paths get LOCAL keys above 2^32 so distinct
-  // requesters never collapse into one bucket (which would loop the
-  // recursion).
+  // Requester PathId -> indices into report.requests, in request order:
+  // the recursion walks ids of the world's own interner (paths already
+  // interned by the load). Non-path requesters ("LD_PRELOAD", "") share
+  // the kNone bucket, which the render walk never visits.
   support::PathTable& paths;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> children;
-  std::unordered_map<std::string, std::uint64_t> overflow_keys;
+  std::unordered_map<support::PathId, std::vector<std::size_t>> children;
   std::string out;
 
-  std::uint64_t key_of(const std::string& requester) {
+  support::PathId key_of(const std::string& requester) {
     if (requester.empty() || requester.front() != '/') {
       return support::PathTable::kNone;
     }
-    const support::PathId id = paths.intern(requester);
-    if (id != support::PathTable::kNone) return id;
-    const auto [it, inserted] = overflow_keys.try_emplace(
-        requester, (std::uint64_t{1} << 32) + overflow_keys.size());
-    return it->second;
+    return paths.intern(requester);
   }
 
-  void render(std::uint64_t requester, int depth) {
+  void render(support::PathId requester, int depth) {
     if (options.max_depth >= 0 && depth > options.max_depth) return;
     const auto it = children.find(requester);
     if (it == children.end()) return;
@@ -83,7 +74,7 @@ std::string render_tree(const loader::LoadReport& report,
                         const TreeOptions& options,
                         support::PathTable& paths) {
   if (report.load_order.empty()) return "(empty load)\n";
-  TreeBuilder builder{report, options, paths, {}, {}, {}};
+  TreeBuilder builder{report, options, paths, {}, {}};
   for (std::size_t i = 0; i < report.requests.size(); ++i) {
     builder.children[builder.key_of(report.requests[i].requested_by)]
         .push_back(i);

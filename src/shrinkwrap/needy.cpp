@@ -15,16 +15,12 @@ NeedyReport make_needy(vfs::FileSystem& fs, loader::Loader& loader,
   const loader::LoadReport load = loader.load(exe_path, env);
   if (!load.success) return report;
 
-  // Closure dirs are deduped by interned PathId — with a string-keyed
-  // fallback for paths the interner refuses past its byte budget (the
-  // kNone sentinel's parent is entry 0, which would collapse every such
-  // dir into one empty string). The RUNPATH list is still emitted in
-  // sorted-string order, as before.
+  // Closure dirs are deduped by interned PathId; the RUNPATH list is
+  // emitted in sorted-string order.
   std::vector<std::string> closure_paths;
   std::vector<std::string> sonames;
   support::PathTable& paths = fs.paths();
   std::unordered_set<support::PathId> dirs_seen;
-  std::unordered_set<std::string> dirs_overflow;
   for (std::size_t i = 1; i < load.load_order.size(); ++i) {
     const auto& obj = load.load_order[i];
     if (obj.how == loader::HowFound::Preload) continue;
@@ -32,12 +28,7 @@ NeedyReport make_needy(vfs::FileSystem& fs, loader::Loader& loader,
     sonames.push_back(obj.object && !obj.object->dyn.soname.empty()
                           ? obj.object->dyn.soname
                           : vfs::basename(obj.path));
-    if (const support::PathId id = paths.intern(obj.path);
-        id != support::PathTable::kNone) {
-      dirs_seen.insert(paths.parent(id));
-    } else {
-      dirs_overflow.insert(vfs::dirname(obj.path));
-    }
+    dirs_seen.insert(paths.parent(paths.intern(obj.path)));
   }
 
   // The link line: the executable plus every closure library. Duplicate
@@ -49,17 +40,11 @@ NeedyReport make_needy(vfs::FileSystem& fs, loader::Loader& loader,
 
   elf::Patcher patcher(fs);
   patcher.set_needed(exe_path, sonames);
-  report.search_dirs.reserve(dirs_seen.size() + dirs_overflow.size());
+  report.search_dirs.reserve(dirs_seen.size());
   for (const support::PathId dir : dirs_seen) {
     report.search_dirs.push_back(paths.str(dir));
   }
-  for (const std::string& dir : dirs_overflow) {
-    report.search_dirs.push_back(dir);
-  }
   std::sort(report.search_dirs.begin(), report.search_dirs.end());
-  report.search_dirs.erase(
-      std::unique(report.search_dirs.begin(), report.search_dirs.end()),
-      report.search_dirs.end());
   patcher.set_runpath(exe_path, report.search_dirs);
   patcher.set_rpath(exe_path, {});
   loader.invalidate();

@@ -144,24 +144,12 @@ WrapReport shrinkwrap(vfs::FileSystem& fs, loader::Loader& loader,
   // interned PathId — path identity, not spelling.
   std::vector<std::string> new_needed;
   std::unordered_set<support::PathId> seen_paths;
-  std::unordered_set<std::string> seen_overflow;  // past the byte budget
   support::PathTable& paths = fs.paths();
   auto push_path = [&](const std::string& path) {
-    const support::PathId id =
-        (!path.empty() && path.front() == '/')
-            ? paths.intern(path)
-            : paths.intern_under(support::PathTable::kRoot, path);
-    // A budget-refused path dedups by its normalized string instead —
-    // distinct entries must never collapse into the shared kNone id.
-    const bool fresh =
-        id != support::PathTable::kNone
-            ? seen_paths.insert(id).second
-            : seen_overflow
-                  .insert(vfs::normalize_path(
-                      !path.empty() && path.front() == '/' ? path
-                                                           : "/" + path))
-                  .second;
-    if (fresh) new_needed.push_back(path);
+    if (seen_paths.insert(paths.intern_under(support::PathTable::kRoot, path))
+            .second) {
+      new_needed.push_back(path);
+    }
   };
   for (const auto& entry : exe.dyn.needed) {
     const auto it = report.resolved.find(entry);

@@ -23,12 +23,9 @@
 // so concurrent cold-path interns of unrelated paths no longer queue on
 // one table-wide write lock.
 //
-// Growth bound: adversarial workloads (randomized probe storms) intern
-// every miss, so the table supports an optional byte budget
-// (set_byte_budget). Past the cap, interning a NEW path returns kNone
-// instead of allocating — already-interned paths keep resolving — and the
-// resolution layers (vfs::FileSystem, loader candidate probes) fall back
-// to uncached string walks, trading speed for bounded memory.
+// Growth bound: every path gets an id; the table holds at most 4M paths
+// (the fixed chunk directory below) and interning past that throws
+// std::length_error.
 #pragma once
 
 #include <array>
@@ -59,8 +56,8 @@ class PathTable {
 
   /// Intern an absolute path, normalizing lexically ('.'/'..'/'//', with
   /// '..' clamped at the root like vfs::normalize_path). Throws
-  /// std::invalid_argument when `path` is empty or not absolute. Returns
-  /// kNone when the path is new and the byte budget is exhausted.
+  /// std::invalid_argument when `path` is empty or not absolute, and
+  /// std::length_error when the table is full.
   PathId intern(std::string_view path);
 
   /// Intern `relative` resolved lexically against the interned directory
@@ -68,32 +65,13 @@ class PathTable {
   /// intern(str(base) + "/" + relative). `relative` may contain '/', '.'
   /// and '..' components (".." climbs parent links, clamped at the root)
   /// and may also be absolute, in which case `base` is ignored. An empty
-  /// `relative` returns `base`. Returns kNone past the byte budget.
+  /// `relative` returns `base`.
   PathId intern_under(PathId base, std::string_view relative);
 
   /// Single-component step: the id of `name` inside directory `dir`.
   /// "." returns `dir`, ".." its parent (root clamps to root), "" returns
-  /// `dir`. `name` must not contain '/'. Returns kNone when `name` is new
-  /// under `dir` and the byte budget is exhausted.
+  /// `dir`. `name` must not contain '/'.
   PathId child(PathId dir, std::string_view name);
-
-  /// Optional growth cap: once bytes_used() would exceed the budget,
-  /// intern/intern_under/child return kNone for paths not already in the
-  /// table (existing ids keep resolving). 0 = unlimited (the default).
-  void set_byte_budget(std::size_t bytes) {
-    budget_.store(bytes, std::memory_order_relaxed);
-  }
-  std::size_t byte_budget() const {
-    return budget_.load(std::memory_order_relaxed);
-  }
-
-  /// Approximate heap bytes held by entries and the child index.
-  std::size_t bytes_used() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-
-  /// The id a path is already interned under, or kNone. Never allocates.
-  PathId lookup(std::string_view path) const;
 
   /// Full normalized path. Reference stays valid forever (append-only).
   const std::string& str(PathId id) const { return entry(id).full; }
@@ -182,8 +160,6 @@ class PathTable {
 
   std::unique_ptr<std::atomic<Entry*>[]> chunks_;
   std::atomic<std::uint32_t> count_{0};
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::size_t> budget_{0};
 
   // Child index, sharded by ChildHash::mix(parent, name). Lock order is
   // always shard -> alloc_mutex_; no path holds two shard locks at once,
@@ -200,9 +176,8 @@ class PathTable {
   }
   mutable std::array<IndexShard, kIndexShards> index_shards_;
 
-  // Guards id allocation, chunk creation, entry publication, and the
-  // byte-budget accounting. Held briefly (the full-path string is built
-  // before acquiring it).
+  // Guards id allocation, chunk creation, and entry publication. Held
+  // briefly (the full-path string is built before acquiring it).
   std::mutex alloc_mutex_;
 };
 

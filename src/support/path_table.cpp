@@ -5,15 +5,6 @@
 
 namespace depchaos::support {
 
-namespace {
-// Approximate per-entry heap footprint: the Entry itself, its full-path
-// string, and the child-index key + hash-node overhead. Deliberately
-// coarse — the budget bounds order-of-magnitude growth, not exact bytes.
-std::size_t entry_cost(std::size_t full_len, std::size_t name_len) {
-  return sizeof(void*) * 8 + full_len + 2 * name_len + 48;
-}
-}  // namespace
-
 PathTable::PathTable()
     : chunks_(new std::atomic<Entry*>[kMaxChunks]()) {
   // Slot 0 is the kNone sentinel; slot 1 the root. Both live in chunk 0.
@@ -23,7 +14,6 @@ PathTable::PathTable()
   chunk[kRoot].full.push_back('/');  // not = "/": GCC 12 -O3 -Wrestrict
   chunks_[0].store(chunk, std::memory_order_release);
   count_.store(2, std::memory_order_release);
-  bytes_.store(entry_cost(1, 1), std::memory_order_relaxed);
 }
 
 PathTable::~PathTable() {
@@ -49,8 +39,6 @@ PathId PathTable::intern_child(PathId dir, std::string_view name) {
   // inserter of (dir, name); build the full-path string before touching
   // alloc_mutex_ so the table-wide critical section stays tiny.
   const Entry& parent_entry = entry(dir);
-  const std::size_t cost =
-      entry_cost(parent_entry.full.size() + 1 + name.size(), name.size());
   std::string full;
   full.reserve(parent_entry.full.size() + 1 + name.size());
   if (dir != kRoot) full = parent_entry.full;
@@ -63,11 +51,6 @@ PathId PathTable::intern_child(PathId dir, std::string_view name) {
     id = count_.load(std::memory_order_relaxed);
     if (id >= kMaxChunks * kChunkSize) {
       throw std::length_error("PathTable full");
-    }
-    if (const std::size_t budget = budget_.load(std::memory_order_relaxed);
-        budget != 0 &&
-        bytes_.load(std::memory_order_relaxed) + cost > budget) {
-      return kNone;  // budget exhausted: caller falls back to string walks
     }
     const std::size_t chunk_index = id >> kChunkBits;
     Entry* chunk = chunks_[chunk_index].load(std::memory_order_relaxed);
@@ -83,7 +66,6 @@ PathId PathTable::intern_child(PathId dir, std::string_view name) {
     // Publish the entry before the id becomes reachable via size() or
     // the shard index.
     count_.store(id + 1, std::memory_order_release);
-    bytes_.fetch_add(cost, std::memory_order_relaxed);
   }
   shard.index.emplace(ChildKey{dir, std::string(name)}, id);
   return id;
@@ -104,10 +86,7 @@ PathId PathTable::intern_under(PathId base, std::string_view relative) {
     while (pos < relative.size() && relative[pos] == '/') ++pos;
     std::size_t end = pos;
     while (end < relative.size() && relative[end] != '/') ++end;
-    if (end > pos) {
-      cur = child(cur, relative.substr(pos, end - pos));
-      if (cur == kNone) return kNone;  // byte budget exhausted
-    }
+    if (end > pos) cur = child(cur, relative.substr(pos, end - pos));
     pos = end;
   }
   return cur;
@@ -119,30 +98,6 @@ PathId PathTable::intern(std::string_view path) {
                                 std::string(path) + "'");
   }
   return intern_under(kRoot, path);
-}
-
-PathId PathTable::lookup(std::string_view path) const {
-  if (path.empty() || path.front() != '/') return kNone;
-  PathId cur = kRoot;
-  std::size_t pos = 0;
-  while (pos < path.size()) {
-    while (pos < path.size() && path[pos] == '/') ++pos;
-    std::size_t end = pos;
-    while (end < path.size() && path[end] != '/') ++end;
-    if (end > pos) {
-      const std::string_view comp = path.substr(pos, end - pos);
-      if (comp == ".") {
-        // keep cur
-      } else if (comp == "..") {
-        cur = parent(cur);
-      } else {
-        cur = find_child(cur, comp);
-        if (cur == kNone) return kNone;
-      }
-    }
-    pos = end;
-  }
-  return cur;
 }
 
 }  // namespace depchaos::support

@@ -34,9 +34,7 @@
 // collapse() flattens a long fork chain back into a single layer (inode
 // numbers and observable content preserved, so cached dentries stay
 // valid); fork() does it automatically past a configurable layer-depth
-// threshold. When the shared PathTable carries a byte budget and it is
-// exhausted, resolution transparently falls back to uncached string
-// walks — identical answers and syscall charges, no new interning.
+// threshold.
 //
 // Mount model: a view optionally composes MOUNTED filesystems under its
 // path namespace, real mount-table style. Each mount attaches another
@@ -350,15 +348,18 @@ class FileSystem {
   // ----- counted process-startup operations --------------------------------
 
   /// stat(2): follow symlinks, count one metadata op (plus readlink costs).
-  std::optional<Stat> stat(std::string_view path);
+  /// The string overloads intern the path and take the PathId one.
+  std::optional<Stat> stat(std::string_view path) { return stat(intern(path)); }
   std::optional<Stat> stat(PathId id);
 
   /// lstat(2): do not follow the final symlink.
-  std::optional<Stat> lstat(std::string_view path);
+  std::optional<Stat> lstat(std::string_view path) {
+    return lstat(intern(path));
+  }
   std::optional<Stat> lstat(PathId id);
 
   /// openat(2) + contents: returns file data if `path` names a regular file.
-  const FileData* open(std::string_view path);
+  const FileData* open(std::string_view path) { return open(intern(path)); }
   const FileData* open(PathId id);
 
   /// Batched counted probe — the loader's candidate storm as ONE call.
@@ -380,7 +381,7 @@ class FileSystem {
   }
 
   /// Read after open: counted separately (data vs metadata traffic).
-  void count_read(std::string_view path);
+  void count_read(std::string_view path) { count_read(intern(path)); }
   void count_read(PathId id);
 
   // ----- interned paths -----------------------------------------------------
@@ -395,9 +396,6 @@ class FileSystem {
 
   /// Intern an absolute path, throwing FsError (like normalize_path) when
   /// it is not absolute. str(id) of the result is the normalized path.
-  /// Returns kNone (never throws) for a NEW path once the table's byte
-  /// budget is exhausted — the string-taking operations then fall back to
-  /// uncached walks with identical answers and charges.
   PathId intern(std::string_view path) const;
 
   /// Uncounted interned resolution: canonical (symlink-free) PathId of
@@ -634,23 +632,10 @@ class FileSystem {
   InodeNum resolve(std::string_view path, bool follow_final,
                    std::string* canonical = nullptr) const;
 
-  // Uncached string walk: the budget-exhausted fallback. `norm` must be a
-  // normalized absolute path; answers (inode, canonical string, symlink
-  // hop consumption, ELOOP throws, mount crossings) are identical to the
-  // interned walk, but nothing is interned or memoized.
-  InodeNum resolve_str(std::string_view norm, bool follow_final, int& hops,
-                       std::string* canonical) const;
-  // resolve_id's escape hatch when a table op inside the walk hits the
-  // byte budget: one uncached string walk of str(id). The canonical comes
-  // back as an id only when the canonical path happens to be interned
-  // already (lookup never allocates).
-  InodeNum resolve_fallback(PathId id, bool follow_final, int& hops,
-                            PathId* canonical) const;
-  // The string-overload fallback shared by stat/lstat/open/count_read:
-  // normalize + uncached walk, FsError (ELOOP) counting as a miss;
-  // `norm_out` receives the normalized path for charging.
-  InodeNum resolve_uncached(std::string_view path, bool follow_final,
-                            std::string* norm_out) const;
+  // The canonical mountpoint `point` names, however it is spelled
+  // (symlinks, "//", "/./"). Throws FsError prefixed with `op` when the
+  // path does not resolve (missing, or a symlink loop).
+  PathId mountpoint(std::string_view point, std::string_view op) const;
 
   // The interned walk behind every lookup: resolve `id` by stepping its
   // component chain against the node store, expanding symlinks with a

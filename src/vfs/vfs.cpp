@@ -330,7 +330,7 @@ InodeNum FileSystem::child_of(InodeNum dir, std::string_view name) const {
 }
 
 InodeNum FileSystem::mount_root_at(PathId canon) const {
-  if (mount_at_.empty() || canon == kNoPath) return 0;
+  if (mount_at_.empty()) return 0;
   const auto it = mount_at_.find(canon);
   if (it == mount_at_.end() || it->second.empty()) return 0;
   const std::uint16_t index = it->second.back();
@@ -494,7 +494,7 @@ const std::string& FileSystem::overlay_fingerprint() const {
   // their own recursive delta fingerprint.
   u64(mounts_.size());
   for (const Mount& m : mounts_) {
-    str(m.point == kNoPath ? std::string_view{} : paths_->str(m.point));
+    str(paths_->str(m.point));
     u64(static_cast<std::uint64_t>(m.kind));
     u64(m.read_only);
     u64(m.active);
@@ -544,11 +544,8 @@ bool FileSystem::overlay_delta_equal(const FileSystem& other) const {
   for (std::size_t i = 0; i < mounts_.size(); ++i) {
     const Mount& a = mounts_[i];
     const Mount& b = other.mounts_[i];
-    const std::string_view a_point =
-        a.point == kNoPath ? std::string_view{} : paths_->str(a.point);
-    const std::string_view b_point =
-        b.point == kNoPath ? std::string_view{} : other.paths_->str(b.point);
-    if (a_point != b_point || a.kind != b.kind ||
+    if (paths_->str(a.point) != other.paths_->str(b.point) ||
+        a.kind != b.kind ||
         a.read_only != b.read_only || a.active != b.active ||
         a.latency != b.latency || a.source_root != b.source_root ||
         a.lower.get() != b.lower.get()) {
@@ -612,8 +609,7 @@ InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,
                                 PathId* canonical) const {
   using support::PathTable;
   if (id == PathTable::kNone) {
-    // "No path" — reachable through the public PathId overloads when a
-    // caller forwards a budget-refused intern(); a clean miss, not UB.
+    // "No path" passed to a public PathId overload: a clean miss, not UB.
     if (canonical) *canonical = PathTable::kNone;
     return 0;
   }
@@ -671,12 +667,6 @@ InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,
   PathId dir_canon = PathTable::kNone;
   const InodeNum dir_ino =
       resolve_id(paths_->parent(id), /*follow_final=*/true, hops, &dir_canon);
-  if (dir_ino != 0 && dir_canon == PathTable::kNone) {
-    // A nested walk hit the interner byte budget and lost the canonical
-    // chain: finish with one uncached string walk of the full path.
-    hops = hops_before;
-    return resolve_fallback(id, follow_final, hops, canonical);
-  }
   if (dir_ino != 0 && node(dir_ino).type == NodeType::Directory) {
     const InodeNum child = child_of(dir_ino, paths_->name(id));
     if (child != 0) {
@@ -692,19 +682,11 @@ InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,
             (!target.empty() && target.front() == '/')
                 ? paths_->intern(target)
                 : paths_->intern_under(dir_canon, target);
-        if (target_id == PathTable::kNone) {  // byte budget exhausted
-          hops = hops_before;
-          return resolve_fallback(id, follow_final, hops, canonical);
-        }
         result = resolve_id(target_id, /*follow_final=*/true, hops,
                             &result_canon);
       } else {
         result = child;
         result_canon = paths_->child(dir_canon, paths_->name(id));
-        if (result_canon == PathTable::kNone) {  // byte budget exhausted
-          hops = hops_before;
-          return resolve_fallback(id, follow_final, hops, canonical);
-        }
         // Crossing a mount boundary: the topmost mounted root replaces
         // the underlying directory its mount now shadows.
         if (const InodeNum mroot = mount_root_at(result_canon)) {
@@ -726,73 +708,6 @@ InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,
   return result;
 }
 
-InodeNum FileSystem::resolve_uncached(std::string_view path, bool follow_final,
-                                      std::string* norm_out) const {
-  std::string norm = normalize_path(path);
-  InodeNum ino = 0;
-  try {
-    int hops = 0;
-    ino = resolve_str(norm, follow_final, hops, nullptr);
-  } catch (const FsError&) {
-    ino = 0;  // symlink loop counts as a miss, like the interned walk
-  }
-  if (norm_out) *norm_out = std::move(norm);
-  return ino;
-}
-
-InodeNum FileSystem::resolve_fallback(PathId id, bool follow_final, int& hops,
-                                      PathId* canonical) const {
-  std::string canon;
-  const InodeNum ino =
-      resolve_str(paths_->str(id), follow_final, hops, &canon);
-  if (canonical) {
-    *canonical = ino != 0 ? paths_->lookup(canon) : kNoPath;
-  }
-  return ino;
-}
-
-InodeNum FileSystem::resolve_str(std::string_view norm, bool follow_final,
-                                 int& hops, std::string* canonical) const {
-  InodeNum cur = root_ino();
-  std::string canon = "/";
-  std::size_t pos = 1;
-  while (pos < norm.size()) {
-    std::size_t end = norm.find('/', pos);
-    if (end == std::string_view::npos) end = norm.size();
-    const std::string_view comp = norm.substr(pos, end - pos);
-    const bool last = end == norm.size();
-    pos = end + 1;
-    if (comp.empty()) continue;
-    if (node(cur).type != NodeType::Directory) return 0;
-    InodeNum child = child_of(cur, comp);
-    if (child == 0) return 0;
-    std::string child_canon = canon.size() == 1
-                                  ? '/' + std::string(comp)
-                                  : canon + '/' + std::string(comp);
-    if (node(child).type == NodeType::Symlink && (follow_final || !last)) {
-      if (++hops > kMaxSymlinkHops) {
-        throw FsError("too many levels of symbolic links");
-      }
-      const std::string& target = node(child).link_target;
-      const std::string full = normalize_path(
-          !target.empty() && target.front() == '/' ? std::string(target)
-                                                   : canon + '/' + target);
-      std::string sub_canon;
-      child = resolve_str(full, /*follow_final=*/true, hops, &sub_canon);
-      if (child == 0) return 0;
-      child_canon = std::move(sub_canon);
-    } else if (has_mounts()) {
-      if (const InodeNum mroot = mount_root_at(paths_->lookup(child_canon))) {
-        child = mroot;
-      }
-    }
-    cur = child;
-    canon = std::move(child_canon);
-  }
-  if (canonical) *canonical = std::move(canon);
-  return cur;
-}
-
 PathId FileSystem::intern(std::string_view path) const {
   if (path.empty() || path.front() != '/') {
     throw FsError("path must be absolute: '" + std::string(path) + "'");
@@ -802,50 +717,33 @@ PathId FileSystem::intern(std::string_view path) const {
 
 InodeNum FileSystem::resolve(std::string_view path, bool follow_final,
                              std::string* canonical) const {
-  const PathId id = intern(path);
   int hops = 0;
-  if (id == kNoPath) {  // interner byte budget exhausted: uncached walk
-    return resolve_str(normalize_path(path), follow_final, hops, canonical);
-  }
   PathId canon_id = kNoPath;
-  const InodeNum ino =
-      resolve_id(id, follow_final, hops, canonical ? &canon_id : nullptr);
-  if (canonical && ino != 0) {
-    if (canon_id != kNoPath) {
-      *canonical = paths_->str(canon_id);
-    } else {
-      // The walk fell back past the byte budget and lost the canonical
-      // id; recompute the string with one more uncached walk.
-      int rehops = 0;
-      resolve_str(paths_->str(id), follow_final, rehops, canonical);
-    }
-  }
+  const InodeNum ino = resolve_id(intern(path), follow_final, hops,
+                                  canonical ? &canon_id : nullptr);
+  if (canonical && ino != 0) *canonical = paths_->str(canon_id);
   return ino;
 }
 
 PathId FileSystem::resolve_canonical(PathId id) const {
   int hops = 0;
   PathId canon = kNoPath;
-  InodeNum ino = 0;
   try {
-    ino = resolve_id(id, /*follow_final=*/true, hops, &canon);
+    if (resolve_id(id, /*follow_final=*/true, hops, &canon) == 0) {
+      return kNoPath;
+    }
   } catch (const FsError&) {
     return kNoPath;
   }
-  if (ino == 0) return kNoPath;
+  return canon;
+}
+
+PathId FileSystem::mountpoint(std::string_view point,
+                              std::string_view op) const {
+  const std::string norm = normalize_path(point);
+  const PathId canon = resolve_canonical(intern(norm));
   if (canon == kNoPath) {
-    // Budget fallback: canonical string via an uncached walk, then a
-    // non-allocating lookup (kNone when that path was never interned).
-    std::string canon_str;
-    int rehops = 0;
-    try {
-      if (resolve_str(paths_->str(id), true, rehops, &canon_str) == 0) {
-        return kNoPath;
-      }
-    } catch (const FsError&) {
-      return kNoPath;
-    }
-    return paths_->lookup(canon_str);
+    throw FsError(std::string(op) + ": no such path: " + norm);
   }
   return canon;
 }
@@ -869,16 +767,8 @@ void FileSystem::mount(std::string_view point,
     throw FsError("mount: nested mount tables are not supported");
   }
   if (mounts_.size() >= 0xfffe) throw FsError("mount: table full");
-  const std::string norm = normalize_path(point);
-  mkdir_p(norm);  // the mountpoint directory must exist
-  std::string canon_str;
-  if (resolve(norm, /*follow_final=*/true, &canon_str) == 0) {
-    throw FsError("mount: cannot resolve mountpoint: " + norm);
-  }
-  const PathId canon = paths_->intern(canon_str);
-  if (canon == kNoPath) {
-    throw FsError("mount: path-table byte budget exhausted at " + norm);
-  }
+  mkdir_p(point);  // the mountpoint directory must exist
+  const PathId canon = mountpoint(point, "mount");
   Mount m;
   m.point = canon;
   m.kind = kind;
@@ -925,16 +815,9 @@ void FileSystem::mount_bind(std::string_view point,
 }
 
 void FileSystem::umount(std::string_view point) {
-  const std::string norm = normalize_path(point);
-  std::string canon_str;
-  if (resolve(norm, /*follow_final=*/true, &canon_str) == 0) {
-    throw FsError("umount: no such path: " + norm);
-  }
-  const PathId canon = paths_->lookup(canon_str);
-  const auto it =
-      canon != kNoPath ? mount_at_.find(canon) : mount_at_.end();
+  const auto it = mount_at_.find(mountpoint(point, "umount"));
   if (it == mount_at_.end() || it->second.empty()) {
-    throw FsError("umount: not a mountpoint: " + norm);
+    throw FsError("umount: not a mountpoint: " + std::string(point));
   }
   mounts_[it->second.back()].active = false;
   it->second.pop_back();
@@ -954,15 +837,9 @@ std::vector<MountInfo> FileSystem::mounts() const {
 
 void FileSystem::set_mount_latency(std::string_view point,
                                    MountLatency latency) {
-  const std::string norm = normalize_path(point);
-  std::string canon_str;
-  if (resolve(norm, /*follow_final=*/true, &canon_str) == 0) {
-    throw FsError("set_mount_latency: no such path: " + norm);
-  }
-  const PathId canon = paths_->lookup(canon_str);
-  const auto it = canon != kNoPath ? mount_at_.find(canon) : mount_at_.end();
+  const auto it = mount_at_.find(mountpoint(point, "set_mount_latency"));
   if (it == mount_at_.end() || it->second.empty()) {
-    throw FsError("set_mount_latency: not a mountpoint: " + norm);
+    throw FsError("set_mount_latency: not a mountpoint: " + std::string(point));
   }
   mounts_[it->second.back()].latency = latency;
 }
@@ -1031,8 +908,8 @@ void FileSystem::mkdir_p(std::string_view path) {
   for (const auto& comp : support::split_nonempty(norm, '/')) {
     prefix += '/';
     prefix += comp;
-    // resolve() handles symlinked intermediates, mount crossings, and the
-    // interner byte budget uniformly; setup traffic is uncounted anyway.
+    // resolve() handles symlinked intermediates and mount crossings
+    // uniformly; setup traffic is uncounted anyway.
     const InodeNum next = resolve(prefix, /*follow_final=*/true);
     if (next == 0) {
       if (node(cur).type != NodeType::Directory) {
@@ -1295,18 +1172,6 @@ std::uint64_t FileSystem::disk_usage(std::string_view path) const {
   return total;
 }
 
-std::optional<Stat> FileSystem::stat(std::string_view path) {
-  const PathId id = intern(path);
-  if (id != kNoPath) return stat(id);
-  // Interner byte budget exhausted: uncached walk, identical charge.
-  std::string norm;
-  const InodeNum ino = resolve_uncached(path, /*follow_final=*/true, &norm);
-  charge(OpKind::Stat, ino != 0, norm, ino);
-  if (ino == 0) return std::nullopt;
-  const Node& n = node(ino);
-  return Stat{ino, n.type, n.type == NodeType::Regular ? n.data.size() : 0};
-}
-
 std::optional<Stat> FileSystem::stat(PathId id) {
   InodeNum ino = 0;
   try {
@@ -1316,17 +1181,6 @@ std::optional<Stat> FileSystem::stat(PathId id) {
     ino = 0;
   }
   charge(OpKind::Stat, ino != 0, paths_->str(id), ino);
-  if (ino == 0) return std::nullopt;
-  const Node& n = node(ino);
-  return Stat{ino, n.type, n.type == NodeType::Regular ? n.data.size() : 0};
-}
-
-std::optional<Stat> FileSystem::lstat(std::string_view path) {
-  const PathId id = intern(path);
-  if (id != kNoPath) return lstat(id);
-  std::string norm;
-  const InodeNum ino = resolve_uncached(path, /*follow_final=*/false, &norm);
-  charge(OpKind::Stat, ino != 0, norm, ino);
   if (ino == 0) return std::nullopt;
   const Node& n = node(ino);
   return Stat{ino, n.type, n.type == NodeType::Regular ? n.data.size() : 0};
@@ -1346,17 +1200,6 @@ std::optional<Stat> FileSystem::lstat(PathId id) {
   return Stat{ino, n.type, n.type == NodeType::Regular ? n.data.size() : 0};
 }
 
-const FileData* FileSystem::open(std::string_view path) {
-  const PathId id = intern(path);
-  if (id != kNoPath) return open(id);
-  std::string norm;
-  const InodeNum ino = resolve_uncached(path, /*follow_final=*/true, &norm);
-  const bool hit = ino != 0 && node(ino).type == NodeType::Regular;
-  charge(OpKind::Open, hit, norm, ino);
-  if (!hit) return nullptr;
-  return &node(ino).data;
-}
-
 const FileData* FileSystem::open(PathId id) {
   InodeNum ino = 0;
   try {
@@ -1369,15 +1212,6 @@ const FileData* FileSystem::open(PathId id) {
   charge(OpKind::Open, hit, paths_->str(id), ino);
   if (!hit) return nullptr;
   return &node(ino).data;
-}
-
-void FileSystem::count_read(std::string_view path) {
-  const PathId id = intern(path);
-  if (id != kNoPath) {
-    count_read(id);
-    return;
-  }
-  charge(OpKind::Read, true, normalize_path(path));
 }
 
 void FileSystem::count_read(PathId id) {

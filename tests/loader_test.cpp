@@ -412,6 +412,35 @@ TEST_F(LoaderTest, StaleCacheInvalidatedExplicitly) {
   EXPECT_EQ(report.load_order[1].name, "libnew.so");
 }
 
+TEST_F(LoaderTest, LdCacheSpellsPathsLikeTheDirectorySweep) {
+  // ld.so.cache entries carry the interned spelling of their path, so any
+  // spelling of a conf dir reports what the cache-off sweep reports.
+  install_object(fs_, "/opt/lib/libsys.so",
+                 make_library("libsys.so", {"libdep.so"}));
+  install_object(fs_, "/opt/lib/libdep.so", make_library("libdep.so"));
+  install_object(fs_, "/bin/app", make_executable({"libsys.so"}));
+  for (const char* conf :
+       {"/opt/lib", "/opt/lib/", "/opt//lib", "/opt/./lib"}) {
+    SearchConfig config;
+    config.ld_so_conf = {conf};
+    config.record_probes = true;
+    auto cached = glibc(config);
+    config.use_ld_cache = false;
+    auto swept = glibc(config);
+    const auto a = cached.load("/bin/app");
+    const auto b = swept.load("/bin/app");
+    ASSERT_TRUE(a.success && b.success) << conf;
+    ASSERT_EQ(a.load_order.size(), 3u) << conf;
+    ASSERT_EQ(b.load_order.size(), 3u) << conf;
+    for (std::size_t i = 0; i < a.load_order.size(); ++i) {
+      EXPECT_EQ(a.load_order[i].path, b.load_order[i].path) << conf;
+      EXPECT_EQ(a.load_order[i].how, b.load_order[i].how) << conf;
+    }
+    EXPECT_EQ(a.load_order[1].path, "/opt/lib/libsys.so") << conf;
+    EXPECT_EQ(a.probe_log, b.probe_log) << conf;
+  }
+}
+
 // --------------------------------------------------------------- preload
 
 TEST_F(LoaderTest, PreloadLoadsBeforeNeeded) {

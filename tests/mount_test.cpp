@@ -2,9 +2,9 @@
 // bind mounts under one path namespace, with resolution (PathId fast path
 // and dentry cache included) crossing mount boundaries transparently.
 //
-// Also covers the PathTable byte budget: past the cap, resolution falls
-// back to uncached string walks that must answer — and charge — exactly
-// like the interned walk.
+// Also covers the dentry cache as a differential: a randomized probe storm
+// over a world with a mounted image must answer — and charge — exactly
+// the same with the cache on and off.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "depchaos/elf/patcher.hpp"
-#include "depchaos/loader/loader.hpp"
-#include "depchaos/shrinkwrap/libtree.hpp"
-#include "depchaos/shrinkwrap/needy.hpp"
-#include "depchaos/shrinkwrap/shrinkwrap.hpp"
 #include "depchaos/support/rng.hpp"
 #include "depchaos/vfs/vfs.hpp"
 
@@ -266,29 +261,88 @@ TEST(Mount, SaveWorldFlattensTheComposedNamespace) {
   EXPECT_TRUE(host.exists("/app/etc/release"));
 }
 
-// --------------------------------------------------- PathTable byte budget
+TEST(Mount, RenamingAMountpointOrItsAncestorIsBusy) {
+  FileSystem host;
+  host.write_file("/data/file", std::string("x"));
+  host.mount_tmpfs("/data/scratch/job");
+  EXPECT_THROW(host.rename("/data", "/elsewhere"), FsError);
+  EXPECT_THROW(host.rename("/data/scratch", "/elsewhere"), FsError);
+  host.umount("/data/scratch/job");
+  host.rename("/data", "/elsewhere");  // fine once detached
+  EXPECT_TRUE(host.exists("/elsewhere/file"));
+}
 
-/// Deterministic probe storm over hits, misses, symlinks, and dirs.
-template <typename Fs>
-std::string probe_fingerprint(Fs& fs, std::uint64_t seed, int rounds) {
+TEST(Mount, EverySpellingOfAMountpointReachesTheSameMount) {
+  FileSystem host;
+  host.mkdir_p("/opt/apps");
+  host.symlink("/opt/apps", "/apps");
+  host.mount_image("/apps/tool", small_image());  // through the symlink
+  host.symlink("/opt/apps/tool", "/tool");
+  ASSERT_EQ(host.mounts().size(), 1u);
+  EXPECT_EQ(host.mounts()[0].point, "/opt/apps/tool");
+
+  const std::vector<std::string> spellings = {
+      "/apps/tool", "/tool", "/opt//apps/tool", "/opt/./apps/tool",
+      "/opt/apps/tool"};
+  for (const std::string& spelling : spellings) {
+    host.set_mount_latency(spelling, MountLatency::NodeLocal);
+    EXPECT_EQ(host.mounts()[0].latency, MountLatency::NodeLocal) << spelling;
+    host.set_mount_latency(spelling, MountLatency::Shared);
+    EXPECT_EQ(host.mounts()[0].latency, MountLatency::Shared) << spelling;
+    // Stack a mask on the canonical point, then peel it off by this
+    // spelling: the image underneath shows through again.
+    host.mount_tmpfs("/opt/apps/tool", /*read_only=*/true);
+    EXPECT_FALSE(host.exists("/opt/apps/tool/lib/libimg.so")) << spelling;
+    host.umount(spelling);
+    ASSERT_EQ(host.mounts().size(), 1u) << spelling;
+    EXPECT_EQ(host.mounts()[0].kind, MountKind::Image) << spelling;
+    EXPECT_TRUE(host.exists("/opt/apps/tool/lib/libimg.so")) << spelling;
+  }
+  host.umount("/tool");
+  EXPECT_TRUE(host.mounts().empty());
+  EXPECT_THROW(host.umount("/apps/tool"), FsError);  // not a mountpoint
+
+  // A path that does not resolve names no mountpoint.
+  host.symlink("loop", "/loop");  // relative self-loop
+  for (const char* bad : {"/no/such/dir", "/loop", "/loop/below"}) {
+    EXPECT_THROW(host.umount(bad), FsError) << bad;
+    EXPECT_THROW(host.set_mount_latency(bad, MountLatency::NodeLocal),
+                 FsError)
+        << bad;
+  }
+  EXPECT_THROW(host.mount_tmpfs("/loop"), FsError);
+}
+
+// ------------------------------------------------- probe storm differential
+
+/// Deterministic probe storm over hits, misses, symlinks, symlink
+/// loops, directories, and paths inside and through a mounted image.
+std::string probe_fingerprint(FileSystem& fs, std::uint64_t seed, int rounds) {
   support::Rng rng(seed);
   const std::vector<std::string> stems = {
-      "/usr/lib",  "/opt/app/lib", "/data", "/via",  "/loop",
-      "/usr/miss", "/opt/missing", "/deep/a/b/c"};
+      "/usr/lib", "/opt/app/lib", "/data",      "/via",
+      "/loop",    "/usr/miss",    "/opt/missing", "/deep/a/b/c",
+      "/img/lib", "/img/alias",   "/img/host",  "/img/missing"};
   std::string out;
   for (int i = 0; i < rounds; ++i) {
     const std::string path = stems[rng.below(stems.size())] + "/lib" +
                              std::to_string(rng.below(40)) + ".so";
-    switch (rng.below(4)) {
+    switch (rng.below(5)) {
       case 0: {
         const auto st = fs.stat(path);
         out += st ? "s" + std::to_string(st->size) : std::string("s-");
         break;
       }
-      case 1:
+      case 1: {
+        const auto st = fs.lstat(path);
+        out += st ? "l" + std::to_string(static_cast<int>(st->type))
+                  : std::string("l-");
+        break;
+      }
+      case 2:
         out += fs.open(path) != nullptr ? "o+" : "o-";
         break;
-      case 2:
+      case 3:
         out += fs.exists(path) ? "e+" : "e-";
         break;
       default:
@@ -302,7 +356,7 @@ std::string probe_fingerprint(Fs& fs, std::uint64_t seed, int rounds) {
   return out;
 }
 
-void build_budget_world(FileSystem& fs) {
+void build_storm_world(FileSystem& fs) {
   for (int i = 0; i < 40; i += 2) {
     fs.write_file("/usr/lib/lib" + std::to_string(i) + ".so",
                   std::string("bytes") + std::to_string(i));
@@ -313,156 +367,51 @@ void build_budget_world(FileSystem& fs) {
     fs.write_file("/opt/app/lib/lib" + std::to_string(i) + ".so",
                   std::string("opt") + std::to_string(i));
   }
-  fs.symlink("self", "/loop/self");  // relative self-loop under /loop
+  fs.symlink("lib7.so", "/loop/lib7.so");  // relative self-loop
+  fs.symlink("lib3.so", "/loop/lib1.so");  // two-link cycle
+  fs.symlink("lib1.so", "/loop/lib3.so");
   fs.mkdir_p("/deep/a/b/c");
+  auto image = std::make_shared<FileSystem>();
+  for (int i = 0; i < 40; i += 4) {
+    image->write_file("/lib/lib" + std::to_string(i) + ".so",
+                      std::string("img") + std::to_string(i));
+  }
+  image->symlink("lib", "/alias");  // relative: stays inside the image
+  image->symlink("/via", "/host");  // absolute: the composed namespace
+  fs.mount_image("/img", image);
 }
 
-TEST(PathBudget, ExhaustedTableFallsBackWithIdenticalAnswers) {
+TEST(Resolution, CachedProbeStormMatchesColdWalks) {
   FileSystem cached;
-  FileSystem capped;
-  build_budget_world(cached);
-  build_budget_world(capped);
-  // Freeze the capped table where it stands: every NEW path now takes the
-  // uncached string-walk fallback; already-interned paths keep their ids.
-  capped.paths().set_byte_budget(capped.paths().bytes_used());
-  const std::size_t frozen = capped.paths().size();
+  FileSystem cold;
+  build_storm_world(cached);
+  build_storm_world(cold);
+  cold.set_dentry_cache(false);
+  // Every walk of the cold world starts from the root and crosses the
+  // mount afresh (these checks are uncounted).
+  EXPECT_EQ(cold.peek("/img/alias/lib4.so")->bytes, "img4");
+  EXPECT_EQ(cold.realpath("/img/host/lib2.so").value(), "/usr/lib/lib2.so");
+  EXPECT_FALSE(cold.exists("/img/lib/lib1.so"));
+  EXPECT_FALSE(cold.exists("/loop/lib7.so"));
+  EXPECT_EQ(cold.peek_type("/loop/lib1.so"), NodeType::Symlink);
 
-  EXPECT_EQ(probe_fingerprint(cached, 99, 400),
-            probe_fingerprint(capped, 99, 400));
-  EXPECT_EQ(capped.paths().size(), frozen) << "budgeted table still grew";
-  EXPECT_GT(cached.paths().size(), frozen) << "storm should intern new paths";
+  EXPECT_EQ(probe_fingerprint(cached, 99, 600),
+            probe_fingerprint(cold, 99, 600));
+  // Again on forks: the cached side now starts from the shared snapshot.
+  FileSystem cached_child = cached.fork();
+  FileSystem cold_child = cold.fork();
+  EXPECT_EQ(probe_fingerprint(cached_child, 7, 600),
+            probe_fingerprint(cold_child, 7, 600));
 }
 
-TEST(PathBudget, ExhaustedTableStillResolvesMounts) {
-  FileSystem host;
-  host.write_file("/usr/lib/libhost.so", std::string("host"));
-  host.mount_image("/app", small_image());
-  host.paths().set_byte_budget(host.paths().bytes_used());
-  // These paths were never interned: pure string-walk, crossing the mount.
-  EXPECT_EQ(host.peek("/app/lib/libimg.so")->bytes, "image library");
-  EXPECT_EQ(host.peek("/app/lib/libalias.so")->bytes, "image library");
-  EXPECT_FALSE(host.exists("/app/lib/zzz.so"));
-}
-
-TEST(PathBudget, LoaderSearchSurvivesExhaustion) {
-  // Same closure, budget on vs off: byte-identical reports and counters.
-  const auto build = [](FileSystem& fs) {
-    elf::install_object(fs, "/lib64/libc.so.6", elf::make_library("libc.so.6"));
-    elf::install_object(
-        fs, "/opt/lib/libdep.so",
-        elf::make_library("libdep.so", {"libc.so.6"}));
-    elf::install_object(
-        fs, "/bin/app",
-        elf::make_executable({"libdep.so", "libc.so.6", "libmissing.so"},
-                             /*runpath=*/{"/opt/lib", "/opt/none"}));
-  };
-  FileSystem plain;
-  FileSystem capped;
-  build(plain);
-  build(capped);
-  capped.paths().set_byte_budget(capped.paths().bytes_used());
-
-  loader::SearchConfig config;
-  config.use_ld_cache = false;  // force directory sweeps (the hot path)
-  config.record_probes = true;
-  loader::Loader a(plain, config);
-  loader::Loader b(capped, config);
-  const auto ra = a.load("/bin/app");
-  const auto rb = b.load("/bin/app");
-  EXPECT_EQ(ra.success, rb.success);
-  ASSERT_EQ(ra.load_order.size(), rb.load_order.size());
-  for (std::size_t i = 0; i < ra.load_order.size(); ++i) {
-    EXPECT_EQ(ra.load_order[i].path, rb.load_order[i].path) << i;
-    EXPECT_EQ(ra.load_order[i].how, rb.load_order[i].how) << i;
-    EXPECT_EQ(ra.load_order[i].real_path, rb.load_order[i].real_path) << i;
-  }
-  EXPECT_EQ(ra.missing.size(), rb.missing.size());
-  EXPECT_EQ(ra.stats.open_calls, rb.stats.open_calls);
-  EXPECT_EQ(ra.stats.failed_probes, rb.stats.failed_probes);
-  EXPECT_EQ(ra.probe_log, rb.probe_log);
-}
-
-TEST(PathBudget, ShrinkwrapLibtreeNeedySurviveExhaustion) {
-  // The shrinkwrap layer keys its dedup sets and requester buckets by
-  // PathId; past the byte budget those interns refuse, and the layer must
-  // fall back to string keys with identical output — never collapse
-  // distinct paths into the shared kNone bucket.
-  const auto build = [](FileSystem& fs) {
-    elf::install_object(fs, "/lib/liba.so", elf::make_library("liba.so"));
-    elf::install_object(fs, "/opt/libb.so",
-                        elf::make_library("libb.so", {"liba.so"}));
-    elf::install_object(
-        fs, "/bin/app",
-        elf::make_executable({"libb.so", "liba.so"},
-                             /*runpath=*/{"/opt", "/lib"}));
-  };
-  // Exhaust the budget BEFORE building, so nothing is ever interned and
-  // every layer runs in fallback mode end to end.
-  const auto capped_world = [&]() {
-    FileSystem fs;
-    fs.paths().set_byte_budget(fs.paths().bytes_used());
-    build(fs);
-    return fs;
-  };
-
-  FileSystem plain;
-  build(plain);
-  {
-    FileSystem capped = capped_world();
-    loader::Loader pl(plain), cl(capped);
-    EXPECT_EQ(shrinkwrap::libtree(plain, pl, "/bin/app", {}, {}),
-              shrinkwrap::libtree(capped, cl, "/bin/app", {}, {}));
-    const auto wrapped_plain = shrinkwrap::shrinkwrap(plain, pl, "/bin/app");
-    const auto wrapped_capped = shrinkwrap::shrinkwrap(capped, cl, "/bin/app");
-    ASSERT_TRUE(wrapped_plain.ok() && wrapped_capped.ok());
-    EXPECT_EQ(wrapped_plain.new_needed, wrapped_capped.new_needed);
-  }
-  {
-    FileSystem plain2;
-    build(plain2);
-    FileSystem capped2 = capped_world();
-    loader::Loader pl(plain2), cl(capped2);
-    const auto needy_plain = shrinkwrap::make_needy(plain2, pl, "/bin/app");
-    const auto needy_capped = shrinkwrap::make_needy(capped2, cl, "/bin/app");
-    ASSERT_TRUE(needy_plain.ok && needy_capped.ok);
-    EXPECT_EQ(needy_plain.search_dirs, needy_capped.search_dirs);
-    EXPECT_EQ(needy_plain.lifted, needy_capped.lifted);
-  }
-}
-
-TEST(Mount, RenamingAMountpointOrItsAncestorIsBusy) {
-  FileSystem host;
-  host.write_file("/data/file", std::string("x"));
-  host.mount_tmpfs("/data/scratch/job");
-  EXPECT_THROW(host.rename("/data", "/elsewhere"), FsError);
-  EXPECT_THROW(host.rename("/data/scratch", "/elsewhere"), FsError);
-  host.umount("/data/scratch/job");
-  host.rename("/data", "/elsewhere");  // fine once detached
-  EXPECT_TRUE(host.exists("/elsewhere/file"));
-}
-
-TEST(PathBudget, StatWithRefusedIdIsACleanMiss) {
+TEST(Resolution, NoneIdIsACleanMiss) {
   FileSystem fs;
   fs.write_file("/x/y", std::string("z"));
-  fs.paths().set_byte_budget(fs.paths().bytes_used());
-  const support::PathId refused = fs.paths().intern("/never/seen");
-  ASSERT_EQ(refused, support::PathTable::kNone);
-  // Forwarding the refused id into the PathId overloads must miss cleanly.
-  EXPECT_FALSE(fs.stat(refused).has_value());
-  EXPECT_FALSE(fs.lstat(refused).has_value());
-  EXPECT_EQ(fs.open(refused), nullptr);
-}
-
-TEST(PathBudget, BudgetIsAdjustableAndReportsUsage) {
-  FileSystem fs;
-  EXPECT_EQ(fs.paths().byte_budget(), 0u);
-  const std::size_t used = fs.paths().bytes_used();
-  EXPECT_GT(used, 0u);
-  fs.paths().set_byte_budget(used + 1);
-  EXPECT_EQ(fs.paths().intern("/much/too/long/for/the/budget"),
-            support::PathTable::kNone);
-  fs.paths().set_byte_budget(0);  // unlimited again
-  EXPECT_NE(fs.paths().intern("/much/too/long/for/the/budget"),
+  // kNone ("no path") forwarded into the PathId overloads misses cleanly.
+  EXPECT_FALSE(fs.stat(support::PathTable::kNone).has_value());
+  EXPECT_FALSE(fs.lstat(support::PathTable::kNone).has_value());
+  EXPECT_EQ(fs.open(support::PathTable::kNone), nullptr);
+  EXPECT_EQ(fs.resolve_canonical(support::PathTable::kNone),
             support::PathTable::kNone);
 }
 

@@ -237,17 +237,6 @@ TEST(PathTable, InternUnderResolvesRelative) {
             table.intern("/etc/ld.so.conf"));
 }
 
-TEST(PathTable, LookupNeverAllocates) {
-  PathTable table;
-  EXPECT_EQ(table.lookup("/not/yet/interned"), PathTable::kNone);
-  const std::size_t before = table.size();
-  EXPECT_EQ(table.lookup("/still/not/interned"), PathTable::kNone);
-  EXPECT_EQ(table.size(), before);
-  const PathId id = table.intern("/now/interned");
-  EXPECT_EQ(table.lookup("/now/interned"), id);
-  EXPECT_EQ(table.lookup("//now//./interned"), id);
-}
-
 TEST(PathTable, NameIsSpanOfFullString) {
   PathTable table;
   const PathId id = table.intern("/a/b/component");
@@ -281,51 +270,6 @@ TEST(PathTable, ConcurrentInternIsConsistent) {
     pool.wait_idle();
   }
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t], ids[0]);
-}
-
-TEST(PathTable, ByteBudgetBlocksNewPathsKeepsExisting) {
-  PathTable table;
-  const PathId existing = table.intern("/usr/lib/libx.so");
-  ASSERT_NE(existing, PathTable::kNone);
-  const std::size_t used = table.bytes_used();
-  EXPECT_GT(used, 0u);
-  table.set_byte_budget(used);
-
-  // New paths are refused at every entry point...
-  EXPECT_EQ(table.intern("/brand/new/path"), PathTable::kNone);
-  EXPECT_EQ(table.child(existing, "sibling"), PathTable::kNone);
-  EXPECT_EQ(table.intern_under(existing, "../deeper/still"), PathTable::kNone);
-  // ...while existing ids keep resolving, including lexical aliases.
-  EXPECT_EQ(table.intern("/usr/lib/libx.so"), existing);
-  EXPECT_EQ(table.intern("/usr//lib/./libx.so"), existing);
-  EXPECT_EQ(table.lookup("/usr/lib/libx.so"), existing);
-  EXPECT_EQ(table.str(existing), "/usr/lib/libx.so");
-  EXPECT_EQ(table.bytes_used(), used);
-
-  // Raising the budget resumes growth exactly where it stopped.
-  table.set_byte_budget(used * 4);
-  const PathId fresh = table.intern("/brand/new/path");
-  EXPECT_NE(fresh, PathTable::kNone);
-  EXPECT_GT(table.bytes_used(), used);
-}
-
-TEST(PathTable, ByteBudgetBoundsAdversarialGrowth) {
-  PathTable table;
-  table.intern("/seed/dir");
-  const std::size_t cap = table.bytes_used() + 4096;
-  table.set_byte_budget(cap);
-  // A randomized probe storm interns every miss — growth must stop at the
-  // cap instead of scaling with the storm.
-  Rng rng(42);
-  std::size_t refused = 0;
-  for (int i = 0; i < 5000; ++i) {
-    const std::string path = "/storm/p" + std::to_string(rng.below(100000)) +
-                             "/lib" + std::to_string(rng.next() % 100000) +
-                             ".so";
-    if (table.intern(path) == PathTable::kNone) ++refused;
-  }
-  EXPECT_LE(table.bytes_used(), cap);
-  EXPECT_GT(refused, 4000u);  // nearly the whole storm bounced
 }
 
 // ----------------------------------------------------------- thread pool

@@ -710,7 +710,10 @@ TEST(WireServer, StaleCompletionNeverReachesTheNextConnection) {
   ASSERT_TRUE(eventually([&] { return server.stats().active == 1; }));
   pool.pump();  // completes seq 777 for a connection that no longer exists
   const std::uint64_t seq = next.send(WireKind::Load, 2, "/apps/a1/bin/app");
-  ASSERT_TRUE(eventually([&] { return server.stats().frames_in == 2; }));
+  // Wait for the pool to hold the Load, not for frames_in: the server
+  // counts a frame before it admits it, so pumping on frames_in could run
+  // an empty cycle and leave the request queued forever.
+  ASSERT_TRUE(eventually([&] { return pool.stats().admitted == 2; }));
   pool.pump();
   const WireResponse response = next.recv_response();
   EXPECT_EQ(response.seq, seq);
