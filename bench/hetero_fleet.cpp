@@ -2,20 +2,21 @@
 //
 // A 1024-rank mixed-Pynamic MPMD fleet in 4 program classes, launched as
 // containerized per-rank sandboxes (rootfs image + CoW overlay). The
-// legacy path replays the loader once per RANK — O(nprocs) full metadata
-// walks for a launch model whose inputs only vary per CLASS. The
-// clustered path keys each rank's sandbox by (overlay fingerprint,
-// environment), measures ONE representative per equivalence class, and
-// replicates the per-class streams — O(#classes).
+// per-rank reference model (tests/reference/per_rank_fleet.hpp) replays
+// the loader once per RANK — O(nprocs) full metadata walks for a launch
+// model whose inputs only vary per CLASS. launch::simulate_fleet_launch
+// keys each rank's sandbox by (overlay fingerprint, environment),
+// measures ONE representative per equivalence class, and replicates the
+// per-class streams — O(#classes).
 //
 // Acceptance gates (exit non-zero on regression):
 //  * the clustered launch measures exactly 4 classes and replays the
 //    loader at most 8 times for the 1024-rank fleet;
 //  * clustering is invisible in the results: every counter, shared/
 //    overlay split, fleet total, and modelled time is byte-identical to
-//    the per-rank path (FleetConfig::cluster_ranks = false);
+//    the per-rank reference;
 //  * the clustered path is >= 10x faster in wall-clock than the
-//    per-rank path at 1024 ranks.
+//    per-rank reference at 1024 ranks.
 //
 // DEPCHAOS_SMOKE=1 shrinks the app; the fleet stays at 1024 ranks in 4
 // classes (the whole point is rank-count-independent measurement).
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/reference/per_rank_fleet.hpp"
 #include "bench_util.hpp"
 #include "depchaos/core/world.hpp"
 #include "depchaos/launch/launch.hpp"
@@ -75,15 +77,14 @@ int print_report() {
     workload::apply_mpmd_rank(sandbox.fs(), sandbox.env(), app, rank,
                               kClasses);
   };
-  launch::FleetConfig per_rank = clustered;
-  per_rank.cluster_ranks = false;
 
   const auto t_fast = std::chrono::steady_clock::now();
   const auto fast = host.launch_fleet(spec, "", kRanks, clustered);
   const double fast_s = seconds_since(t_fast);
 
   const auto t_slow = std::chrono::steady_clock::now();
-  const auto slow = host.launch_fleet(spec, "", kRanks, per_rank);
+  const auto slow =
+      reference::per_rank_fleet_launch(host, spec, "", kRanks, clustered);
   const double slow_s = seconds_since(t_slow);
 
   heading("heterogeneous fleet — 1024 ranks, 4 program classes");
@@ -153,15 +154,19 @@ void BM_ClusteredMixedFleet(benchmark::State& state) {
   const workload::PynamicApp& app = scenario.app;
   launch::FleetConfig fleet;
   fleet.cluster = host.config().cluster;
-  fleet.cluster_ranks = state.range(0) != 0;
   fleet.rank_setup = [&app](core::Session& sandbox, int rank) {
     workload::apply_mpmd_rank(sandbox.fs(), sandbox.env(), app, rank,
                               kClasses);
   };
+  // Arg 0: 1 = the class loop, 0 = the per-rank reference model.
+  const bool clustered = state.range(0) != 0;
   const int ranks = static_cast<int>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        host.launch_fleet(spec, "", ranks, fleet).fleet_meta_ops);
+        (clustered ? host.launch_fleet(spec, "", ranks, fleet)
+                   : reference::per_rank_fleet_launch(host, spec, "", ranks,
+                                                      fleet))
+            .fleet_meta_ops);
   }
 }
 BENCHMARK(BM_ClusteredMixedFleet)

@@ -209,7 +209,8 @@ class Session {
   WhatIfReport whatif(std::string_view exe = {}, WrapOptions options = {},
                       TreeOptions tree = {});
 
-  /// Extrapolate an MPI launch of `ranks` processes (Fig 6).
+  /// Extrapolate an MPI launch of `ranks` processes (Fig 6): the
+  /// one-entry launch::scaling_sweep.
   LaunchResult launch(int ranks) { return launch({}, ranks); }
   LaunchResult launch(std::string_view exe, int ranks);
   LaunchResult launch(std::string_view exe, int ranks,
@@ -221,8 +222,9 @@ class Session {
   /// per-rank sandbox from `spec` over this session's world, measure the
   /// op stream a rank issues inside it — shared-image vs per-rank overlay
   /// metadata split — and extrapolate the P-rank fleet. The two-argument
-  /// form uses the session's cluster model and the homogeneity fast path
-  /// (one sandboxed rank measured, replicated across the fleet).
+  /// form uses the session's cluster model and no rank_setup hook (one
+  /// rank class: one sandboxed rank measured, replicated across the
+  /// fleet).
   LaunchResult launch_fleet(const SandboxSpec& spec, int ranks);
   LaunchResult launch_fleet(const SandboxSpec& spec, std::string_view exe,
                             int ranks, const launch::FleetConfig& config);

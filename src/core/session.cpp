@@ -243,8 +243,9 @@ Session::LaunchResult Session::launch(std::string_view exe, int ranks) {
 
 Session::LaunchResult Session::launch(std::string_view exe, int ranks,
                                       const launch::ClusterConfig& cluster) {
-  return launch::simulate_launch(*fs_, *loader_, resolve_exe(exe), config_.env,
-                                 ranks, cluster);
+  return launch::scaling_sweep(*fs_, *loader_, resolve_exe(exe), config_.env,
+                               {ranks}, cluster)
+      .front();
 }
 
 std::vector<Session::LaunchResult> Session::launch_sweep(

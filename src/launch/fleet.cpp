@@ -15,12 +15,13 @@
 // number of DISTINCT rank configurations, not the rank count: ranks are
 // clustered into equivalence classes by (sandbox overlay fingerprint,
 // loader environment) after rank_setup runs in every sandbox, and one
-// representative per class is measured (gated by bench/hetero_fleet.cpp).
-// Homogeneous fleets (no rank_setup hook) are the 1-class special case —
-// a 2048-rank sweep stays a single loader replay.
+// representative per class is measured (gated by bench/hetero_fleet.cpp
+// against the per-rank reference model in tests/reference/). A fleet
+// without a rank_setup hook is the one-class case: rank 0's sandbox
+// stands in for all nprocs ranks, so a 2048-rank sweep stays a single
+// loader replay.
 
-#include <algorithm>
-#include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -41,7 +42,7 @@ void check_fleet_nprocs(int nprocs) {
 /// queueing engine's input.
 RankMeasurement measure_sandboxed_rank(core::Session& rank_session,
                                        const std::string& exe_path,
-                                       vfs::OpTrace* trace = nullptr) {
+                                       vfs::OpTrace* trace) {
   vfs::FileSystem& fs = rank_session.fs();
   vfs::FileSystem::MetaBreakdown split;
   fs.set_meta_breakdown(&split);
@@ -54,7 +55,6 @@ RankMeasurement measure_sandboxed_rank(core::Session& rank_session,
   RankMeasurement rank;
   rank.load_succeeded = report.success;
   rank.meta_ops = report.stats.metadata_calls();
-  rank.classified = true;
   rank.shared_meta_ops = split.shared_ops;
   rank.overlay_meta_ops = split.private_ops;
   for (const auto& obj : report.load_order) {
@@ -120,179 +120,123 @@ bool env_equal(const loader::Environment& a, const loader::Environment& b) {
   return a.ld_library_path == b.ld_library_path && a.ld_preload == b.ld_preload;
 }
 
-/// One rank equivalence class: the representative's sandbox is kept alive
+/// One rank equivalence class. The representative's sandbox is kept alive
 /// so later ranks can be structurally compared against it
 /// (overlay_delta_equal — the hash-collision paranoia check).
 struct RankClass {
   core::Session sandbox;
   RankMeasurement m;
-  int size = 0;
+  vfs::OpTrace trace;      // the representative's op stream (queueing only)
+  std::vector<int> ranks;  // members, in rank order
 };
 
-/// The shared measurement + analytic-extrapolation body. When `traces` is
-/// non-null (queueing engine) each measured CLASS's op stream is captured
-/// and `rank_class` receives the per-rank class index (empty for the
-/// homogeneous fast path, where one stream stands in for every rank);
-/// with prestaged_image the image mount is then marked NodeLocal inside
-/// the rank sandbox BEFORE measurement, so the measured load itself
-/// charges node-local latency and flags node-local ops in the trace.
-LaunchResult measure_and_extrapolate(core::Session& session,
-                                     const core::SandboxSpec& spec,
-                                     const std::string& exe_path, int nprocs,
-                                     const FleetConfig& config,
-                                     std::vector<vfs::OpTrace>* traces,
-                                     std::vector<int>* rank_class = nullptr) {
-  LaunchResult result;
-  result.nprocs = nprocs;
-  result.sandboxed = true;
-  result.load_succeeded = true;
-
-  // Homogeneity fast path: identical ranks issue identical op streams, so
-  // one sandboxed rank stands in for the fleet. A rank_setup hook means
-  // per-rank divergence — every rank gets its own sandbox, and (unless
-  // cluster_ranks is off) ranks collapse into fingerprint equivalence
-  // classes measured once each.
-  const bool homogeneous = !config.rank_setup;
-
-  RankMeasurement first;
-  std::uint64_t total_meta = 0, total_bytes = 0;
-  std::uint64_t total_shared_meta = 0, total_overlay_meta = 0;
-  std::uint64_t total_shared_bytes = 0, total_overlay_bytes = 0;
-
+/// The class loop: one loader replay per equivalence class. `queueing`
+/// captures each class's op stream and, with prestaged_image, marks the
+/// image mount NodeLocal inside the sandbox BEFORE measurement, so the
+/// measured load itself charges node-local latency and flags node-local
+/// ops in the trace.
+std::vector<RankClass> measure_classes(core::Session& session,
+                                       const core::SandboxSpec& spec,
+                                       const std::string& exe_path,
+                                       int nprocs, const FleetConfig& config,
+                                       bool queueing) {
   auto prepare_rank = [&](int r) {
     core::Session rank_session = session.sandbox(spec);
     if (config.rank_setup) config.rank_setup(rank_session, r);
-    if (traces != nullptr && config.prestaged_image && spec.image) {
+    if (queueing && config.prestaged_image && spec.image) {
       rank_session.fs().set_mount_latency(spec.image_mount,
                                           vfs::MountLatency::NodeLocal);
     }
     return rank_session;
   };
-  auto accumulate = [&](const RankMeasurement& rank, std::uint64_t count) {
-    result.load_succeeded = result.load_succeeded && rank.load_succeeded;
-    total_meta += rank.meta_ops * count;
-    total_bytes += rank.bytes * count;
-    total_shared_meta += rank.shared_meta_ops * count;
-    total_overlay_meta += rank.overlay_meta_ops * count;
-    total_shared_bytes += rank.shared_bytes * count;
-    total_overlay_bytes += rank.overlay_bytes * count;
+  std::vector<RankClass> classes;
+  auto add_class = [&](core::Session sandbox) {
+    classes.push_back(RankClass{std::move(sandbox), {}, {}, {}});
+    RankClass& cls = classes.back();
+    cls.m = measure_sandboxed_rank(cls.sandbox, exe_path,
+                                   queueing ? &cls.trace : nullptr);
   };
 
-  if (homogeneous) {
-    if (traces != nullptr) traces->resize(1);
-    core::Session rank_session = prepare_rank(0);
-    first = measure_sandboxed_rank(rank_session, exe_path,
-                                   traces ? &(*traces)[0] : nullptr);
-    accumulate(first, 1);
-    result.ranks_measured = 1;
-    result.classes_measured = 1;
-    result.class_sizes = {nprocs};
-  } else if (config.cluster_ranks) {
-    // Equivalence-class measurement: run the (cheap) rank_setup hook in
-    // every rank's sandbox, key each sandbox by its overlay-delta
-    // fingerprint plus the loader environment, and replay the loader once
-    // per DISTINCT key. The fingerprint is O(delta) (cached at the vfs
-    // mutation choke point) and hash-equal candidates are confirmed
-    // structurally before joining a class, so a sha256 collision can only
-    // split a class (extra measurement), never merge two (wrong numbers).
-    std::vector<RankClass> classes;
-    std::unordered_map<std::string, std::vector<std::size_t>> by_key;
-    if (rank_class != nullptr) rank_class->assign(nprocs, 0);
-    for (int r = 0; r < nprocs; ++r) {
-      core::Session rank_session = prepare_rank(r);
-      std::string key = rank_session.fs().overlay_fingerprint();
-      key += '\0';
-      key += env_class_key(rank_session.env());
-      std::vector<std::size_t>& bucket = by_key[key];
-      std::size_t cls = classes.size();
-      for (const std::size_t candidate : bucket) {
-        if (classes[candidate].sandbox.fs().overlay_delta_equal(
-                rank_session.fs()) &&
-            env_equal(classes[candidate].sandbox.env(), rank_session.env())) {
-          cls = candidate;
-          break;
-        }
-      }
-      if (cls == classes.size()) {
-        bucket.push_back(cls);
-        classes.push_back(RankClass{std::move(rank_session), {}, 0});
-        vfs::OpTrace* trace = nullptr;
-        if (traces != nullptr) {
-          traces->emplace_back();
-          trace = &traces->back();
-        }
-        classes.back().m =
-            measure_sandboxed_rank(classes.back().sandbox, exe_path, trace);
-      }
-      ++classes[cls].size;
-      if (rank_class != nullptr) (*rank_class)[r] = static_cast<int>(cls);
-    }
-    result.ranks_measured = static_cast<int>(classes.size());
-    result.classes_measured = static_cast<int>(classes.size());
-    result.class_sizes.reserve(classes.size());
-    for (const RankClass& cls : classes) {
-      accumulate(cls.m, static_cast<std::uint64_t>(cls.size));
-      result.class_sizes.push_back(cls.size);
-    }
-  } else {
-    // Clustering disabled: the pre-equivalence-class behavior — every
-    // rank measured independently (the byte-identity baseline and the
-    // bench speedup denominator).
-    const int measured = std::max(1, nprocs);
-    result.ranks_measured = measured;
-    if (traces != nullptr) traces->resize(measured);
-    if (rank_class != nullptr) {
-      rank_class->resize(measured);
-      for (int r = 0; r < measured; ++r) (*rank_class)[r] = r;
-    }
-    for (int r = 0; r < measured; ++r) {
-      core::Session rank_session = prepare_rank(r);
-      const RankMeasurement rank = measure_sandboxed_rank(
-          rank_session, exe_path, traces ? &(*traces)[r] : nullptr);
-      if (r == 0) first = rank;
-      accumulate(rank, 1);
-    }
+  if (!config.rank_setup) {
+    // Nothing can diverge: every rank's sandbox is rank 0's.
+    add_class(prepare_rank(0));
+    classes[0].ranks.resize(static_cast<std::size_t>(nprocs));
+    std::iota(classes[0].ranks.begin(), classes[0].ranks.end(), 0);
+    return classes;
   }
+  // Run the (cheap) rank_setup hook in every rank's sandbox and key each
+  // sandbox by its overlay-delta fingerprint plus the loader environment.
+  // The fingerprint is O(delta) (cached at the vfs mutation choke point)
+  // and hash-equal candidates are confirmed structurally before joining a
+  // class, so a sha256 collision can only split a class (extra
+  // measurement), never merge two (wrong numbers).
+  std::unordered_map<std::string, std::vector<std::size_t>> by_key;
+  for (int r = 0; r < nprocs; ++r) {
+    core::Session rank_session = prepare_rank(r);
+    std::string key = rank_session.fs().overlay_fingerprint();
+    key += '\0';
+    key += env_class_key(rank_session.env());
+    std::vector<std::size_t>& bucket = by_key[key];
+    std::size_t cls = classes.size();
+    for (const std::size_t candidate : bucket) {
+      if (classes[candidate].sandbox.fs().overlay_delta_equal(
+              rank_session.fs()) &&
+          env_equal(classes[candidate].sandbox.env(), rank_session.env())) {
+        cls = candidate;
+        break;
+      }
+    }
+    if (cls == classes.size()) {
+      bucket.push_back(cls);
+      add_class(std::move(rank_session));
+    }
+    classes[cls].ranks.push_back(r);
+  }
+  return classes;
+}
 
-  const std::uint64_t ranks = static_cast<std::uint64_t>(std::max(1, nprocs));
-  if (homogeneous) {
-    result.meta_ops_per_rank = first.meta_ops;
-    result.bytes_per_rank = first.bytes;
-    result.shared_meta_ops_per_rank = first.shared_meta_ops;
-    result.overlay_meta_ops_per_rank = first.overlay_meta_ops;
-    result.shared_bytes_per_rank = first.shared_bytes;
-    result.overlay_bytes_per_rank = first.overlay_bytes;
-    result.fleet_meta_ops = first.meta_ops * ranks;
-    result.fleet_bytes = first.bytes * ranks;
-    result.fleet_shared_meta_ops = first.shared_meta_ops * ranks;
-    result.fleet_overlay_meta_ops = first.overlay_meta_ops * ranks;
-    extrapolate_fleet(result, static_cast<double>(first.shared_meta_ops),
-                      static_cast<double>(first.overlay_meta_ops),
-                      static_cast<double>(first.shared_bytes),
-                      static_cast<double>(first.overlay_bytes), config);
-  } else {
-    // Heterogeneous ranks: totals are exact sums; the *_per_rank fields
-    // are floor-averages of the SPLIT, summed so the tiling invariant
-    // (shared + overlay == total) holds by construction; timing uses the
-    // true (double) means.
-    result.shared_meta_ops_per_rank = total_shared_meta / ranks;
-    result.overlay_meta_ops_per_rank = total_overlay_meta / ranks;
-    result.meta_ops_per_rank =
-        result.shared_meta_ops_per_rank + result.overlay_meta_ops_per_rank;
-    result.shared_bytes_per_rank = total_shared_bytes / ranks;
-    result.overlay_bytes_per_rank = total_overlay_bytes / ranks;
-    result.bytes_per_rank =
-        result.shared_bytes_per_rank + result.overlay_bytes_per_rank;
-    result.fleet_meta_ops = total_meta;
-    result.fleet_bytes = total_bytes;
-    result.fleet_shared_meta_ops = total_shared_meta;
-    result.fleet_overlay_meta_ops = total_overlay_meta;
-    const double n = static_cast<double>(ranks);
-    extrapolate_fleet(result, static_cast<double>(total_shared_meta) / n,
-                      static_cast<double>(total_overlay_meta) / n,
-                      static_cast<double>(total_shared_bytes) / n,
-                      static_cast<double>(total_overlay_bytes) / n, config);
+/// The one projection from classes to the fleet. Totals are exact sums;
+/// the *_per_rank fields are floor-averages of the SPLIT, summed so the
+/// tiling invariant (shared + overlay == total) holds by construction;
+/// timing uses the true (double) means. A one-class fleet divides back to
+/// its class's own counts exactly (every total is far below 2^53), and its
+/// shared + overlay ops are its metadata_calls(): FileSystem::charge bills
+/// every stat/open to exactly one side.
+LaunchResult project(const std::vector<RankClass>& classes, int nprocs,
+                     const FleetConfig& config) {
+  LaunchResult result;
+  result.nprocs = nprocs;
+  result.sandboxed = true;
+  result.load_succeeded = true;
+  result.ranks_measured = static_cast<int>(classes.size());
+  result.classes_measured = result.ranks_measured;
+  std::uint64_t shared_bytes = 0, overlay_bytes = 0;
+  for (const RankClass& cls : classes) {
+    const auto size = static_cast<std::uint64_t>(cls.ranks.size());
+    result.load_succeeded = result.load_succeeded && cls.m.load_succeeded;
+    result.fleet_meta_ops += cls.m.meta_ops * size;
+    result.fleet_bytes += cls.m.bytes * size;
+    result.fleet_shared_meta_ops += cls.m.shared_meta_ops * size;
+    result.fleet_overlay_meta_ops += cls.m.overlay_meta_ops * size;
+    shared_bytes += cls.m.shared_bytes * size;
+    overlay_bytes += cls.m.overlay_bytes * size;
+    result.class_sizes.push_back(static_cast<int>(cls.ranks.size()));
   }
+  const auto ranks = static_cast<std::uint64_t>(nprocs);
+  result.shared_meta_ops_per_rank = result.fleet_shared_meta_ops / ranks;
+  result.overlay_meta_ops_per_rank = result.fleet_overlay_meta_ops / ranks;
+  result.meta_ops_per_rank =
+      result.shared_meta_ops_per_rank + result.overlay_meta_ops_per_rank;
+  result.shared_bytes_per_rank = shared_bytes / ranks;
+  result.overlay_bytes_per_rank = overlay_bytes / ranks;
+  result.bytes_per_rank =
+      result.shared_bytes_per_rank + result.overlay_bytes_per_rank;
+  const double n = static_cast<double>(nprocs);
+  extrapolate_fleet(result,
+                    static_cast<double>(result.fleet_shared_meta_ops) / n,
+                    static_cast<double>(result.fleet_overlay_meta_ops) / n,
+                    static_cast<double>(shared_bytes) / n,
+                    static_cast<double>(overlay_bytes) / n, config);
   return result;
 }
 
@@ -308,8 +252,9 @@ LaunchResult simulate_fleet_launch(core::Session& session,
     return simulate_fleet_launch_sim(session, spec, exe_path, nprocs, config)
         .launch;
   }
-  return measure_and_extrapolate(session, spec, exe_path, nprocs, config,
-                                 nullptr);
+  return project(measure_classes(session, spec, exe_path, nprocs, config,
+                                 /*queueing=*/false),
+                 nprocs, config);
 }
 
 SimOutcome simulate_fleet_launch_sim(core::Session& session,
@@ -318,33 +263,29 @@ SimOutcome simulate_fleet_launch_sim(core::Session& session,
                                      const FleetConfig& config) {
   validate(config);
   check_fleet_nprocs(nprocs);
+  const std::vector<RankClass> classes = measure_classes(
+      session, spec, exe_path, nprocs, config, /*queueing=*/true);
   SimOutcome out;
-  std::vector<vfs::OpTrace> traces;
-  std::vector<int> rank_class;
-  out.launch = measure_and_extrapolate(session, spec, exe_path, nprocs,
-                                       config, &traces, &rank_class);
+  out.launch = project(classes, nprocs, config);
   mds::MdsConfig sim_config = mds_config_for(
       config.cluster, config.prestaged_image, config.service, config.cache);
   sim_config.start_delays = config.start_delays;
   mds::MdsSimulator sim(sim_config);
-  // One captured stream per measured CLASS; rank r replays its class's
-  // stream (pointer replication — no copies), so per-rank alignment with
-  // start_delays and SimResult::ranks is preserved exactly as if every
-  // rank had been measured.
-  std::vector<const std::vector<vfs::OpRecord>*> streams;
-  if (rank_class.empty()) {
-    for (const vfs::OpTrace& t : traces) streams.push_back(&t.ops());
-  } else {
-    streams.reserve(rank_class.size());
-    for (const int cls : rank_class) streams.push_back(&traces[cls].ops());
+  // Rank r replays its class's captured stream (pointer replication — no
+  // copies), so per-rank alignment with start_delays and SimResult::ranks
+  // is preserved exactly as if every rank had been measured.
+  std::vector<const std::vector<vfs::OpRecord>*> streams(
+      static_cast<std::size_t>(nprocs));
+  for (const RankClass& cls : classes) {
+    for (const int r : cls.ranks) {
+      streams[static_cast<std::size_t>(r)] = &cls.trace.ops();
+    }
   }
   // Waves share ONE simulator: client caches warm across them, so wave 2+
   // of a cache-enabled fleet is the repeat-launch scenario no closed-form
   // storm formula expresses.
   for (int wave = 0; wave < config.sim_waves; ++wave) {
-    // Homogeneity fast path: one measured stream, P simulated clients.
-    out.sim = streams.size() == 1 ? sim.run_homogeneous(*streams[0], nprocs)
-                                  : sim.run(streams);
+    out.sim = sim.run(streams);
     out.wave_makespans.push_back(out.sim.makespan_s);
   }
   // The data phase stays analytic — bytes stream from the object servers,

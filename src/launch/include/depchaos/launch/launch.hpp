@@ -105,25 +105,23 @@ struct LaunchResult {
   /// tmpfs): inherently rank-private, immune to broadcast or pre-staging.
   std::uint64_t overlay_meta_ops_per_rank = 0;
   std::uint64_t overlay_bytes_per_rank = 0;
-  /// Fleet totals. Under the homogeneity fast path these are exactly
-  /// per-rank × nprocs; with a rank_setup hook they are the measured sums
-  /// (the *_per_rank fields above are then floor-averages of the split,
-  /// summed so shared + overlay == the per-rank total by construction).
+  /// Fleet totals: each rank class's measured counts × its size, summed.
+  /// The *_per_rank fields above are floor-averages of the split, summed
+  /// so shared + overlay == the per-rank total by construction; for a
+  /// one-class fleet they are that class's counts exactly.
   std::uint64_t fleet_meta_ops = 0;
   std::uint64_t fleet_bytes = 0;
   std::uint64_t fleet_shared_meta_ops = 0;
   std::uint64_t fleet_overlay_meta_ops = 0;
-  /// Ranks actually measured: 1 for bare launches and under the fleet
-  /// homogeneity fast path; with a rank_setup hook, the number of rank
-  /// equivalence classes (== classes_measured; nprocs only with
-  /// FleetConfig::cluster_ranks disabled).
+  /// Loader replays: 1 for bare launches; for a fleet, one per rank
+  /// equivalence class (== classes_measured).
   int ranks_measured = 0;
-  /// Rank equivalence classes (image, overlay fingerprint, env): one
-  /// loader replay each. 1 for bare/homogeneous launches; 0 when
-  /// clustering is disabled (every rank measured independently).
+  /// Rank equivalence classes (image, overlay fingerprint, env), one
+  /// loader replay each; 1 for a fleet without a rank_setup hook. 0 for
+  /// bare launches.
   int classes_measured = 0;
   /// Ranks per class, in first-appearance (rank) order; sums to nprocs.
-  /// Empty when clustering is disabled.
+  /// Empty for bare launches.
   std::vector<int> class_sizes;
   bool sandboxed = false;
 };
@@ -134,9 +132,8 @@ struct RankMeasurement {
   bool load_succeeded = false;
   std::uint64_t meta_ops = 0;
   std::uint64_t bytes = 0;
-  /// Shared/overlay attribution (sandboxed measurement only; `classified`
-  /// false for bare-host measurements, where the split is not meaningful).
-  bool classified = false;
+  /// Shared/overlay attribution (sandboxed measurement only; zero for
+  /// bare-host measurements, where the split is not meaningful).
   std::uint64_t shared_meta_ops = 0;
   std::uint64_t overlay_meta_ops = 0;
   std::uint64_t shared_bytes = 0;
@@ -165,16 +162,12 @@ double storm_data_seconds(double bytes, int nprocs, const ClusterConfig&);
 LaunchResult extrapolate(const RankMeasurement& rank, int nprocs,
                          const ClusterConfig& config);
 
-/// Measure one rank's load (cold client caches) and extrapolate to P ranks.
-LaunchResult simulate_launch(vfs::FileSystem& fs, loader::Loader& loader,
-                             const std::string& exe_path,
-                             const loader::Environment& env, int nprocs,
-                             const ClusterConfig& config = {});
-
-/// Fig 6 helper: run the same binary across a rank sweep. The rank-1 op
-/// stream is measured ONCE and extrapolated to every entry (the counters a
-/// load produces do not depend on cache warmth, so this is byte-identical
-/// to re-measuring per entry — asserted in tests/launch_test.cpp).
+/// Bare launch of the same binary across a rank sweep (Fig 6); a single
+/// launch is the one-entry sweep, `scaling_sweep(..., {n}).front()`. The
+/// rank-1 op stream is measured ONCE and extrapolated to every entry (the
+/// counters a load produces do not depend on cache warmth, so this is
+/// byte-identical to re-measuring per entry — asserted in
+/// tests/launch_test.cpp).
 std::vector<LaunchResult> scaling_sweep(vfs::FileSystem& fs,
                                         loader::Loader& loader,
                                         const std::string& exe_path,
@@ -195,8 +188,8 @@ struct SimOutcome {
   /// unless FleetConfig::sim_waves > 1, in which case it is the
   /// cache-warm steady state).
   mds::SimResult sim;
-  /// Makespan of every wave in order; size == sim_waves (1 for the bare
-  /// entry points, which always run a single wave).
+  /// Makespan of every wave in order; size == sim_waves (1 for bare
+  /// launches, which always run a single wave).
   std::vector<double> wave_makespans;
 };
 
@@ -211,28 +204,10 @@ mds::MdsConfig mds_config_for(const ClusterConfig& cluster, bool prestaged,
                               const mds::ServiceModel& service = {},
                               const mds::CachePolicy& cache = {});
 
-/// Queueing-engine counterpart of extrapolate: replay the measured bare
-/// stream through the simulator at P ranks. A bare fleet is homogeneous by
+/// scaling_sweep's queueing column: one measured stream, one simulator run
+/// per rank count (cold caches per entry). A bare fleet is homogeneous by
 /// construction, so every op is marked broadcast-amenable (a flat world
 /// has no fork boundary to classify against).
-SimOutcome extrapolate_queueing(const RankMeasurement& rank,
-                                const vfs::OpTrace& trace, int nprocs,
-                                const ClusterConfig& config,
-                                const mds::ServiceModel& service = {},
-                                const mds::CachePolicy& cache = {});
-
-/// Measure one rank (capturing its op stream) and run the queueing engine.
-SimOutcome simulate_launch_queueing(vfs::FileSystem& fs,
-                                    loader::Loader& loader,
-                                    const std::string& exe_path,
-                                    const loader::Environment& env,
-                                    int nprocs,
-                                    const ClusterConfig& config = {},
-                                    const mds::ServiceModel& service = {},
-                                    const mds::CachePolicy& cache = {});
-
-/// scaling_sweep's queueing column: one measured stream, one simulator run
-/// per rank count (cold caches per entry).
 std::vector<SimOutcome> scaling_sweep_queueing(
     vfs::FileSystem& fs, loader::Loader& loader, const std::string& exe_path,
     const loader::Environment& env, const std::vector<int>& rank_counts,
@@ -244,21 +219,13 @@ struct FleetConfig {
   ClusterConfig cluster;
   /// Per-rank divergence hook, applied to rank r's sandbox before its
   /// measurement (rank-private config writes, shadowing libraries, ...).
-  /// Null = ranks are homogeneous: the fast path measures ONE sandboxed
-  /// rank and replicates it; non-null = every rank gets its own sandbox,
-  /// and ranks are clustered into equivalence classes by (image, overlay
-  /// fingerprint, env) with ONE measured load per class (see
-  /// cluster_ranks).
-  std::function<void(core::Session&, int rank)> rank_setup;
-  /// Equivalence-class measurement for heterogeneous fleets (default on):
-  /// after rank_setup runs in every rank's sandbox, ranks whose sandbox
+  /// Non-null = every rank gets its own sandbox, and ranks whose sandbox
   /// divergence (vfs::FileSystem::overlay_fingerprint, confirmed by
-  /// overlay_delta_equal) and loader environment are identical share one
-  /// representative measurement — O(#classes) loader replays instead of
-  /// O(nprocs), byte-identical totals. false = measure every rank
-  /// independently (the pre-clustering behavior; kept for byte-identity
-  /// baselines and bench/hetero_fleet.cpp's speedup gate).
-  bool cluster_ranks = true;
+  /// overlay_delta_equal) and loader environment are identical form one
+  /// equivalence class with ONE measured load — O(#classes) loader
+  /// replays instead of O(nprocs), byte-identical totals. Null = one
+  /// class: rank 0's sandbox is measured for all nprocs ranks.
+  std::function<void(core::Session&, int rank)> rank_setup;
   /// The image was broadcast/staged to node-local storage before launch:
   /// shared-substrate metadata and bytes are served at the cluster's
   /// node-local rates with no storm contention; only per-rank overlay
@@ -299,10 +266,10 @@ LaunchResult simulate_fleet_launch(core::Session& session,
                                    const std::string& exe_path, int nprocs,
                                    const FleetConfig& config = {});
 
-/// Queueing-engine fleet launch: the same per-rank sandboxed measurement,
-/// but each rank's full op stream is captured and replayed through the
-/// mds simulator (homogeneous fleets replicate ONE measured stream across
-/// P simulated clients — the measurement stays a single loader replay).
+/// Queueing-engine fleet launch: the same per-class sandboxed measurement,
+/// but each class's full op stream is captured and every rank replays its
+/// class's stream through the mds simulator (a fleet without a rank_setup
+/// hook replicates ONE measured stream across P simulated clients).
 /// With prestaged_image the image mount is marked MountLatency::NodeLocal
 /// inside each rank sandbox BEFORE measurement, so node-local costs are
 /// charged inside the measured load rather than patched in afterwards.

@@ -14,6 +14,33 @@ void check_nprocs(int nprocs) {
   if (nprocs < 1) reject("launch: nprocs must be >= 1");
 }
 
+/// Queueing-engine counterpart of extrapolate: replay the measured bare
+/// stream through the simulator at P ranks.
+SimOutcome extrapolate_queueing(const RankMeasurement& rank,
+                                const vfs::OpTrace& trace, int nprocs,
+                                const ClusterConfig& config,
+                                const mds::ServiceModel& service,
+                                const mds::CachePolicy& cache) {
+  SimOutcome out;
+  // The analytic extrapolation fills the counters and the data phase;
+  // only the metadata phase is replaced by the simulated makespan.
+  out.launch = extrapolate(rank, nprocs, config);
+  // Bare glue: a flat never-forked world classifies every inode as
+  // view-private, but a bare fleet is homogeneous by construction — every
+  // rank gets the same answer for every op, so the whole stream is
+  // broadcast-amenable shared substrate.
+  std::vector<vfs::OpRecord> stream = trace.ops();
+  for (auto& op : stream) op.shared = true;
+  mds::MdsSimulator sim(
+      mds_config_for(config, /*prestaged=*/false, service, cache));
+  out.sim = sim.run_homogeneous(stream, nprocs);
+  out.wave_makespans = {out.sim.makespan_s};
+  out.launch.meta_time_s = out.sim.makespan_s;
+  out.launch.total_time_s =
+      config.init_s + out.launch.data_time_s + out.launch.meta_time_s;
+  return out;
+}
+
 }  // namespace
 
 void validate(const ClusterConfig& config) {
@@ -130,13 +157,6 @@ LaunchResult extrapolate(const RankMeasurement& rank, int nprocs,
   return result;
 }
 
-LaunchResult simulate_launch(vfs::FileSystem& fs, loader::Loader& loader,
-                             const std::string& exe_path,
-                             const loader::Environment& env, int nprocs,
-                             const ClusterConfig& config) {
-  return extrapolate(measure_rank(fs, loader, exe_path, env), nprocs, config);
-}
-
 std::vector<LaunchResult> scaling_sweep(vfs::FileSystem& fs,
                                         loader::Loader& loader,
                                         const std::string& exe_path,
@@ -154,47 +174,6 @@ std::vector<LaunchResult> scaling_sweep(vfs::FileSystem& fs,
     out.push_back(extrapolate(rank, ranks, config));
   }
   return out;
-}
-
-SimOutcome extrapolate_queueing(const RankMeasurement& rank,
-                                const vfs::OpTrace& trace, int nprocs,
-                                const ClusterConfig& config,
-                                const mds::ServiceModel& service,
-                                const mds::CachePolicy& cache) {
-  check_nprocs(nprocs);
-  SimOutcome out;
-  // The analytic extrapolation fills the counters and the data phase;
-  // only the metadata phase is replaced by the simulated makespan.
-  out.launch = extrapolate(rank, nprocs, config);
-  // Bare glue: a flat never-forked world classifies every inode as
-  // view-private, but a bare fleet is homogeneous by construction — every
-  // rank gets the same answer for every op, so the whole stream is
-  // broadcast-amenable shared substrate.
-  std::vector<vfs::OpRecord> stream = trace.ops();
-  for (auto& op : stream) op.shared = true;
-  mds::MdsSimulator sim(
-      mds_config_for(config, /*prestaged=*/false, service, cache));
-  out.sim = sim.run_homogeneous(stream, nprocs);
-  out.wave_makespans = {out.sim.makespan_s};
-  out.launch.meta_time_s = out.sim.makespan_s;
-  out.launch.total_time_s =
-      config.init_s + out.launch.data_time_s + out.launch.meta_time_s;
-  return out;
-}
-
-SimOutcome simulate_launch_queueing(vfs::FileSystem& fs,
-                                    loader::Loader& loader,
-                                    const std::string& exe_path,
-                                    const loader::Environment& env,
-                                    int nprocs, const ClusterConfig& config,
-                                    const mds::ServiceModel& service,
-                                    const mds::CachePolicy& cache) {
-  validate(config);
-  check_nprocs(nprocs);
-  vfs::OpTrace trace;
-  const RankMeasurement rank =
-      measure_rank(fs, loader, exe_path, env, &trace);
-  return extrapolate_queueing(rank, trace, nprocs, config, service, cache);
 }
 
 std::vector<SimOutcome> scaling_sweep_queueing(

@@ -238,27 +238,26 @@ class SessionPool {
   SessionPool& operator=(const SessionPool&) = delete;
 
   // ---- typed submission (thread-safe; throws Overloaded on backpressure) --
-  std::future<loader::LoadReport> submit_load(ClientId client,
-                                              std::string exe = {});
-  /// Zero-copy variant for storm fleets: when the Load memo serves N
-  /// clients the same (exe, env) resolution, they all receive ONE shared
-  /// immutable report instead of N deep copies (the pull-based broadcast
-  /// idea: identical responses to a fleet are one payload). Byte-identical
-  /// to submit_load in every field.
+  /// Load `exe` on the client's fork. When the Load memo serves N clients
+  /// the same (exe, env) resolution, they all receive ONE shared immutable
+  /// report instead of N deep copies (the pull-based broadcast idea:
+  /// identical responses to a fleet are one payload).
   std::future<std::shared_ptr<const loader::LoadReport>> submit_load_shared(
       ClientId client, std::string exe = {});
+  /// submit_load_shared, copied out. The returned future is DEFERRED: the
+  /// command is queued (or Overloaded thrown) now, and get() waits for it
+  /// and copies the shared report; wait_for() returns
+  /// std::future_status::deferred.
+  std::future<loader::LoadReport> submit_load(ClientId client,
+                                              std::string exe = {});
   std::future<std::vector<loader::LoadReport>> submit_load_many(
       ClientId client, std::vector<std::string> exes);
   std::future<core::Session::WhatIfReport> submit_whatif(ClientId client,
                                                          std::string exe = {});
   std::future<shrinkwrap::WrapReport> submit_shrinkwrap(ClientId client,
                                                         std::string exe = {});
-  std::future<launch::LaunchResult> submit_launch_fleet(ClientId client,
-                                                        core::SandboxSpec spec,
-                                                        std::string exe,
-                                                        int ranks);
-  /// Heterogeneous-fleet variant: the FleetConfig (rank_setup hook,
-  /// cluster_ranks, engine/prestage knobs) rides along with the command,
+  /// Containerized fleet launch: the FleetConfig (cluster model,
+  /// rank_setup hook, engine/prestage knobs) rides along with the command,
   /// so pooled tenants get the same O(#classes) fingerprint-clustered
   /// measurement as direct Session::launch_fleet callers. The hook runs on
   /// the client's strand inside per-rank sandbox forks of the client's own

@@ -128,10 +128,6 @@ Overloaded::Overloaded(std::size_t shard, std::size_t queue_depth,
 
 struct LoadCmd {
   std::string exe;
-  std::promise<loader::LoadReport> done;
-};
-struct SharedLoadCmd {
-  std::string exe;
   std::promise<std::shared_ptr<const loader::LoadReport>> done;
 };
 struct LoadManyCmd {
@@ -150,10 +146,7 @@ struct FleetCmd {
   core::SandboxSpec spec;
   std::string exe;
   int ranks = 0;
-  /// Null = default config built from the client session's cluster model;
-  /// set = the caller's full FleetConfig (rank_setup hook, cluster_ranks,
-  /// engine/prestage knobs) rides along with the command.
-  std::optional<launch::FleetConfig> fleet;
+  launch::FleetConfig fleet;
   std::promise<launch::LaunchResult> done;
 };
 struct QueryCmd {
@@ -168,8 +161,8 @@ struct SessionPool::Command {
   ClientId client = 0;
   RequestKind kind = RequestKind::Load;
   Clock::time_point enqueued;
-  std::variant<LoadCmd, SharedLoadCmd, LoadManyCmd, WhatifCmd, WrapCmd,
-               FleetCmd, QueryCmd, ControlCmd>
+  std::variant<LoadCmd, LoadManyCmd, WhatifCmd, WrapCmd, FleetCmd, QueryCmd,
+               ControlCmd>
       op;
   /// Set when submitted inside an Admission: called with `tag` once the
   /// result is set.
@@ -643,12 +636,8 @@ void SessionPool::execute(Shard& shard, Command& command) {
 
   switch (command.kind) {
     case RequestKind::Load: {
-      if (auto* shared = std::get_if<SharedLoadCmd>(&command.op)) {
-        deliver(*shared, [&] { return run_load(shared->exe); });
-      } else {
-        auto& cmd = std::get<LoadCmd>(command.op);
-        deliver(cmd, [&] { return loader::LoadReport(*run_load(cmd.exe)); });
-      }
+      auto& cmd = std::get<LoadCmd>(command.op);
+      deliver(cmd, [&] { return run_load(cmd.exe); });
       break;
     }
     case RequestKind::LoadMany: {
@@ -684,18 +673,12 @@ void SessionPool::execute(Shard& shard, Command& command) {
     }
     case RequestKind::LaunchFleet: {
       auto& cmd = std::get<FleetCmd>(command.op);
+      // The caller's config (rank_setup, engine) rides along: pooled
+      // tenants get the same fingerprint-clustered O(#classes) measurement
+      // as direct launch_fleet callers.
       deliver(cmd, [&] {
-        core::Session& session = ensure_session();
-        if (cmd.fleet) {
-          // The caller's config (rank_setup, cluster_ranks, engine) rides
-          // along: pooled tenants get the same fingerprint-clustered
-          // O(#classes) measurement as direct launch_fleet callers.
-          return session.launch_fleet(cmd.spec, cmd.exe, cmd.ranks,
-                                      *cmd.fleet);
-        }
-        launch::FleetConfig fleet;
-        fleet.cluster = session.config().cluster;
-        return session.launch_fleet(cmd.spec, cmd.exe, cmd.ranks, fleet);
+        return ensure_session().launch_fleet(cmd.spec, cmd.exe, cmd.ranks,
+                                             cmd.fleet);
       });
       break;
     }
@@ -776,17 +759,16 @@ void SessionPool::sweep_idle(Shard& shard) {
 
 std::future<loader::LoadReport> SessionPool::submit_load(ClientId client,
                                                          std::string exe) {
-  LoadCmd cmd{std::move(exe), {}};
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::Load, std::move(command));
-  return future;
+  return std::async(
+      std::launch::deferred,
+      [shared = submit_load_shared(client, std::move(exe))]() mutable {
+        return loader::LoadReport(*shared.get());
+      });
 }
 
 std::future<std::shared_ptr<const loader::LoadReport>>
 SessionPool::submit_load_shared(ClientId client, std::string exe) {
-  SharedLoadCmd cmd{std::move(exe), {}};
+  LoadCmd cmd{std::move(exe), {}};
   auto future = cmd.done.get_future();
   Command command;
   command.op = std::move(cmd);
@@ -821,16 +803,6 @@ std::future<shrinkwrap::WrapReport> SessionPool::submit_shrinkwrap(
   Command command;
   command.op = std::move(cmd);
   enqueue(client, RequestKind::Shrinkwrap, std::move(command));
-  return future;
-}
-
-std::future<launch::LaunchResult> SessionPool::submit_launch_fleet(
-    ClientId client, core::SandboxSpec spec, std::string exe, int ranks) {
-  FleetCmd cmd{std::move(spec), std::move(exe), ranks, std::nullopt, {}};
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::LaunchFleet, std::move(command));
   return future;
 }
 

@@ -166,7 +166,7 @@ ContainerLaunchScenario make_container_launch_scenario(
 /// therefore has a distinct (overlay fingerprint, environment) key AND a
 /// distinct measured op stream, while two ranks of one class produce
 /// byte-identical sandboxes — exactly what fingerprint-clustered fleet
-/// measurement (launch::FleetConfig::cluster_ranks) keys on.
+/// measurement (launch::FleetConfig::rank_setup) keys on.
 ///
 /// Deterministic and core-free by design: callers wrap it into a
 /// rank_setup hook as

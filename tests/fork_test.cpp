@@ -862,9 +862,10 @@ TEST(DentrySnapshotCap, PropertyCappedRebuildMatchesUncapped) {
           loader::Loader la(plain);
           loader::Loader lb(capped);
           const auto ra =
-              launch::simulate_launch(plain, la, app.exe_path, {}, 64);
+              launch::scaling_sweep(plain, la, app.exe_path, {}, {64}).front();
           const auto rb =
-              launch::simulate_launch(capped, lb, app.exe_path, {}, 64);
+              launch::scaling_sweep(capped, lb, app.exe_path, {}, {64})
+                  .front();
           EXPECT_EQ(ra.meta_ops_per_rank, rb.meta_ops_per_rank);
           EXPECT_EQ(ra.bytes_per_rank, rb.bytes_per_rank);
           EXPECT_EQ(ra.load_succeeded, rb.load_succeeded);

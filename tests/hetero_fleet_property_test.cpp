@@ -8,8 +8,8 @@
 //    fork, and collapse (the delta-defining boundaries).
 //  * launch::simulate_fleet_launch clustering — measuring ONE
 //    representative per (fingerprint, environment) class and replicating
-//    per-class results must be byte-identical to the legacy per-rank loop
-//    (FleetConfig::cluster_ranks = false) on every counter, split, fleet
+//    per-class results must be byte-identical to the per-rank reference
+//    model (reference/per_rank_fleet.hpp) on every counter, split, fleet
 //    total, and modelled time, for randomized shuffled class layouts.
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "depchaos/vfs/vfs.hpp"
 #include "depchaos/workload/pynamic.hpp"
 #include "depchaos/workload/scenarios.hpp"
+#include "reference/per_rank_fleet.hpp"
 
 namespace depchaos {
 namespace {
@@ -152,14 +153,13 @@ TEST(HeteroFleetProperty, ClusteredEqualsPerRankByteForByte) {
     launch::FleetConfig clustered;
     clustered.cluster = session.config().cluster;
     clustered.rank_setup = setup;
-    launch::FleetConfig per_rank = clustered;
-    per_rank.cluster_ranks = false;
 
     const auto fast = session.launch_fleet(spec, "", nprocs, clustered);
-    const auto slow = session.launch_fleet(spec, "", nprocs, per_rank);
+    const auto slow =
+        reference::per_rank_fleet_launch(session, spec, "", nprocs, clustered);
 
     // Class accounting: one loader replay per distinct class, sizes tile
-    // the fleet, and the legacy path reports clustering disabled.
+    // the fleet, and the reference measured every rank.
     const int distinct = std::min(classes, nprocs);
     EXPECT_EQ(fast.classes_measured, distinct) << "seed " << seed;
     EXPECT_EQ(fast.ranks_measured, distinct) << "seed " << seed;
@@ -192,6 +192,76 @@ TEST(HeteroFleetProperty, ClusteredEqualsPerRankByteForByte) {
     EXPECT_EQ(fast.data_time_s, slow.data_time_s) << "seed " << seed;
     EXPECT_EQ(fast.meta_time_s, slow.meta_time_s) << "seed " << seed;
     EXPECT_EQ(fast.total_time_s, slow.total_time_s) << "seed " << seed;
+  }
+}
+
+TEST(HeteroFleetProperty, ClassStreamsReplayLikePerRankStreams) {
+  // The queueing engine replays each rank's class stream in that rank's
+  // slot. Against per-rank streams, with the class layout shuffled along
+  // the rank axis, a straggler, warm client caches across two waves and
+  // (second pass) a pre-staged image, every simulated statistic and every
+  // rank's finish time must agree exactly.
+  core::WorldBuilder builder;
+  auto session = builder.pynamic(small_pynamic()).nfs().build();
+  core::SandboxSpec spec;
+  spec.image = std::make_shared<vfs::FileSystem>(session.fs());
+  spec.image_mount = "/";
+  spec.writable_image_overlay = true;
+
+  const int nprocs = 10;
+  const int classes = 3;
+  std::vector<int> perm(static_cast<std::size_t>(nprocs));
+  std::iota(perm.begin(), perm.end(), 0);
+  support::Rng rng(11);
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.below(i)]);
+  }
+  const auto scenario =
+      workload::make_container_launch_scenario(small_pynamic());
+  const workload::PynamicApp& app = scenario.app;
+
+  for (const bool prestaged : {false, true}) {
+    launch::FleetConfig fleet;
+    fleet.cluster = session.config().cluster;
+    fleet.rank_setup = [&perm, &app](core::Session& sandbox, int rank) {
+      workload::apply_mpmd_rank(sandbox.fs(), sandbox.env(), app,
+                                perm[static_cast<std::size_t>(rank)], classes);
+    };
+    fleet.engine = launch::Engine::Queueing;
+    fleet.prestaged_image = prestaged;
+    fleet.cache.enabled = true;
+    fleet.sim_waves = 2;
+    fleet.start_delays.assign(static_cast<std::size_t>(nprocs), 0.0);
+    fleet.start_delays[7] = 0.01;
+
+    const auto fast =
+        launch::simulate_fleet_launch_sim(session, spec, "", nprocs, fleet);
+    const auto slow = reference::per_rank_fleet_launch_sim(session, spec, "",
+                                                           nprocs, fleet);
+    ASSERT_TRUE(fast.launch.load_succeeded);
+    EXPECT_EQ(fast.launch.classes_measured, classes);
+    EXPECT_EQ(fast.launch.fleet_meta_ops, slow.launch.fleet_meta_ops);
+    EXPECT_EQ(fast.launch.fleet_shared_meta_ops,
+              slow.launch.fleet_shared_meta_ops);
+    EXPECT_EQ(fast.launch.data_time_s, slow.launch.data_time_s);
+    EXPECT_EQ(fast.launch.meta_time_s, slow.launch.meta_time_s);
+    EXPECT_EQ(fast.launch.total_time_s, slow.launch.total_time_s);
+    EXPECT_EQ(fast.wave_makespans, slow.wave_makespans);
+    EXPECT_EQ(fast.sim.server_requests, slow.sim.server_requests);
+    EXPECT_EQ(fast.sim.batches, slow.sim.batches);
+    EXPECT_EQ(fast.sim.latency_p99_s, slow.sim.latency_p99_s);
+    EXPECT_EQ(fast.sim.cache_hits, slow.sim.cache_hits);
+    EXPECT_EQ(fast.sim.local_ops, slow.sim.local_ops);
+    ASSERT_EQ(fast.sim.ranks.size(), slow.sim.ranks.size());
+    for (std::size_t r = 0; r < fast.sim.ranks.size(); ++r) {
+      EXPECT_EQ(fast.sim.ranks[r].finish_s, slow.sim.ranks[r].finish_s)
+          << "rank " << r << (prestaged ? " prestaged" : "");
+      EXPECT_EQ(fast.sim.ranks[r].server_ops, slow.sim.ranks[r].server_ops)
+          << "rank " << r << (prestaged ? " prestaged" : "");
+    }
+    if (prestaged) {
+      EXPECT_GT(fast.sim.local_ops, 0u);
+    }
   }
 }
 

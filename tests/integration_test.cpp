@@ -41,12 +41,12 @@ TEST(Integration, SpackToStoreToShrinkwrapToLaunch) {
 
   loader::Loader loader(fs);
   const auto normal =
-      launch::simulate_launch(fs, loader, installed.exe_path, {}, 256);
+      launch::scaling_sweep(fs, loader, installed.exe_path, {}, {256}).front();
   ASSERT_TRUE(normal.load_succeeded);
 
   ASSERT_TRUE(shrinkwrap::shrinkwrap(fs, loader, installed.exe_path).ok());
   const auto wrapped =
-      launch::simulate_launch(fs, loader, installed.exe_path, {}, 256);
+      launch::scaling_sweep(fs, loader, installed.exe_path, {}, {256}).front();
   ASSERT_TRUE(wrapped.load_succeeded);
   EXPECT_LT(wrapped.meta_ops_per_rank, normal.meta_ops_per_rank);
   EXPECT_LE(wrapped.total_time_s, normal.total_time_s);

@@ -25,14 +25,25 @@ class LaunchTest : public ::testing::Test {
     app_ = workload::generate_pynamic(fs_, config);
   }
 
+  /// A bare launch at one rank count: the one-entry sweep.
+  LaunchResult launch_at(loader::Loader& loader, int ranks,
+                         const ClusterConfig& cluster = {}) {
+    return scaling_sweep(fs_, loader, app_.exe_path, {}, {ranks}, cluster)
+        .front();
+  }
+  SimOutcome sim_at(loader::Loader& loader, int ranks) {
+    return scaling_sweep_queueing(fs_, loader, app_.exe_path, {}, {ranks})
+        .front();
+  }
+
   vfs::FileSystem fs_;
   workload::PynamicApp app_;
 };
 
 TEST_F(LaunchTest, TimeGrowsWithRankCount) {
   loader::Loader loader(fs_);
-  const auto r512 = simulate_launch(fs_, loader, app_.exe_path, {}, 512);
-  const auto r2048 = simulate_launch(fs_, loader, app_.exe_path, {}, 2048);
+  const auto r512 = launch_at(loader, 512);
+  const auto r2048 = launch_at(loader, 2048);
   ASSERT_TRUE(r512.load_succeeded);
   EXPECT_GT(r2048.total_time_s, r512.total_time_s);
   // Sublinear: quadrupling ranks should not quadruple the time.
@@ -55,11 +66,11 @@ TEST_F(LaunchTest, WrappedBeatsNormalAtEveryScale) {
 TEST_F(LaunchTest, SpeedupGrowsWithScale) {
   // Fig 6's headline: the gap WIDENS as the job grows (5.5x -> 7.2x).
   loader::Loader loader(fs_);
-  const auto n512 = simulate_launch(fs_, loader, app_.exe_path, {}, 512);
-  const auto n2048 = simulate_launch(fs_, loader, app_.exe_path, {}, 2048);
+  const auto n512 = launch_at(loader, 512);
+  const auto n2048 = launch_at(loader, 2048);
   ASSERT_TRUE(shrinkwrap::shrinkwrap(fs_, loader, app_.exe_path).ok());
-  const auto w512 = simulate_launch(fs_, loader, app_.exe_path, {}, 512);
-  const auto w2048 = simulate_launch(fs_, loader, app_.exe_path, {}, 2048);
+  const auto w512 = launch_at(loader, 512);
+  const auto w2048 = launch_at(loader, 2048);
 
   const double speedup_512 = n512.total_time_s / w512.total_time_s;
   const double speedup_2048 = n2048.total_time_s / w2048.total_time_s;
@@ -69,7 +80,7 @@ TEST_F(LaunchTest, SpeedupGrowsWithScale) {
 
 TEST_F(LaunchTest, MetaOpsMeasuredNotModelled) {
   loader::Loader loader(fs_);
-  const auto result = simulate_launch(fs_, loader, app_.exe_path, {}, 64);
+  const auto result = launch_at(loader, 64);
   // 120 modules, one per directory: ~n^2/2 probes.
   EXPECT_GT(result.meta_ops_per_rank, 120ull * 121 / 2);
   EXPECT_GT(result.bytes_per_rank, 8ull << 20);
@@ -78,9 +89,9 @@ TEST_F(LaunchTest, MetaOpsMeasuredNotModelled) {
 TEST_F(LaunchTest, BytesIdenticalBeforeAndAfterWrap) {
   // Shrinkwrap only removes metadata work; the bytes staged are the same.
   loader::Loader loader(fs_);
-  const auto before = simulate_launch(fs_, loader, app_.exe_path, {}, 64);
+  const auto before = launch_at(loader, 64);
   ASSERT_TRUE(shrinkwrap::shrinkwrap(fs_, loader, app_.exe_path).ok());
-  const auto after = simulate_launch(fs_, loader, app_.exe_path, {}, 64);
+  const auto after = launch_at(loader, 64);
   // Wrapped metadata is tiny compared to the original.
   EXPECT_LT(after.meta_ops_per_rank * 20, before.meta_ops_per_rank);
   // Bytes differ only by the rewritten (slightly longer) dynamic section.
@@ -93,11 +104,9 @@ TEST_F(LaunchTest, SpindleBroadcastFlattensMetadataScaling) {
   loader::Loader loader(fs_);
   ClusterConfig spindle;
   spindle.spindle_broadcast = true;
-  const auto s512 =
-      simulate_launch(fs_, loader, app_.exe_path, {}, 512, spindle);
-  const auto s2048 =
-      simulate_launch(fs_, loader, app_.exe_path, {}, 2048, spindle);
-  const auto n2048 = simulate_launch(fs_, loader, app_.exe_path, {}, 2048);
+  const auto s512 = launch_at(loader, 512, spindle);
+  const auto s2048 = launch_at(loader, 2048, spindle);
+  const auto n2048 = launch_at(loader, 2048);
   // Broadcast beats per-rank resolution at scale...
   EXPECT_LT(s2048.meta_time_s, n2048.meta_time_s);
   // ...and its metadata phase grows only logarithmically.
@@ -106,7 +115,7 @@ TEST_F(LaunchTest, SpindleBroadcastFlattensMetadataScaling) {
 
 TEST_F(LaunchTest, SingleRankHasNoContentionPenalty) {
   loader::Loader loader(fs_);
-  const auto result = simulate_launch(fs_, loader, app_.exe_path, {}, 1);
+  const auto result = launch_at(loader, 1);
   ClusterConfig config;
   const double raw_meta =
       static_cast<double>(result.meta_ops_per_rank) * config.meta_op_cost_s;
@@ -123,8 +132,7 @@ TEST_F(LaunchTest, SweepReusesOneMeasurementByteIdentically) {
   ASSERT_EQ(sweep.size(), ranks.size());
   loader::Loader fresh(fs_);
   for (std::size_t i = 0; i < ranks.size(); ++i) {
-    const auto single =
-        simulate_launch(fs_, fresh, app_.exe_path, {}, ranks[i]);
+    const auto single = launch_at(fresh, ranks[i]);
     EXPECT_EQ(sweep[i].nprocs, single.nprocs);
     EXPECT_EQ(sweep[i].load_succeeded, single.load_succeeded);
     EXPECT_EQ(sweep[i].meta_ops_per_rank, single.meta_ops_per_rank);
@@ -173,7 +181,7 @@ TEST(FleetLaunch, SandboxImageEqualToHostViewIsByteIdenticalToBare) {
   const auto fleet = session.launch_fleet(spec, 512);
   EXPECT_TRUE(fleet.load_succeeded);
   EXPECT_TRUE(fleet.sandboxed);
-  EXPECT_EQ(fleet.ranks_measured, 1);  // homogeneity fast path
+  EXPECT_EQ(fleet.ranks_measured, 1);  // no rank_setup hook: one class
   EXPECT_EQ(fleet.meta_ops_per_rank, bare.meta_ops_per_rank);
   EXPECT_EQ(fleet.bytes_per_rank, bare.bytes_per_rank);
   // The split tiles the total, and nothing diverged: all ops are shared.
@@ -445,9 +453,8 @@ TEST_F(LaunchTest, QueueingEngineMatchesAnalyticOnFixedService) {
   // rounding on bare launches — the bridge that anchors the simulator.
   loader::Loader loader(fs_);
   for (const int ranks : {1, 32, 256}) {
-    const auto analytic = simulate_launch(fs_, loader, app_.exe_path, {}, ranks);
-    const auto sim = simulate_launch_queueing(fs_, loader, app_.exe_path, {},
-                                              ranks);
+    const auto analytic = launch_at(loader, ranks);
+    const auto sim = sim_at(loader, ranks);
     ASSERT_TRUE(sim.launch.load_succeeded);
     EXPECT_EQ(sim.launch.meta_ops_per_rank, analytic.meta_ops_per_rank);
     EXPECT_EQ(sim.launch.data_time_s, analytic.data_time_s);
@@ -467,8 +474,7 @@ TEST_F(LaunchTest, SweepQueueingMatchesPerCallOutcomes) {
   ASSERT_EQ(sweep.size(), ranks.size());
   loader::Loader fresh(fs_);
   for (std::size_t i = 0; i < ranks.size(); ++i) {
-    const auto single =
-        simulate_launch_queueing(fs_, fresh, app_.exe_path, {}, ranks[i]);
+    const auto single = sim_at(fresh, ranks[i]);
     EXPECT_EQ(sweep[i].launch.meta_time_s, single.launch.meta_time_s);
     EXPECT_EQ(sweep[i].sim.server_requests, single.sim.server_requests);
     EXPECT_EQ(sweep[i].sim.batches, single.sim.batches);
@@ -579,6 +585,77 @@ TEST(FleetLaunch, WarmWavesAndStragglersEscapeTheFormula) {
       straggler.sim.ranks.begin(), straggler.sim.ranks.end(),
       [](const auto& a, const auto& b) { return a.finish_s < b.finish_s; });
   EXPECT_EQ(last - straggler.sim.ranks.begin(), 17);
+}
+
+TEST(FleetLaunch, NoOpRankSetupEqualsHookFreeFleet) {
+  // A fleet without a rank_setup hook is measured as one class from rank
+  // 0's sandbox, with no fingerprinting; a hook that changes nothing
+  // fingerprints every rank's sandbox and must fold them into the same
+  // single class. Every field must agree, on both engines.
+  core::WorldBuilder builder;
+  auto session = builder.pynamic(small_pynamic()).nfs().build();
+  core::SandboxSpec spec;
+  spec.image = std::make_shared<vfs::FileSystem>(session.fs());
+  spec.image_mount = "/";
+  spec.writable_image_overlay = true;
+
+  for (const int nprocs : {1, 7, 64}) {
+    for (const bool prestaged : {false, true}) {
+      for (const bool spindle : {false, true}) {
+        const std::string label = "n=" + std::to_string(nprocs) +
+                                  " prestaged=" + std::to_string(prestaged) +
+                                  " spindle=" + std::to_string(spindle);
+        FleetConfig hook_free;
+        hook_free.cluster = session.config().cluster;
+        hook_free.cluster.spindle_broadcast = spindle;
+        hook_free.prestaged_image = prestaged;
+        FleetConfig no_op = hook_free;
+        no_op.rank_setup = [](core::Session&, int) {};
+
+        const auto a = session.launch_fleet(spec, "", nprocs, hook_free);
+        const auto b = session.launch_fleet(spec, "", nprocs, no_op);
+        ASSERT_TRUE(a.load_succeeded) << label;
+        EXPECT_EQ(a.nprocs, b.nprocs) << label;
+        EXPECT_EQ(a.load_succeeded, b.load_succeeded) << label;
+        EXPECT_EQ(a.meta_ops_per_rank, b.meta_ops_per_rank) << label;
+        EXPECT_EQ(a.bytes_per_rank, b.bytes_per_rank) << label;
+        EXPECT_EQ(a.data_time_s, b.data_time_s) << label;
+        EXPECT_EQ(a.meta_time_s, b.meta_time_s) << label;
+        EXPECT_EQ(a.total_time_s, b.total_time_s) << label;
+        EXPECT_EQ(a.shared_meta_ops_per_rank, b.shared_meta_ops_per_rank)
+            << label;
+        EXPECT_EQ(a.shared_bytes_per_rank, b.shared_bytes_per_rank) << label;
+        EXPECT_EQ(a.overlay_meta_ops_per_rank, b.overlay_meta_ops_per_rank)
+            << label;
+        EXPECT_EQ(a.overlay_bytes_per_rank, b.overlay_bytes_per_rank)
+            << label;
+        EXPECT_EQ(a.fleet_meta_ops, b.fleet_meta_ops) << label;
+        EXPECT_EQ(a.fleet_bytes, b.fleet_bytes) << label;
+        EXPECT_EQ(a.fleet_shared_meta_ops, b.fleet_shared_meta_ops) << label;
+        EXPECT_EQ(a.fleet_overlay_meta_ops, b.fleet_overlay_meta_ops)
+            << label;
+        EXPECT_EQ(a.ranks_measured, b.ranks_measured) << label;
+        EXPECT_EQ(a.classes_measured, b.classes_measured) << label;
+        EXPECT_EQ(a.class_sizes, b.class_sizes) << label;
+        EXPECT_EQ(a.sandboxed, b.sandboxed) << label;
+
+        for (FleetConfig* config : {&hook_free, &no_op}) {
+          config->engine = Engine::Queueing;
+          config->cache.enabled = true;
+          config->sim_waves = 2;
+        }
+        const auto qa =
+            simulate_fleet_launch_sim(session, spec, "", nprocs, hook_free);
+        const auto qb =
+            simulate_fleet_launch_sim(session, spec, "", nprocs, no_op);
+        EXPECT_EQ(qa.wave_makespans, qb.wave_makespans) << label;
+        EXPECT_EQ(qa.sim.server_requests, qb.sim.server_requests) << label;
+        EXPECT_EQ(qa.sim.latency_p99_s, qb.sim.latency_p99_s) << label;
+        EXPECT_EQ(qa.sim.cache_hits, qb.sim.cache_hits) << label;
+        EXPECT_EQ(qa.sim.local_ops, qb.sim.local_ops) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

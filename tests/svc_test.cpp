@@ -411,10 +411,13 @@ TEST(SessionPool, LaunchFleetConfigRidesAlongWithClustering) {
   EXPECT_EQ(got.fleet_overlay_meta_ops, want.fleet_overlay_meta_ops);
   EXPECT_EQ(got.total_time_s, want.total_time_s);
 
-  // The legacy overload still runs the session-default config.
-  const auto legacy = pool.submit_launch_fleet(6, spec, "", 4).get();
-  EXPECT_TRUE(legacy.load_succeeded);
-  EXPECT_EQ(legacy.classes_measured, 1);
+  // A hook-free config carrying the base's cluster is one class.
+  launch::FleetConfig plain;
+  plain.cluster = pool.base().config().cluster;
+  const auto homogeneous =
+      pool.submit_launch_fleet(6, spec, "", 4, plain).get();
+  EXPECT_TRUE(homogeneous.load_succeeded);
+  EXPECT_EQ(homogeneous.classes_measured, 1);
 }
 
 // ------------------------------------------------- idle fork housekeeping

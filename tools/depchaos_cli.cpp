@@ -888,9 +888,12 @@ int cmd_launch(const std::vector<std::string>& args) {
       }
     }
     if (sim_engine) {
-      launch::SimOutcome out = launch::simulate_launch_queueing(
-          session.fs(), session.loader(), args[1], session.env(), ranks,
-          session.config().cluster, service, cache);
+      launch::SimOutcome out =
+          launch::scaling_sweep_queueing(session.fs(), session.loader(),
+                                         args[1], session.env(), {ranks},
+                                         session.config().cluster, service,
+                                         cache)
+              .front();
       result = out.launch;
       sim = std::move(out.sim);
       wave_makespans = std::move(out.wave_makespans);
