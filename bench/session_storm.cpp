@@ -489,7 +489,6 @@ int print_report() {
   row("T-worker memo hits / misses",
       std::to_string(many.stats.memo_hits) + " / " +
           std::to_string(many.stats.memo_misses));
-  row("T-worker pool steals", std::to_string(many.stats.pool_steals));
   row("memoization active under latency model",
       many.memo_active ? "yes" : "NO");
   if (!many.memo_active || !one.memo_active) {

@@ -237,10 +237,9 @@ class Session {
 
  private:
   std::string resolve_exe(std::string_view exe) const;
-  /// fork() with or without adopting this loader's caches — sandbox()
-  /// skips the adoption since its namespace surgery would invalidate the
-  /// copies anyway.
-  Session fork_internal(bool adopt_caches);
+  /// fork_sealed() without adopting this loader's caches — sandbox() starts
+  /// cold since its namespace surgery would invalidate the copies anyway.
+  Session stamp_cold() const;
 
   SessionConfig config_;
   std::shared_ptr<const loader::SearchPolicy> policy_;

@@ -46,7 +46,8 @@ Session Session::sandbox(const SandboxSpec& spec) {
   // parsed-object / ld.so caches, so the sandbox starts cold and rebuilds
   // its own lazily — resolving against the HOST's ld.so.cache is precisely
   // the class of bug the container scenarios model.
-  Session child = fork_internal(/*adopt_caches=*/false);
+  seal();
+  Session child = stamp_cold();
   vfs::FileSystem& cfs = child.fs();
   if (spec.image) {
     if (spec.writable_image_overlay) {
@@ -65,29 +66,26 @@ Session Session::sandbox(const SandboxSpec& spec) {
   return child;
 }
 
-Session Session::fork() { return fork_internal(/*adopt_caches=*/true); }
+Session Session::fork() {
+  seal();
+  return fork_sealed();
+}
 
 Session Session::fork_sealed() const {
-  SessionConfig config = config_;
-  // Same rule as fork_internal: the stamped filesystem carries its own
-  // cloned latency model; a non-null config.latency would overwrite it.
-  config.latency.reset();
-  Session child(fs_->fork_sealed(), std::move(config), default_exe_);
+  Session child = stamp_cold();
   // Adoption reads the sealed parent's caches const-ly (plain map copies
   // of immutable parsed objects) — safe under concurrent fork_sealed().
   child.loader_->adopt_caches(*loader_);
   return child;
 }
 
-Session Session::fork_internal(bool adopt_caches) {
+Session Session::stamp_cold() const {
   SessionConfig config = config_;
-  // The forked filesystem carries its own per-view latency model (cloned
-  // by FileSystem::fork); a non-null config.latency would overwrite it in
-  // the constructor with the parent's shared instance.
+  // The stamped filesystem carries its own per-view latency model (cloned
+  // by FileSystem::fork_sealed); a non-null config.latency would overwrite
+  // it in the constructor with the parent's shared instance.
   config.latency.reset();
-  Session child(fs_->fork(), std::move(config), default_exe_);
-  if (adopt_caches) child.loader_->adopt_caches(*loader_);
-  return child;
+  return Session(fs_->fork_sealed(), std::move(config), default_exe_);
 }
 
 Session::WhatIfReport Session::whatif(std::string_view exe,

@@ -2,13 +2,12 @@
 // Fig 4), the multi-rank launch simulation (Fig 6), and the svc::SessionPool
 // shard drains.
 //
-// Queueing model: one lane (mutex + deque) per worker. submit() distributes
-// tasks round-robin across lanes; a worker pops from its own lane first and
-// steals from siblings when empty, so a burst of submissions no longer
-// serializes every push/pop on one pool-wide mutex. steal_count() exposes the
-// number of cross-lane pops — a cheap load-imbalance signal surfaced by
-// svc::PoolStats. A pool-wide mutex remains, but it guards only the
-// condition variables (sleep/wake), never the queues.
+// Queueing model: one mutex-guarded FIFO shared by every worker, so a task
+// queued behind a blocked one is picked up by the next free worker. One
+// queue lock is enough because the traffic is coarse and bounded: a
+// SessionPool keeps at most one drain task per shard queued or running,
+// each draining whole batches; Session::load_many submits one task per
+// worker; parallel_for submits at most four chunks per worker.
 //
 // Fault model: a task that throws does NOT terminate the process. The
 // exception is captured as a std::exception_ptr and retrievable via
@@ -16,26 +15,15 @@
 // request and the owner decides whether to rethrow, log, or drop it.
 // parallel_for() rethrows the first exception its own chunks captured after
 // the batch joins.
-//
-// Observability: submit() optionally tags a task with a short label
-// ("svc/shard3", "load_many"); tag_stats() reports submitted / completed /
-// failed counts per tag, which is where PoolStats gets its worker-side view.
-// Counts are striped across lanes (submit bills the lane it enqueued to,
-// completion bills the worker's own lane) and merged on read.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace depchaos::support {
@@ -54,9 +42,6 @@ class ThreadPool {
   /// Enqueue a task. A throwing task is captured (take_errors), not fatal.
   void submit(std::function<void()> task);
 
-  /// Enqueue a tagged task; the tag buckets it in tag_stats().
-  void submit(std::string tag, std::function<void()> task);
-
   /// Block until every submitted task has finished.
   void wait_idle();
 
@@ -67,55 +52,15 @@ class ThreadPool {
   std::vector<std::exception_ptr> take_errors();
   bool has_errors() const;
 
-  /// Per-tag task accounting (untagged tasks bucket under "").
-  struct TagCounts {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;  // includes failed
-    std::uint64_t failed = 0;     // completed by throwing
-  };
-  std::unordered_map<std::string, TagCounts> tag_stats() const;
-
-  /// Cross-lane pops since construction. A high rate relative to completed
-  /// tasks means submissions are landing unevenly across lanes.
-  std::uint64_t steal_count() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-
  private:
-  struct Task {
-    std::function<void()> fn;
-    std::string tag;
-  };
+  void worker_loop();
 
-  // One per worker. Tag counts are striped here too so the hot submit /
-  // complete paths never touch a pool-wide map lock.
-  struct Lane {
-    mutable std::mutex mutex;
-    std::deque<Task> queue;
-    std::unordered_map<std::string, TagCounts> tags;
-  };
-
-  void worker_loop(std::size_t self);
-  bool next_task(std::size_t self, Task& out);
-  bool try_pop(std::size_t lane_index, Task& out);
-
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::atomic<std::uint64_t> next_lane_{0};
-  // queued_ counts tasks sitting in lanes (the cv_task_ predicate);
-  // unfinished_ additionally counts tasks currently executing (the
-  // cv_idle_ predicate). Both change outside wake_mutex_; the publishing
-  // side bumps the counter first and then passes through wake_mutex_
-  // before notifying, which is what makes the sleep/wake race-free.
-  std::atomic<std::size_t> queued_{0};
-  std::atomic<std::size_t> unfinished_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<bool> stopping_{false};
-
-  mutable std::mutex wake_mutex_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-
-  mutable std::mutex error_mutex_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_task_;  // queue_ non-empty, or stopping_
+  std::condition_variable cv_idle_;  // unfinished_ reached 0
+  std::deque<std::function<void()>> queue_;
+  std::size_t unfinished_ = 0;  // queued + running
+  bool stopping_ = false;
   std::vector<std::exception_ptr> errors_;
 
   std::vector<std::thread> workers_;

@@ -9,143 +9,65 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  lanes_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard wake(wake_mutex_);
-    stopping_.store(true, std::memory_order_release);
+    std::lock_guard lock(mutex_);
+    stopping_ = true;
   }
   cv_task_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  submit(std::string{}, std::move(task));
-}
-
-void ThreadPool::submit(std::string tag, std::function<void()> task) {
-  const std::size_t lane_index =
-      next_lane_.fetch_add(1, std::memory_order_relaxed) % lanes_.size();
-  Lane& lane = *lanes_[lane_index];
-  unfinished_.fetch_add(1, std::memory_order_acq_rel);
   {
-    std::lock_guard lock(lane.mutex);
-    ++lane.tags[tag].submitted;
-    lane.queue.push_back(Task{std::move(task), std::move(tag)});
+    std::lock_guard lock(mutex_);
+    queue_.push_back(std::move(task));
+    ++unfinished_;
   }
-  queued_.fetch_add(1, std::memory_order_release);
-  // Passing through wake_mutex_ after publishing queued_ guarantees any
-  // worker that observed queued_ == 0 is either fully asleep (and gets the
-  // notify) or has not yet re-checked the predicate (and will see the new
-  // count). Without this fence a worker could sleep through the wakeup.
-  { std::lock_guard wake(wake_mutex_); }
   cv_task_.notify_one();
 }
 
 void ThreadPool::wait_idle() {
-  std::unique_lock lock(wake_mutex_);
-  cv_idle_.wait(lock, [this] {
-    return unfinished_.load(std::memory_order_acquire) == 0;
-  });
+  std::unique_lock lock(mutex_);
+  cv_idle_.wait(lock, [this] { return unfinished_ == 0; });
 }
 
 std::vector<std::exception_ptr> ThreadPool::take_errors() {
-  std::lock_guard lock(error_mutex_);
+  std::lock_guard lock(mutex_);
   return std::exchange(errors_, {});
 }
 
 bool ThreadPool::has_errors() const {
-  std::lock_guard lock(error_mutex_);
+  std::lock_guard lock(mutex_);
   return !errors_.empty();
 }
 
-std::unordered_map<std::string, ThreadPool::TagCounts> ThreadPool::tag_stats()
-    const {
-  std::unordered_map<std::string, TagCounts> merged;
-  for (const auto& lane_ptr : lanes_) {
-    std::lock_guard lock(lane_ptr->mutex);
-    for (const auto& [tag, counts] : lane_ptr->tags) {
-      TagCounts& into = merged[tag];
-      into.submitted += counts.submitted;
-      into.completed += counts.completed;
-      into.failed += counts.failed;
-    }
-  }
-  return merged;
-}
-
-bool ThreadPool::try_pop(std::size_t lane_index, Task& out) {
-  Lane& lane = *lanes_[lane_index];
-  std::lock_guard lock(lane.mutex);
-  if (lane.queue.empty()) return false;
-  out = std::move(lane.queue.front());
-  lane.queue.pop_front();
-  queued_.fetch_sub(1, std::memory_order_release);
-  return true;
-}
-
-bool ThreadPool::next_task(std::size_t self, Task& out) {
-  const std::size_t lanes = lanes_.size();
+void ThreadPool::worker_loop() {
+  std::unique_lock lock(mutex_);
   while (true) {
-    if (try_pop(self, out)) return true;
-    // Own lane is dry: scan siblings front-to-back starting just past self
-    // so steals spread instead of all converging on lane 0.
-    for (std::size_t k = 1; k < lanes; ++k) {
-      if (try_pop((self + k) % lanes, out)) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    std::unique_lock lock(wake_mutex_);
-    cv_task_.wait(lock, [this] {
-      return stopping_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0;
-    });
-    if (stopping_.load(std::memory_order_acquire) &&
-        queued_.load(std::memory_order_acquire) == 0) {
-      return false;  // stopping and every lane drained
-    }
-  }
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  Task task;
-  while (next_task(self, task)) {
+    cv_task_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and every queued task ran
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
     std::exception_ptr error;
     try {
-      task.fn();
+      task();
     } catch (...) {
       // Capture instead of std::terminate: a long-lived service must
       // survive one bad request. The owner drains via take_errors().
       error = std::current_exception();
     }
-    {
-      // Completion is billed to the worker's own lane; tag_stats() merges
-      // the stripes, so submitted/completed still balance per tag.
-      Lane& lane = *lanes_[self];
-      std::lock_guard lock(lane.mutex);
-      TagCounts& counts = lane.tags[task.tag];
-      ++counts.completed;
-      if (error) ++counts.failed;
-    }
-    if (error) {
-      std::lock_guard lock(error_mutex_);
-      errors_.push_back(std::move(error));
-    }
-    task = Task{};  // drop captures before signalling idle
-    if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      { std::lock_guard wake(wake_mutex_); }
-      cv_idle_.notify_all();
-    }
+    task = nullptr;  // drop captures before signalling idle
+    lock.lock();
+    if (error) errors_.push_back(std::move(error));
+    if (--unfinished_ == 0) cv_idle_.notify_all();
   }
 }
 

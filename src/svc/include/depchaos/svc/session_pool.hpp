@@ -219,10 +219,8 @@ struct PoolStats {
     std::uint64_t max = 0;
   };
   BatchStats drain_batch;
-  /// Worker pool: size and cross-lane steals (support::ThreadPool) — a
-  /// high steal rate means drain tasks land unevenly across worker lanes.
+  /// Worker threads (support::ThreadPool) that run the shard strands.
   std::size_t pool_threads = 0;
-  std::uint64_t pool_steals = 0;
 };
 
 class SessionPool {
@@ -307,9 +305,12 @@ class SessionPool {
   // ---- control ------------------------------------------------------------
   /// Block until every admitted command has completed (quiescence).
   void drain();
-  /// Run one drain cycle per shard on the calling thread (the only way
-  /// queues advance under PoolConfig::manual_drain; safe — but rarely
-  /// useful — alongside worker drains otherwise). Returns commands run.
+  /// Run one drain cycle per shard on the calling thread, skipping shards a
+  /// worker strand owns right now. Under PoolConfig::manual_drain this is
+  /// the only way queues advance; otherwise whatever a shard still has
+  /// queued after its cycle (submits that arrived meanwhile, commands a
+  /// client budget deferred) is handed to a worker strand. Returns
+  /// commands run.
   std::size_t pump();
 
   PoolStats stats() const;
@@ -342,6 +343,7 @@ class SessionPool {
   void notify(Shard& shard, Command& command);  // the Admission completion
   void retire();  // one admitted command is done: count it off pending_
   void wake_touched(const Admission& admission);
+  void wake(Shard& shard);  // start a strand for what the shard has queued
   void sweep_idle(Shard& shard);
   void finish(Shard& shard, RequestKind kind, bool error, bool memo_hit,
               double wait_s, double service_s);

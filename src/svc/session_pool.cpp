@@ -342,30 +342,32 @@ void SessionPool::enqueue(ClientId client, RequestKind kind, Command command) {
 void SessionPool::wake_touched(const Admission& admission) {
   if (config_.manual_drain) return;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!admission.touched_[i]) continue;
-    Shard& shard = *shards_[i];
-    std::deque<Command> orphans;
-    std::exception_ptr error;
-    {
-      std::lock_guard lock(shard.mutex);
-      if (shard.queue.empty()) continue;
-      try {
-        schedule_drain(shard);
-      } catch (...) {
-        // No strand will run what is queued (no drain is in flight, or
-        // schedule_drain would have returned early): fail those commands
-        // through their futures instead of leaving drain() waiting on them.
-        error = std::current_exception();
-        orphans.swap(shard.queue);
-        shard.rejected += orphans.size();
-      }
+    if (admission.touched_[i]) wake(*shards_[i]);
+  }
+}
+
+void SessionPool::wake(Shard& shard) {
+  std::deque<Command> orphans;
+  std::exception_ptr error;
+  {
+    std::lock_guard lock(shard.mutex);
+    if (shard.queue.empty()) return;
+    try {
+      schedule_drain(shard);
+    } catch (...) {
+      // No strand will run what is queued (no drain is in flight, or
+      // schedule_drain would have returned early): fail those commands
+      // through their futures instead of leaving drain() waiting on them.
+      error = std::current_exception();
+      orphans.swap(shard.queue);
+      shard.rejected += orphans.size();
     }
-    for (Command& command : orphans) {
-      std::visit([&](auto& cmd) { cmd.done.set_exception(error); },
-                 command.op);
-      notify(shard, command);
-      retire();
-    }
+  }
+  for (Command& command : orphans) {
+    std::visit([&](auto& cmd) { cmd.done.set_exception(error); },
+               command.op);
+    notify(shard, command);
+    retire();
   }
 }
 
@@ -396,7 +398,7 @@ void SessionPool::schedule_drain(Shard& shard) {
   shard.draining = true;
   try {
     if (config_.drain_submit_fault) config_.drain_submit_fault();
-    pool_->submit("svc/shard" + std::to_string(shard.index), [this, &shard] {
+    pool_->submit([this, &shard] {
       while (drain_cycle(shard) != 0) {
       }
     });
@@ -482,8 +484,13 @@ std::size_t SessionPool::pump() {
       shard->draining = true;
     }
     ran += drain_cycle(*shard);
-    std::lock_guard lock(shard->mutex);
-    shard->draining = false;
+    {
+      std::lock_guard lock(shard->mutex);
+      shard->draining = false;
+    }
+    // A submit that landed while this thread owned the strand saw it
+    // draining and scheduled nothing: hand it to a worker strand.
+    if (!config_.manual_drain) wake(*shard);
   }
   return ran;
 }
@@ -897,7 +904,6 @@ PoolStats SessionPool::stats() const {
     stats.drain_batch.max = static_cast<std::uint64_t>(batches.max());
   }
   stats.pool_threads = pool_->size();
-  stats.pool_steals = pool_->steal_count();
   for (std::size_t k = 0; k < kRequestKinds; ++k) {
     const support::LogHistogram& h = merged[k];
     if (h.empty()) continue;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <numeric>
 #include <random>
 #include <set>
@@ -331,22 +333,22 @@ TEST(ThreadPool, ThrowingTaskIsCapturedNotFatal) {
   EXPECT_TRUE(pool.take_errors().empty());
 }
 
-TEST(ThreadPool, TagStatsCountSubmittedCompletedFailed) {
+// A task queued behind one that blocks is run by whichever worker is free:
+// A waits for B, and B is submitted after A and a no-op, so B must not be
+// stuck behind A on A's worker.
+TEST(ThreadPool, QueuedTaskRunsWhileAnotherWorkerBlocks) {
   ThreadPool pool(2);
-  for (int i = 0; i < 5; ++i) {
-    pool.submit("svc/shard0", [i] {
-      if (i % 2 == 0) throw std::runtime_error("boom");
-    });
-  }
-  pool.submit([] {});  // untagged buckets under ""
+  std::promise<void> b_ran;
+  std::future<void> b_finished = b_ran.get_future();
+  bool a_saw_b = false;
+  pool.submit([&] {
+    a_saw_b = b_finished.wait_for(std::chrono::seconds(10)) ==
+              std::future_status::ready;
+  });
+  pool.submit([] {});
+  pool.submit([&] { b_ran.set_value(); });
   pool.wait_idle();
-  const auto stats = pool.tag_stats();
-  const auto& shard = stats.at("svc/shard0");
-  EXPECT_EQ(shard.submitted, 5u);
-  EXPECT_EQ(shard.completed, 5u);
-  EXPECT_EQ(shard.failed, 3u);
-  EXPECT_EQ(stats.at("").submitted, 1u);
-  EXPECT_EQ(pool.take_errors().size(), 3u);
+  EXPECT_TRUE(a_saw_b);
 }
 
 TEST(ThreadPool, ParallelForRethrowsFirstChunkError) {

@@ -2,8 +2,8 @@
 // exist to give TSan (and the hardened CI legs) real contention to chew
 // on: many raw threads stamping fork_sealed() children off one sealed
 // base while the siblings resolve concurrently, and a SessionPool fed
-// from competing submitter threads so the work-stealing pool, sharded
-// memo, and sharded PathTable index all run hot. Assertions are
+// from competing submitter threads so the worker pool's shared queue,
+// sharded memo, and sharded PathTable index all run hot. Assertions are
 // byte-identity checks — any synchronization bug shows up either as a
 // TSan report or as a divergent report digest.
 #include <gtest/gtest.h>
@@ -109,7 +109,7 @@ TEST(SvcStress, ConcurrentSealedForksResolveByteIdentically) {
 }
 
 // The pool under competing submitters: several threads blast loads for
-// overlapping clients/exes at a multi-worker pool. Work stealing, the
+// overlapping clients/exes at a multi-worker pool. The worker queue, the
 // sharded memo (hit and miss paths racing on cold keys), and strand
 // batching all interleave; every single report must still match the
 // sequential reference.
@@ -175,20 +175,20 @@ TEST(SvcStress, PoolUnderCompetingSubmittersStaysByteIdentical) {
   EXPECT_GT(stats.memo_hits, 0u);
 }
 
-// Work-stealing pool in isolation: imbalanced task sizes from several
-// submitter threads, tags and errors striped across lanes. TSan checks
-// the lane handoffs; the assertions check the bookkeeping survived them.
-TEST(SvcStress, ThreadPoolStealsKeepTagAndErrorBookkeeping) {
+// Worker pool in isolation: imbalanced task sizes from several submitter
+// threads, some of them throwing. TSan checks the queue handoffs; the
+// assertions check that every task ran and every error was captured.
+TEST(SvcStress, ThreadPoolCompetingSubmittersKeepErrorBookkeeping) {
   support::ThreadPool pool(4);
   constexpr int kTasks = 400;
   std::atomic<int> ran{0};
   {
     std::vector<std::thread> submitters;
     for (int s = 0; s < 3; ++s) {
-      submitters.emplace_back([&, s] {
+      submitters.emplace_back([&] {
         for (int i = 0; i < kTasks; ++i) {
-          pool.submit("stress/tag" + std::to_string(s), [&, i] {
-            // Tail of heavy tasks so some lanes drain early and steal.
+          pool.submit([&, i] {
+            // Some heavy tasks, so workers finish out of submission order.
             volatile std::uint64_t sink = 0;
             const int spin = (i % 16 == 0) ? 20000 : 50;
             for (int k = 0; k < spin; ++k) {
@@ -206,10 +206,6 @@ TEST(SvcStress, ThreadPoolStealsKeepTagAndErrorBookkeeping) {
   EXPECT_EQ(ran.load(), 3 * kTasks);
   const auto errors = pool.take_errors();
   EXPECT_EQ(errors.size(), 3u * ((kTasks + 96) / 97));
-  const auto tags = pool.tag_stats();
-  std::uint64_t tagged = 0;
-  for (const auto& [tag, counts] : tags) tagged += counts.completed;
-  EXPECT_EQ(tagged, 3u * kTasks);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "depchaos/core/world.hpp"
@@ -774,6 +775,48 @@ TEST(SessionPool, AdmissionFailsQueuedCommandsWhenTheDrainCannotBeScheduled) {
   EXPECT_THROW(reset.get(), std::runtime_error);
   EXPECT_EQ(completions.load(), 2);
   EXPECT_EQ(pool.stats().rejected, 2u);
+}
+
+// pump() beside worker drains: while a pump() cycle owns the shard, a
+// submit sees it draining and schedules nothing, so pump() must hand what
+// is still queued to a worker strand when its cycle ends. Otherwise B is
+// never run and drain() (so ~SessionPool) hangs.
+TEST(SessionPool, PumpBesideWorkerDrainsHandsLateSubmitsToAStrand) {
+  std::promise<void> a_completing;
+  std::future<void> a_in_completion = a_completing.get_future();
+  std::promise<void> release_a;
+  std::future<void> a_released = release_a.get_future();
+  PoolConfig config;
+  config.shards = 1;
+  config.threads = 1;
+  SessionPool pool(make_world(), config);
+  const std::string exe = "/apps/a0/bin/app";
+
+  std::future<std::shared_ptr<const loader::LoadReport>> a;
+  std::thread pumper;
+  {
+    SessionPool::Admission admission(pool, [&](std::uint64_t tag) {
+      if (tag != 1) return;
+      a_completing.set_value();
+      a_released.wait();
+    });
+    admission.tag(1);
+    a = pool.submit_load_shared(1, exe);  // queued, no strand woken
+    pumper = std::thread([&pool] { pool.pump(); });
+    a_in_completion.wait();  // pump() ran A and blocks in its completion
+  }
+  auto b = pool.submit_load_shared(2, exe);  // the shard is draining
+  release_a.set_value();
+  pumper.join();
+
+  const bool b_ran =
+      b.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (!b_ran) pool.pump();  // run B here so the destructor cannot hang
+  EXPECT_TRUE(b_ran);
+  EXPECT_TRUE(a.get()->success);
+  EXPECT_TRUE(b.get()->success);
+  pool.drain();
+  EXPECT_EQ(pool.stats().executed, 2u);
 }
 
 }  // namespace

@@ -495,7 +495,7 @@ void print_pool_dashboard(const svc::PoolStats& stats) {
               stats.shards);
   // Contention dashboard: whether the multi-core fast paths actually ran
   // hot — every admission a wait-free sealed stamp, memo probes spread
-  // across shards, strands batching well, lanes balanced.
+  // across shards, strands batching well.
   std::printf("forks wait-free / locked  %llu / %llu\n",
               static_cast<unsigned long long>(stats.forks_wait_free),
               static_cast<unsigned long long>(stats.forks_locked));
@@ -514,9 +514,7 @@ void print_pool_dashboard(const svc::PoolStats& stats) {
               stats.drain_batch.p50, stats.drain_batch.p99,
               static_cast<unsigned long long>(stats.drain_batch.max),
               static_cast<unsigned long long>(stats.drain_batch.cycles));
-  std::printf("pool workers        %zu (%llu cross-lane steals)\n",
-              stats.pool_threads,
-              static_cast<unsigned long long>(stats.pool_steals));
+  std::printf("pool workers        %zu\n", stats.pool_threads);
   for (std::size_t k = 0; k < svc::kRequestKinds; ++k) {
     const svc::OpLatency& lat = stats.latency[k];
     if (lat.count == 0) continue;
