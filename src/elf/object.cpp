@@ -1,6 +1,7 @@
 #include "depchaos/elf/object.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 #include "depchaos/support/strings.hpp"
 
@@ -19,6 +20,17 @@ char binding_code(SymbolBinding binding) {
       return 'W';
   }
   return '?';
+}
+
+// The `extra` size: decimal digits only, the whole value, in range.
+std::uint64_t parse_extra(std::string_view value) {
+  std::uint64_t size = 0;
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, size);
+  if (ec != std::errc{} || ptr != end) {
+    throw ElfError("bad extra size: '" + std::string(value) + "'");
+  }
+  return size;
 }
 
 SymbolBinding binding_from_code(char code) {
@@ -143,13 +155,14 @@ Object parse(std::string_view bytes) {
   Object object;
   object.kind = ObjectKind::SharedObject;
   bool saw_end = false;
-  bool first = true;
-  for (const auto& raw_line : support::split(bytes, '\n')) {
-    const std::string_view line = support::trim(raw_line);
-    if (first) {
-      first = false;
-      continue;  // magic
-    }
+  // Lines are views into `bytes`, past the magic line looks_like_self
+  // already checked.
+  std::string_view rest = bytes.substr(kMagic.size() + 1);
+  while (!rest.empty()) {
+    const std::size_t eol = rest.find('\n');
+    const std::string_view line = support::trim(rest.substr(0, eol));
+    rest = eol == std::string_view::npos ? std::string_view{}
+                                         : rest.substr(eol + 1);
     if (line.empty()) continue;
     if (saw_end) {
       throw ElfError("trailing content after 'end'");
@@ -230,7 +243,7 @@ Object parse(std::string_view bytes) {
     } else if (key == "dlopen") {
       object.dlopen_names.emplace_back(value);
     } else if (key == "extra") {
-      object.extra_size = std::stoull(std::string(value));
+      object.extra_size = parse_extra(value);
     } else {
       throw ElfError("unknown field: '" + std::string(key) + "'");
     }

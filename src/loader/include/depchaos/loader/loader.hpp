@@ -74,7 +74,9 @@ struct SearchConfig {
   /// For dedup (cache) hits, additionally classify how the requester's OWN
   /// search would have fared — uncounted — so libtree can render Listing 1:
   /// a library satisfied only because an earlier subtree loaded it shows up
-  /// as "not found" in a pure search analysis.
+  /// as "not found" in a pure search analysis. A what-if search that throws
+  /// (say, on a malformed candidate) also classifies as "not found"; it
+  /// never fails the load.
   bool classify_cache_hits = false;
   /// Guix-style per-application loader cache (Courtès, "Taming the stat
   /// storm with a loader cache", referenced in §V-A): when enabled and
@@ -177,17 +179,18 @@ class Loader {
   struct Resolution {
     std::string path;
     HowFound how = HowFound::NotFound;
-    /// Interned id of `path` when the resolver produced one (probe reuse);
-    /// kNone for paths carried through verbatim (app cache, preloads).
+    /// Interned id of the probed candidate (kNone when NotFound). App-cache
+    /// entries and preloads keep their verbatim spelling in `path`, so
+    /// str(id) may differ from it there.
     support::PathId id = support::PathTable::kNone;
   };
 
-  /// Outcome of a batched directory sweep: which search dir accepted the
-  /// candidate (index into the swept dir list) and the candidate's id.
+  /// Outcome of a directory sweep: which search dir accepted the candidate
+  /// (index into the swept dir list) and the candidate's id.
   struct DirProbe {
-    std::size_t dir = vfs::FileSystem::npos;
+    std::size_t dir = 0;
     support::PathId id = support::PathTable::kNone;
-    bool found() const { return dir != vfs::FileSystem::npos; }
+    bool found() const { return id != support::PathTable::kNone; }
   };
 
   // Pending BFS work item: `needed` entry requested by load_order[req_index].
@@ -196,21 +199,40 @@ class Loader {
     std::size_t requester_index;
   };
 
+  // Interned DT_RPATH / DT_RUNPATH dirs of one load_order entry, $ORIGIN
+  // expanded against that entry's path. Each list is built the first time
+  // a search phase reads it, so a load interns no dir a search would not.
+  struct ObjectDirs {
+    std::optional<std::vector<support::PathId>> rpath;
+    std::optional<std::vector<support::PathId>> runpath;
+  };
+
   // Per-load mutable state.
   struct Session {
     LoadReport report;
     // Dedup indices into report.load_order. Names and sonames are request
-    // strings; the inode-proxy map is keyed by interned canonical PathId.
+    // strings; the inode-proxy map is keyed by the canonical PathId that
+    // resolution already produced (the probed id when it has no realpath).
     std::unordered_map<std::string, std::size_t> by_name;      // request str
     std::unordered_map<std::string, std::size_t> by_soname;    // DT_SONAME
     std::unordered_map<support::PathId, std::size_t> by_realpath;
+    // Search dirs per load_order index, grown on demand (dlopen sessions
+    // start from a report built elsewhere).
+    std::vector<ObjectDirs> dirs;
     // Parsed per-application loader cache ("" when absent/disabled).
     std::unordered_map<std::string, std::string> app_cache;
     const Environment* env = nullptr;
   };
 
-  std::shared_ptr<const elf::Object> fetch_object(const std::string& path,
-                                                  bool count_read);
+  /// Parsed object behind the probed candidate `id`, from the cache keyed
+  /// by its canonical id `key` or parsed on a miss; charges one read(2)
+  /// against `id`. Null when `id` is not a SELF image.
+  std::shared_ptr<const elf::Object> fetch_object(support::PathId id,
+                                                  support::PathId key);
+  /// Set `loaded.real_path` from the interned realpath of `id` (its
+  /// verbatim path when `id` does not resolve) and return the inode-proxy
+  /// dedup key: the canonical id, else `id`.
+  support::PathId canonicalize(LoadedObject& loaded, support::PathId id) const;
   std::optional<std::size_t> dedup_lookup(Session& session,
                                           const std::string& name) const;
   Resolution search(Session& session, const std::string& name,
@@ -220,8 +242,9 @@ class Loader {
   /// unremarkable, as before.
   support::PathId intern_dir(std::string_view dir) const;
   /// Sweep `dirs` for `name`, hwcaps subdirectories before each plain dir,
-  /// as ONE batched VFS probe call — candidates are (dir id, name) steps in
-  /// the interner, never string concatenation.
+  /// stopping at the first accepted candidate. Each candidate is a
+  /// (dir id, name) step in the interner, taken just before its open(2),
+  /// so candidates past the hit are never interned.
   DirProbe probe_dirs(std::span<const support::PathId> dirs,
                       const std::string& name, elf::Machine machine);
   /// Shared probe verdict: ELF magic + architecture checks with LD_DEBUG
@@ -233,9 +256,15 @@ class Loader {
   /// their original bytes); by default the interned string is logged.
   bool probe_file(support::PathId id, elf::Machine machine,
                   const std::string* log_as = nullptr);
-  bool probe_file(const std::string& path, elf::Machine machine);
   void ensure_ld_cache();
-  std::size_t register_object(Session& session, LoadedObject loaded);
+  /// Append `loaded` to load_order under its dedup keys; `key` is the
+  /// inode-proxy id canonicalize() returned.
+  std::size_t register_object(Session& session, LoadedObject loaded,
+                              support::PathId key);
+  /// libtree's what-if for a dedup hit: how the requester's own search
+  /// would have resolved `item`, probed uncounted and unlogged. A search
+  /// that throws would not have succeeded, so it classifies as NotFound.
+  HowFound shadow_search(Session& session, const WorkItem& item);
   void process_request(Session& session, const WorkItem& item,
                        std::deque<WorkItem>& queue);
   void enqueue_needed_deque(Session& session, std::size_t index,
@@ -248,8 +277,13 @@ class Loader {
   /// requester's own dynamic section (they are reported HowFound::Rpath;
   /// the rest RpathAncestor).
   std::vector<support::PathId> effective_rpath_chain(
-      const Session& session, std::size_t requester_index,
+      Session& session, std::size_t requester_index,
       std::size_t& own_count) const;
+  /// The interned DT_RUNPATH (or DT_RPATH) dirs of load_order[index],
+  /// built on first use. The reference is valid until the next call.
+  const std::vector<support::PathId>& object_dirs(Session& session,
+                                                  std::size_t index,
+                                                  bool runpath) const;
 
   /// Expand $ORIGIN/${ORIGIN} in one pass. Returns `entry` itself when
   /// there is nothing to expand (no allocation — the common case), else a
@@ -274,10 +308,6 @@ class Loader {
   // ld.so.cache: name -> (path, from ld_so_conf or default).
   std::unordered_map<std::string, Resolution> ld_cache_;
   bool ld_cache_built_ = false;
-  // Scratch for probe_dirs (reused so the per-soname sweep allocates only
-  // on high-water growth).
-  std::vector<support::PathId> scratch_candidates_;
-  std::vector<std::size_t> scratch_candidate_dir_;
   // Active probe log during a load() (null when record_probes is off).
   std::vector<std::string>* probe_log_ = nullptr;
 

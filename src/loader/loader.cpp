@@ -10,6 +10,19 @@ namespace depchaos::loader {
 
 namespace {
 
+// Runs `restore` when the scope ends, exceptions included.
+template <typename F>
+class OnExit {
+ public:
+  explicit OnExit(F restore) : restore_(std::move(restore)) {}
+  ~OnExit() { restore_(); }
+  OnExit(const OnExit&) = delete;
+  OnExit& operator=(const OnExit&) = delete;
+
+ private:
+  F restore_;
+};
+
 vfs::SyscallStats stats_delta(const vfs::SyscallStats& before,
                               const vfs::SyscallStats& after) {
   vfs::SyscallStats delta;
@@ -124,23 +137,30 @@ std::string_view Loader::expand_origin(std::string_view entry,
   return storage;
 }
 
-std::shared_ptr<const elf::Object> Loader::fetch_object(
-    const std::string& path, bool count_read) {
-  const support::PathId id = fs_.intern(path);
-  const support::PathId canonical = fs_.resolve_canonical(id);
-  const support::PathId key =
-      canonical != support::PathTable::kNone ? canonical : id;
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    if (count_read) fs_.count_read(id);
-    return it->second;
+std::shared_ptr<const elf::Object> Loader::fetch_object(support::PathId id,
+                                                        support::PathId key) {
+  auto it = cache_.find(key);
+  if (it == cache_.end()) {
+    const vfs::FileData* data = fs_.peek(id);
+    if (data == nullptr || !elf::looks_like_self(data->bytes)) return nullptr;
+    it = cache_
+             .emplace(key, std::make_shared<const elf::Object>(
+                               elf::parse(data->bytes)))
+             .first;
   }
-  const vfs::FileData* data = fs_.peek(path);
-  if (data == nullptr) return nullptr;
-  if (!elf::looks_like_self(data->bytes)) return nullptr;
-  auto object = std::make_shared<const elf::Object>(elf::parse(data->bytes));
-  cache_.emplace(key, object);
-  if (count_read) fs_.count_read(id);
-  return object;
+  fs_.count_read(id);
+  return it->second;
+}
+
+support::PathId Loader::canonicalize(LoadedObject& loaded,
+                                     support::PathId id) const {
+  const support::PathId canonical = fs_.resolve_canonical(id);
+  if (canonical == support::PathTable::kNone) {
+    loaded.real_path = loaded.path;
+    return id;
+  }
+  loaded.real_path = paths_->str(canonical);
+  return canonical;
 }
 
 bool Loader::classify_probe(const std::string& path,
@@ -176,12 +196,6 @@ bool Loader::probe_file(support::PathId id, elf::Machine machine,
                         machine);
 }
 
-bool Loader::probe_file(const std::string& path, elf::Machine machine) {
-  // Keeps the caller's spelling in the probe log (app-cache and preload
-  // paths travel verbatim); interning normalizes for the probe itself.
-  return probe_file(fs_.intern(path), machine, &path);
-}
-
 support::PathId Loader::intern_dir(std::string_view dir) const {
   if (dir.empty() || dir.front() != '/') {
     return paths_->intern_under(support::PathTable::kRoot, dir);
@@ -192,33 +206,19 @@ support::PathId Loader::intern_dir(std::string_view dir) const {
 Loader::DirProbe Loader::probe_dirs(std::span<const support::PathId> dirs,
                                     const std::string& name,
                                     elf::Machine machine) {
-  // Lay out every candidate for this soname — hwcaps subdirectories before
-  // each plain dir, in dir order — then hand the whole sweep to the VFS as
-  // one batched call. Each attempt is charged exactly like a standalone
-  // open(2) probe, so counters and latency are byte-identical to the old
-  // dir-by-dir loop.
-  auto& candidates = scratch_candidates_;
-  auto& candidate_dir = scratch_candidate_dir_;
-  candidates.clear();
-  candidate_dir.clear();
   const bool hwcaps = policy_->probes_hwcaps();
   for (std::size_t d = 0; d < dirs.size(); ++d) {
     if (hwcaps) {
       for (const auto& hwcap : config_.hwcaps) {
-        candidates.push_back(
-            paths_->child(paths_->intern_under(dirs[d], hwcap), name));
-        candidate_dir.push_back(d);
+        const support::PathId candidate =
+            paths_->child(paths_->intern_under(dirs[d], hwcap), name);
+        if (probe_file(candidate, machine)) return DirProbe{d, candidate};
       }
     }
-    candidates.push_back(paths_->child(dirs[d], name));
-    candidate_dir.push_back(d);
+    const support::PathId candidate = paths_->child(dirs[d], name);
+    if (probe_file(candidate, machine)) return DirProbe{d, candidate};
   }
-  const std::size_t hit = fs_.open_first(
-      candidates, [&](std::size_t i, const vfs::FileData* data) {
-        return classify_probe(paths_->str(candidates[i]), data, machine);
-      });
-  if (hit == vfs::FileSystem::npos) return DirProbe{};
-  return DirProbe{candidate_dir[hit], candidates[hit]};
+  return DirProbe{};
 }
 
 void Loader::ensure_ld_cache() {
@@ -242,16 +242,35 @@ void Loader::ensure_ld_cache() {
   scan(config_.default_paths, HowFound::DefaultPath);
 }
 
+const std::vector<support::PathId>& Loader::object_dirs(Session& session,
+                                                        std::size_t index,
+                                                        bool runpath) const {
+  const auto& order = session.report.load_order;
+  if (session.dirs.size() < order.size()) session.dirs.resize(order.size());
+  auto& slot =
+      runpath ? session.dirs[index].runpath : session.dirs[index].rpath;
+  if (!slot) {
+    const LoadedObject& node = order[index];
+    const auto& entries =
+        runpath ? node.object->dyn.runpath : node.object->dyn.rpath;
+    slot.emplace();
+    slot->reserve(entries.size());
+    std::string storage;
+    for (const auto& dir : entries) {
+      slot->push_back(intern_dir(expand_origin(dir, node.path, storage)));
+    }
+  }
+  return *slot;
+}
+
 std::vector<support::PathId> Loader::effective_rpath_chain(
-    const Session& session, std::size_t requester_index,
+    Session& session, std::size_t requester_index,
     std::size_t& own_count) const {
   // Non-melding (glibc, Table I): DT_RPATH of the requester, then of each
   // ancestor up to the executable. Any object carrying DT_RUNPATH
   // contributes nothing from its DT_RPATH, and a requester with DT_RUNPATH
   // disables the whole chain. Melding (musl, §IV): RPATH and RUNPATH of
-  // every link in the ancestry, both propagated. Entries come back as
-  // interned dir ids — $ORIGIN expansion is the only string work left, and
-  // only for entries that actually carry a DST.
+  // every link in the ancestry, both propagated.
   const bool meld = policy_->melds_rpath_runpath();
   std::vector<support::PathId> dirs;
   own_count = 0;
@@ -261,27 +280,19 @@ std::vector<support::PathId> Loader::effective_rpath_chain(
   if (!meld && !requester.object->dyn.runpath.empty()) {
     return dirs;  // DT_RUNPATH present: RPATH protocol disabled
   }
+  const auto append = [&](std::size_t index, bool runpath) {
+    const auto& list = object_dirs(session, index, runpath);
+    dirs.insert(dirs.end(), list.begin(), list.end());
+  };
   std::int64_t index = static_cast<std::int64_t>(requester_index);
-  bool first = true;
-  std::string storage;
   while (index >= 0) {
-    const LoadedObject& node = order[static_cast<std::size_t>(index)];
+    const auto at = static_cast<std::size_t>(index);
+    const LoadedObject& node = order[at];
     if (node.object) {
-      const bool has_runpath = !node.object->dyn.runpath.empty();
-      if (meld || !has_runpath) {
-        for (const auto& dir : node.object->dyn.rpath) {
-          dirs.push_back(intern_dir(expand_origin(dir, node.path, storage)));
-          if (first) ++own_count;
-        }
-      }
-      if (meld) {
-        for (const auto& dir : node.object->dyn.runpath) {
-          dirs.push_back(intern_dir(expand_origin(dir, node.path, storage)));
-          if (first) ++own_count;
-        }
-      }
+      if (meld || node.object->dyn.runpath.empty()) append(at, false);
+      if (meld) append(at, true);
     }
-    first = false;
+    if (at == requester_index) own_count = dirs.size();
     index = node.parent_index;
   }
   return dirs;
@@ -310,22 +321,14 @@ Loader::Resolution Loader::search(Session& session, const std::string& name,
   const elf::Machine machine =
       order[0].object ? order[0].object->machine : elf::Machine::X86_64;
 
-  // Needed entries containing '/' are used as-is (after DST expansion).
+  // Needed entries containing '/' are used as-is (after DST expansion); a
+  // relative one throws FsError, as open() on it always has.
   if (name.find('/') != std::string::npos) {
     std::string storage;
-    const std::string_view expanded =
-        expand_origin(name, requester.path, storage);
-    if (!expanded.empty() && expanded.front() == '/') {
-      const support::PathId id = paths_->intern(expanded);
-      if (probe_file(id, machine)) {
-        return Resolution{paths_->str(id), HowFound::AbsolutePath, id};
-      }
-      return Resolution{{}, HowFound::NotFound};
-    }
-    // Relative entry with '/': probing throws like open() always has.
-    std::string path(expanded);
-    if (probe_file(path, machine)) {
-      return Resolution{path, HowFound::AbsolutePath};
+    const support::PathId id =
+        fs_.intern(expand_origin(name, requester.path, storage));
+    if (probe_file(id, machine)) {
+      return Resolution{paths_->str(id), HowFound::AbsolutePath, id};
     }
     return Resolution{{}, HowFound::NotFound};
   }
@@ -333,8 +336,9 @@ Loader::Resolution Loader::search(Session& session, const std::string& name,
   // Per-application loader cache: consulted before any directory search.
   if (const auto it = session.app_cache.find(name);
       it != session.app_cache.end()) {
-    if (probe_file(it->second, machine)) {
-      return Resolution{it->second, HowFound::AppCache};
+    const support::PathId id = fs_.intern(it->second);
+    if (probe_file(id, machine, &it->second)) {
+      return Resolution{it->second, HowFound::AppCache, id};
     }
     // Stale cache entry: fall through to the normal search.
   }
@@ -354,11 +358,8 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
                                         const std::string& name,
                                         std::size_t requester_index,
                                         elf::Machine machine) {
-  const LoadedObject& requester =
-      session.report.load_order[requester_index];
-  // Each phase lays out its full candidate sweep and issues it as one
-  // batched probe call; the accepting dir index maps back to the
-  // phase-specific HowFound label.
+  // The accepting dir index of a sweep maps back to the phase-specific
+  // HowFound label.
   switch (phase) {
     case SearchPhase::RpathChain: {
       std::size_t own = 0;
@@ -386,14 +387,12 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
       return Resolution{paths_->str(hit.id), HowFound::LdLibraryPath, hit.id};
     }
     case SearchPhase::Runpath: {
-      if (!requester.object) return Resolution{{}, HowFound::NotFound};
-      std::vector<support::PathId> dirs;
-      dirs.reserve(requester.object->dyn.runpath.size());
-      std::string storage;
-      for (const auto& dir : requester.object->dyn.runpath) {
-        dirs.push_back(intern_dir(expand_origin(dir, requester.path, storage)));
+      if (!session.report.load_order[requester_index].object) {
+        return Resolution{{}, HowFound::NotFound};
       }
-      const DirProbe hit = probe_dirs(dirs, name, machine);
+      const DirProbe hit = probe_dirs(
+          object_dirs(session, requester_index, /*runpath=*/true), name,
+          machine);
       if (!hit.found()) return Resolution{{}, HowFound::NotFound};
       return Resolution{paths_->str(hit.id), HowFound::Runpath, hit.id};
     }
@@ -408,8 +407,8 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
         }
         return Resolution{{}, HowFound::NotFound};
       }
-      // No cache: sweep ld.so.conf dirs then the trusted defaults as one
-      // batch; the boundary index decides the label.
+      // No cache: sweep ld.so.conf dirs then the trusted defaults in one
+      // pass; the boundary index decides the label.
       std::vector<support::PathId> dirs;
       dirs.reserve(config_.ld_so_conf.size() + config_.default_paths.size());
       for (const auto& dir : config_.ld_so_conf) {
@@ -430,15 +429,14 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
   return Resolution{{}, HowFound::NotFound};
 }
 
-std::size_t Loader::register_object(Session& session, LoadedObject loaded) {
+std::size_t Loader::register_object(Session& session, LoadedObject loaded,
+                                    support::PathId key) {
   auto& order = session.report.load_order;
   const std::size_t index = order.size();
   // Dedup keys. Musl never dedups by soname (§IV); both dedup by the
   // requested string and by canonical path (the inode proxy).
   session.by_name.emplace(loaded.name, index);
-  if (!loaded.real_path.empty()) {
-    session.by_realpath.emplace(fs_.intern(loaded.real_path), index);
-  }
+  session.by_realpath.emplace(key, index);
   if (loaded.object && !loaded.object->dyn.soname.empty() &&
       policy_->dedups_by_soname()) {
     session.by_soname.emplace(loaded.object->dyn.soname, index);
@@ -452,14 +450,19 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
   session.env = &env;
   session.report.success = true;
   probe_log_ = config_.record_probes ? &session.report.probe_log : nullptr;
+  const OnExit detach_log([this] { probe_log_ = nullptr; });
   const vfs::SyscallStats before = fs_.stats();
 
   // Open + read the executable itself (execve's work).
-  const vfs::FileData* exe_data = fs_.open(exe_path);
-  if (exe_data == nullptr) {
+  const support::PathId exe_id = fs_.intern(exe_path);
+  if (fs_.open(exe_id) == nullptr) {
     throw FsError("cannot execute: " + exe_path);
   }
-  auto exe_object = fetch_object(exe_path, /*count_read=*/true);
+  LoadedObject root;
+  root.name = exe_path;
+  root.path = exe_path;
+  const support::PathId exe_key = canonicalize(root, exe_id);
+  auto exe_object = fetch_object(exe_id, exe_key);
   if (!exe_object) {
     throw ElfError("not a SELF executable: " + exe_path);
   }
@@ -477,15 +480,11 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
     }
   }
 
-  LoadedObject root;
-  root.name = exe_path;
-  root.path = exe_path;
-  root.real_path = fs_.realpath(exe_path).value_or(exe_path);
   root.how = HowFound::Root;
   root.depth = 0;
   root.parent_index = -1;
   root.object = exe_object;
-  register_object(session, std::move(root));
+  register_object(session, std::move(root), exe_key);
 
   std::deque<WorkItem> queue;
 
@@ -494,9 +493,10 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
   for (const auto& preload : env.ld_preload) {
     Resolution res;
     if (preload.find('/') != std::string::npos) {
-      res = probe_file(preload, exe_object->machine)
-                ? Resolution{preload, HowFound::Preload}
-                : Resolution{{}, HowFound::NotFound};
+      const support::PathId id = fs_.intern(preload);
+      if (probe_file(id, exe_object->machine, &preload)) {
+        res = Resolution{preload, HowFound::Preload, id};
+      }
     } else {
       res = search(session, preload, 0);
       if (res.how != HowFound::NotFound) res.how = HowFound::Preload;
@@ -513,11 +513,11 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
       // glibc warns but continues on missing preloads.
       continue;
     }
-    loaded.path = res.path;
-    loaded.real_path = fs_.realpath(res.path).value_or(res.path);
-    loaded.object = fetch_object(res.path, /*count_read=*/true);
+    loaded.path = std::move(res.path);
+    const support::PathId key = canonicalize(loaded, res.id);
+    loaded.object = fetch_object(res.id, key);
     session.report.requests.push_back(loaded);
-    register_object(session, std::move(loaded));
+    register_object(session, std::move(loaded), key);
   }
 
   // Initial BFS scope: the executable's needed entries, then each
@@ -533,8 +533,28 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
   }
 
   session.report.stats = stats_delta(before, fs_.stats());
+  // Moved, not copied, but without the push_back slack a copy would have
+  // dropped: the service's memo keeps every report it is handed.
+  session.report.load_order.shrink_to_fit();
+  session.report.requests.shrink_to_fit();
+  session.report.missing.shrink_to_fit();
+  session.report.probe_log.shrink_to_fit();
+  return std::move(session.report);
+}
+
+HowFound Loader::shadow_search(Session& session, const WorkItem& item) {
+  const OnExit restore(
+      [this, counting = fs_.counting(), log = probe_log_] {
+        fs_.set_counting(counting);
+        probe_log_ = log;
+      });
+  fs_.set_counting(false);
   probe_log_ = nullptr;
-  return session.report;
+  try {
+    return search(session, item.name, item.requester_index).how;
+  } catch (const Error&) {
+    return HowFound::NotFound;
+  }
 }
 
 void Loader::process_request(Session& session, const WorkItem& item,
@@ -555,15 +575,7 @@ void Loader::process_request(Session& session, const WorkItem& item,
     request.how = HowFound::Cache;
     request.object = original.object;
     if (config_.classify_cache_hits) {
-      // What would a pure search from this requester have found? Probe
-      // uncounted (and unlogged) so the measured workload is unchanged.
-      fs_.set_counting(false);
-      std::vector<std::string>* saved_log = probe_log_;
-      probe_log_ = nullptr;
-      const Resolution shadow = search(session, item.name, item.requester_index);
-      probe_log_ = saved_log;
-      fs_.set_counting(true);
-      request.cache_search_how = shadow.how;
+      request.cache_search_how = shadow_search(session, item);
     }
     session.report.requests.push_back(std::move(request));
     return;
@@ -578,13 +590,12 @@ void Loader::process_request(Session& session, const WorkItem& item,
     return;
   }
 
-  request.path = res.path;
-  request.real_path = fs_.realpath(res.path).value_or(res.path);
+  request.path = std::move(res.path);
+  const support::PathId key = canonicalize(request, res.id);
 
   // Post-resolution inode dedup (both dialects; this is how musl avoids
   // double-loading a file reached via two different strings).
-  if (const auto real_hit =
-          session.by_realpath.find(fs_.intern(request.real_path));
+  if (const auto real_hit = session.by_realpath.find(key);
       real_hit != session.by_realpath.end()) {
     const LoadedObject& original =
         session.report.load_order[real_hit->second];
@@ -597,10 +608,11 @@ void Loader::process_request(Session& session, const WorkItem& item,
   }
 
   request.how = res.how;
-  request.object = fetch_object(res.path, /*count_read=*/true);
+  request.object = fetch_object(res.id, key);
   assert(request.object && "probe succeeded but fetch failed");
   session.report.requests.push_back(request);
-  const std::size_t index = register_object(session, std::move(request));
+  const std::size_t index =
+      register_object(session, std::move(request), key);
   enqueue_needed_deque(session, index, queue);
 }
 

@@ -105,7 +105,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -331,6 +330,7 @@ class FileSystem {
   /// Uncounted file access for tooling (package managers, patchers) that
   /// does not represent process-startup syscall traffic.
   const FileData* peek(std::string_view path) const;
+  const FileData* peek(PathId id) const;
 
   /// Recursive on-disk byte total under `path` (uncounted; du(1)-style).
   /// Symlinks contribute nothing. Returns 0 for missing paths.
@@ -361,24 +361,6 @@ class FileSystem {
   /// openat(2) + contents: returns file data if `path` names a regular file.
   const FileData* open(std::string_view path) { return open(intern(path)); }
   const FileData* open(PathId id);
-
-  /// Batched counted probe — the loader's candidate storm as ONE call.
-  /// Opens candidates in order, charging exactly one open(2) per attempt
-  /// (identical counters and latency to individual open() calls), invoking
-  /// `visit(index, data)` for each — data is null for a missing or
-  /// non-regular path — until `visit` returns true. Returns the accepting
-  /// index, or npos when every candidate was visited without acceptance.
-  /// Templated so the per-sweep visitor stays a direct, allocation-free
-  /// call (this IS the hot path the interner exists for).
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  template <typename Visit>
-  std::size_t open_first(std::span<const PathId> candidates, Visit&& visit) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const FileData* data = open(candidates[i]);
-      if (visit(i, data)) return i;
-    }
-    return npos;
-  }
 
   /// Read after open: counted separately (data vs metadata traffic).
   void count_read(std::string_view path) { count_read(intern(path)); }

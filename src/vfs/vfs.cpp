@@ -1106,9 +1106,18 @@ std::optional<std::string> FileSystem::realpath(std::string_view path) const {
 }
 
 const FileData* FileSystem::peek(std::string_view path) const {
+  try {
+    return peek(intern(path));
+  } catch (const FsError&) {
+    return nullptr;
+  }
+}
+
+const FileData* FileSystem::peek(PathId id) const {
   InodeNum ino = 0;
   try {
-    ino = resolve(path, true);
+    int hops = 0;
+    ino = resolve_id(id, /*follow_final=*/true, hops, nullptr);
   } catch (const FsError&) {
     return nullptr;
   }

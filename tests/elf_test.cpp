@@ -66,6 +66,15 @@ TEST(SelfFormat, ParseRejectsTrailingContent) {
   EXPECT_THROW(parse("SELF1\nkind dyn\nend\nkind exec\n"), ElfError);
 }
 
+TEST(SelfFormat, ParseRejectsBadExtra) {
+  for (const char* value : {"-1", "12abc", "abc", "123456789012345678901234"}) {
+    EXPECT_THROW(parse(std::string("SELF1\nextra ") + value + "\nend\n"),
+                 ElfError)
+        << value;
+  }
+  EXPECT_EQ(parse("SELF1\nextra 4096\nend\n").extra_size, 4096u);
+}
+
 TEST(SelfFormat, SymbolLineRoundTrip) {
   Object object = make_library("libs.so");
   object.symbols = {{"sym with space", SymbolBinding::Global, true}};

@@ -11,6 +11,29 @@ using elf::install_object;
 using elf::make_executable;
 using elf::make_library;
 
+// Every observable field of a report (objects, edges, counters, probe
+// log) as one string, so two loads compare with a single EXPECT_EQ.
+std::string describe(const LoadReport& report) {
+  std::string out = report.success ? "success\n" : "failure\n";
+  for (const auto* list :
+       {&report.load_order, &report.requests, &report.missing}) {
+    for (const auto& obj : *list) {
+      out += obj.name + " | " + obj.path + " | " + obj.real_path + " | " +
+             obj.requested_by + " | " + std::string(how_found_name(obj.how)) +
+             " | " + std::string(how_found_name(obj.cache_search_how)) + "\n";
+    }
+    out += "--\n";
+  }
+  const auto& stats = report.stats;
+  out += std::to_string(stats.stat_calls) + " " +
+         std::to_string(stats.open_calls) + " " +
+         std::to_string(stats.read_calls) + " " +
+         std::to_string(stats.readlink_calls) + " " +
+         std::to_string(stats.failed_probes) + "\n";
+  for (const auto& line : report.probe_log) out += line + "\n";
+  return out;
+}
+
 class LoaderTest : public ::testing::Test {
  protected:
   vfs::FileSystem fs_;
@@ -595,6 +618,53 @@ TEST_F(LoaderTest, ClassifyCacheHitsDoesNotPerturbStats) {
   EXPECT_EQ(classified.requests[2].cache_search_how, HowFound::Runpath);
 }
 
+TEST_F(LoaderTest, ClassifyCacheHitsSurvivesAFailingShadowSearch) {
+  // libb's edge to libx.so is a dedup hit, so the measured load never
+  // opens /bad/libx.so; only libb's own (what-if) search would, and that
+  // image is malformed.
+  install_object(fs_, "/good/libx.so", make_library("libx.so"));
+  fs_.write_file("/bad/libx.so", std::string("SELF1\nbogus\nend\n"));
+  install_object(fs_, "/good/liba.so",
+                 make_library("liba.so", {"libx.so"}, {"/good"}));
+  install_object(fs_, "/good/libb.so",
+                 make_library("libb.so", {"libx.so"}, {"/bad", "/good"}));
+  install_object(fs_, "/bin/app",
+                 make_executable({"liba.so", "libb.so"}, {"/good"}));
+
+  SearchConfig config;
+  config.record_probes = true;
+  const auto plain = glibc(config).load("/bin/app");
+  ASSERT_TRUE(plain.success);
+  EXPECT_EQ(plain.stats.metadata_calls(), 4u);
+
+  config.classify_cache_hits = true;
+  auto classifying = glibc(config);
+  LoadReport classified;
+  ASSERT_NO_THROW(classified = classifying.load("/bin/app"));
+  ASSERT_TRUE(classified.success);
+  ASSERT_EQ(classified.load_order.size(), plain.load_order.size());
+  for (std::size_t i = 0; i < plain.load_order.size(); ++i) {
+    EXPECT_EQ(classified.load_order[i].path, plain.load_order[i].path);
+  }
+  EXPECT_EQ(classified.stats.metadata_calls(), plain.stats.metadata_calls());
+  EXPECT_EQ(classified.stats.read_calls, plain.stats.read_calls);
+  EXPECT_EQ(classified.probe_log, plain.probe_log);
+
+  const LoadedObject* libb_edge = nullptr;
+  for (const auto& request : classified.requests) {
+    if (request.name == "libx.so" && request.requested_by == "/good/libb.so") {
+      libb_edge = &request;
+    }
+  }
+  ASSERT_NE(libb_edge, nullptr);
+  EXPECT_EQ(libb_edge->how, HowFound::Cache);
+  EXPECT_EQ(libb_edge->cache_search_how, HowFound::NotFound);
+
+  // Counting came back on: the next load on this filesystem is measured.
+  EXPECT_TRUE(fs_.counting());
+  EXPECT_EQ(glibc().load("/bin/app").stats.metadata_calls(), 4u);
+}
+
 TEST_F(LoaderTest, StatsAreDeltaPerLoad) {
   install_object(fs_, "/l/libx.so", make_library("libx.so"));
   install_object(fs_, "/bin/app", make_executable({"libx.so"}, {"/l"}));
@@ -620,6 +690,48 @@ TEST_F(LoaderTest, SearchCostGrowsWithDirectoryPosition) {
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.stats.open_calls, 1u + 5u);
   EXPECT_EQ(report.stats.failed_probes, 4u);
+}
+
+TEST_F(LoaderTest, LoadInternsOnlyProbedCandidates) {
+  // libx.so sits in the 3rd of 8 RUNPATH dirs: the sweep stops there, so
+  // the candidates in /d3 ... /d7 are never opened and must not be
+  // interned either.
+  const auto build = [](vfs::FileSystem& fs) {
+    std::vector<std::string> dirs;
+    for (int d = 0; d < 8; ++d) {
+      dirs.push_back("/d" + std::to_string(d));
+      fs.mkdir_p(dirs.back());
+    }
+    install_object(fs, "/d2/libx.so", make_library("libx.so"));
+    install_object(fs, "/bin/app", make_executable({"libx.so"}, dirs));
+  };
+  build(fs_);
+  SearchConfig config;
+  config.record_probes = true;
+
+  vfs::OpTrace trace;
+  fs_.set_op_trace(&trace);
+  const std::size_t before = fs_.paths().size();
+  const auto report = glibc(config).load("/bin/app");
+  const std::size_t after = fs_.paths().size();
+  fs_.set_op_trace(nullptr);
+  ASSERT_TRUE(report.success);
+  EXPECT_EQ(report.stats.metadata_calls(), 4u);
+  EXPECT_LE(after - before, trace.distinct_paths());
+
+  // A repeat load probes the same paths and interns nothing new.
+  glibc(config).load("/bin/app");
+  EXPECT_EQ(fs_.paths().size(), after);
+
+  // Results do not depend on interner state: a twin world whose interner
+  // already holds every candidate reports the same load.
+  vfs::FileSystem twin;
+  build(twin);
+  for (int d = 0; d < 8; ++d) {
+    twin.intern("/d" + std::to_string(d) + "/libx.so");
+  }
+  const auto warm = Loader(twin, config, Dialect::Glibc).load("/bin/app");
+  EXPECT_EQ(describe(warm), describe(report));
 }
 
 }  // namespace
