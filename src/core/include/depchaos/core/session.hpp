@@ -99,8 +99,8 @@ class Session {
   /// O(1) copy-on-write fork: a child session over a forked world
   /// (vfs::FileSystem::fork — shared immutable base, private overlay),
   /// with the same search config, dialect policy, environment, and default
-  /// target; a per-view latency model (cloned at fork time when the model
-  /// supports it); FRESH syscall counters; and the parent's parsed-object /
+  /// target; a per-view latency model (cloned at fork time); FRESH
+  /// syscall counters; and the parent's parsed-object /
   /// ld.so caches adopted (safe: parsed objects are immutable, keyed by
   /// PathId in the interner the fork family shares, and the worlds are
   /// identical at the fork point). The support::PathTable is inherited
@@ -172,8 +172,7 @@ class Session {
   /// entry observes the cache state as of batch start — back-to-back
   /// sequential load() calls would instead warm one shared cache, so
   /// sim_time_s can differ there; all other report fields are identical
-  /// either way. Falls back to serial when the installed latency model
-  /// cannot be cloned.
+  /// either way.
   std::vector<LoadReport> load_many(std::span<const std::string> exes);
 
   /// dlopen `name` from code in `caller_path`, continuing `report`.

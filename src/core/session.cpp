@@ -129,8 +129,8 @@ std::vector<Session::LoadReport> Session::load_many(
   std::vector<LoadReport> reports(exes.size());
   if (exes.empty()) return reports;
 
-  // Resolve "" entries against the default target up front, so serial and
-  // parallel execution see the same paths (and the same throws).
+  // Resolve "" entries against the default target up front, on this
+  // thread, so a bad entry throws before any worker runs.
   std::vector<std::string> paths;
   paths.reserve(exes.size());
   for (const auto& exe : exes) paths.push_back(resolve_exe(exe));
@@ -152,18 +152,6 @@ std::vector<Session::LoadReport> Session::load_many(
   std::vector<vfs::FileSystem> worlds;
   worlds.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) worlds.push_back(fs_->fork());
-
-  // Parallel execution needs per-worker latency isolation; a stateful
-  // model that cannot clone() forces the serial path. fork() falls back to
-  // SHARING such a model, so probe the first fork instead of constructing
-  // a throwaway clone of the model's state.
-  if (vfs::LatencyModel* model = fs_->latency_model();
-      model && worlds.front().latency_model() == model) {
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      reports[i] = loader_->load(paths[i], config_.env);
-    }
-    return reports;
-  }
 
   support::ThreadPool pool(workers);
   std::vector<std::exception_ptr> errors(workers);

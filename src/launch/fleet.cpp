@@ -37,26 +37,26 @@ void check_fleet_nprocs(int nprocs) {
   if (nprocs < 1) throw std::invalid_argument("launch: nprocs must be >= 1");
 }
 
-/// Measure one sandboxed rank with shared/overlay attribution installed.
-/// `trace` (optional) additionally captures the full per-op stream — the
-/// queueing engine's input.
+/// Measure one sandboxed rank, recording its op stream into `trace` (the
+/// queueing engine's input) and splitting its stat/open records into
+/// shared-substrate and overlay ops.
 RankMeasurement measure_sandboxed_rank(core::Session& rank_session,
                                        const std::string& exe_path,
-                                       vfs::OpTrace* trace) {
+                                       vfs::OpTrace& trace) {
   vfs::FileSystem& fs = rank_session.fs();
-  vfs::FileSystem::MetaBreakdown split;
-  fs.set_meta_breakdown(&split);
-  if (trace != nullptr) fs.set_op_trace(trace);
   fs.clear_caches();
-  const loader::LoadReport report = rank_session.load(exe_path);
-  fs.set_meta_breakdown(nullptr);
-  if (trace != nullptr) fs.set_op_trace(nullptr);
+  const loader::LoadReport report = [&] {
+    vfs::FileSystem::TraceScope scope(fs, trace);
+    return rank_session.load(exe_path);
+  }();
 
   RankMeasurement rank;
   rank.load_succeeded = report.success;
   rank.meta_ops = report.stats.metadata_calls();
-  rank.shared_meta_ops = split.shared_ops;
-  rank.overlay_meta_ops = split.private_ops;
+  for (const vfs::OpRecord& op : trace.ops()) {
+    if (op.kind == vfs::OpKind::Read) continue;
+    ++(op.shared ? rank.shared_meta_ops : rank.overlay_meta_ops);
+  }
   for (const auto& obj : report.load_order) {
     const vfs::FileData* data = fs.peek(obj.path);
     if (data == nullptr) continue;
@@ -126,15 +126,15 @@ bool env_equal(const loader::Environment& a, const loader::Environment& b) {
 struct RankClass {
   core::Session sandbox;
   RankMeasurement m;
-  vfs::OpTrace trace;      // the representative's op stream (queueing only)
+  vfs::OpTrace trace;      // the representative's op stream
   std::vector<int> ranks;  // members, in rank order
 };
 
-/// The class loop: one loader replay per equivalence class. `queueing`
-/// captures each class's op stream and, with prestaged_image, marks the
-/// image mount NodeLocal inside the sandbox BEFORE measurement, so the
-/// measured load itself charges node-local latency and flags node-local
-/// ops in the trace.
+/// The class loop: one loader replay per equivalence class, each recording
+/// its class's op stream. `queueing` with prestaged_image marks the image
+/// mount NodeLocal inside the sandbox BEFORE measurement, so the measured
+/// load itself charges node-local latency and flags node-local ops in the
+/// trace.
 std::vector<RankClass> measure_classes(core::Session& session,
                                        const core::SandboxSpec& spec,
                                        const std::string& exe_path,
@@ -153,8 +153,7 @@ std::vector<RankClass> measure_classes(core::Session& session,
   auto add_class = [&](core::Session sandbox) {
     classes.push_back(RankClass{std::move(sandbox), {}, {}, {}});
     RankClass& cls = classes.back();
-    cls.m = measure_sandboxed_rank(cls.sandbox, exe_path,
-                                   queueing ? &cls.trace : nullptr);
+    cls.m = measure_sandboxed_rank(cls.sandbox, exe_path, cls.trace);
   };
 
   if (!config.rank_setup) {
@@ -200,8 +199,8 @@ std::vector<RankClass> measure_classes(core::Session& session,
 /// tiling invariant (shared + overlay == total) holds by construction;
 /// timing uses the true (double) means. A one-class fleet divides back to
 /// its class's own counts exactly (every total is far below 2^53), and its
-/// shared + overlay ops are its metadata_calls(): FileSystem::charge bills
-/// every stat/open to exactly one side.
+/// shared + overlay ops are its metadata_calls(): the op trace records
+/// every stat/open with exactly one side.
 LaunchResult project(const std::vector<RankClass>& classes, int nprocs,
                      const FleetConfig& config) {
   LaunchResult result;

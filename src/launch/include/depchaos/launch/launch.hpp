@@ -141,9 +141,9 @@ struct RankMeasurement {
 };
 
 /// Replay one rank's load (cold client caches) against the filesystem and
-/// record its metadata op stream and staged bytes. When `trace` is
-/// non-null the full per-op stream (vfs::OpTrace) is captured alongside
-/// the counters — the queueing engine's input.
+/// record its metadata op count and staged bytes. When `trace` is
+/// non-null the load's op stream is recorded into it — the queueing
+/// engine's input.
 RankMeasurement measure_rank(vfs::FileSystem& fs, loader::Loader& loader,
                              const std::string& exe_path,
                              const loader::Environment& env,

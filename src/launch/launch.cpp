@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace depchaos::launch {
@@ -103,9 +104,9 @@ RankMeasurement measure_rank(vfs::FileSystem& fs, loader::Loader& loader,
   RankMeasurement rank;
   // Cold start: drop whatever the latency model cached client-side.
   fs.clear_caches();
-  if (trace != nullptr) fs.set_op_trace(trace);
+  std::optional<vfs::FileSystem::TraceScope> scope;
+  if (trace != nullptr) scope.emplace(fs, *trace);
   const loader::LoadReport report = loader.load(exe_path, env);
-  if (trace != nullptr) fs.set_op_trace(nullptr);
   rank.load_succeeded = report.success;
   rank.meta_ops = report.stats.metadata_calls();
   for (const auto& obj : report.load_order) {

@@ -23,18 +23,6 @@ class OnExit {
   F restore_;
 };
 
-vfs::SyscallStats stats_delta(const vfs::SyscallStats& before,
-                              const vfs::SyscallStats& after) {
-  vfs::SyscallStats delta;
-  delta.stat_calls = after.stat_calls - before.stat_calls;
-  delta.open_calls = after.open_calls - before.open_calls;
-  delta.read_calls = after.read_calls - before.read_calls;
-  delta.readlink_calls = after.readlink_calls - before.readlink_calls;
-  delta.failed_probes = after.failed_probes - before.failed_probes;
-  delta.sim_time_s = after.sim_time_s - before.sim_time_s;
-  return delta;
-}
-
 }  // namespace
 
 std::string_view how_found_name(HowFound how) {
@@ -532,7 +520,7 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
     process_request(session, item, queue);
   }
 
-  session.report.stats = stats_delta(before, fs_.stats());
+  session.report.stats = fs_.stats() - before;
   // Moved, not copied, but without the push_back slack a copy would have
   // dropped: the service's memo keeps every report it is handed.
   session.report.load_order.shrink_to_fit();
@@ -666,7 +654,7 @@ LoadedObject Loader::dlopen(LoadReport& report, const std::string& caller_path,
     queue.pop_front();
     process_request(session, item, queue);
   }
-  auto delta = stats_delta(before, fs_.stats());
+  auto delta = fs_.stats() - before;
   session.report.stats += delta;
 
   LoadedObject result = session.report.requests[first_request];

@@ -3,7 +3,8 @@
 // The analytic model in depchaos::launch converts a measured op count into
 // seconds with a power law: contention is an *exponent*. This subsystem
 // makes it a *mechanism*: N client ranks replay their measured op streams
-// (vfs::OpTrace) against a simulated shared metadata service — a request
+// (vfs::OpTrace; Read records are the data phase, which stays analytic,
+// and are skipped) against a simulated shared metadata service — a request
 // queue with a configurable service-time distribution, client-side
 // metadata caches with hit/miss accounting, and pluggable serving
 // topologies. Spindle broadcast and image pre-staging stop being
@@ -143,8 +144,9 @@ class MdsSimulator {
  public:
   explicit MdsSimulator(MdsConfig config);
 
-  /// Replay per-rank op streams (streams.size() ranks). Deterministic for
-  /// a fixed config + streams. Client caches warm across calls.
+  /// Replay per-rank op streams (streams.size() ranks), skipping Read
+  /// records. Deterministic for a fixed config + streams. Client caches
+  /// warm across calls.
   SimResult run(const std::vector<const std::vector<vfs::OpRecord>*>& streams);
   SimResult run(const std::vector<std::vector<vfs::OpRecord>>& streams);
 

@@ -219,6 +219,10 @@ class Run {
     const std::vector<vfs::OpRecord>& stream = *streams_[rank];
     while (next_op_[rank] < stream.size()) {
       const vfs::OpRecord& op = stream[next_op_[rank]];
+      if (op.kind == vfs::OpKind::Read) {  // data phase: not server traffic
+        ++next_op_[rank];
+        continue;
+      }
       if (config_.cache.enabled) {
         if (warm_[rank].count(op.path)) {
           clock_[rank] += config_.cache.hit_cost_s;

@@ -12,18 +12,6 @@ namespace depchaos::shrinkwrap {
 
 namespace {
 
-vfs::SyscallStats stats_delta(const vfs::SyscallStats& before,
-                              const vfs::SyscallStats& after) {
-  vfs::SyscallStats delta;
-  delta.stat_calls = after.stat_calls - before.stat_calls;
-  delta.open_calls = after.open_calls - before.open_calls;
-  delta.read_calls = after.read_calls - before.read_calls;
-  delta.readlink_calls = after.readlink_calls - before.readlink_calls;
-  delta.failed_probes = after.failed_probes - before.failed_probes;
-  delta.sim_time_s = after.sim_time_s - before.sim_time_s;
-  return delta;
-}
-
 struct Resolved {
   // BFS-ordered (name, absolute path) pairs, executable excluded.
   std::vector<std::pair<std::string, std::string>> closure;
@@ -121,7 +109,7 @@ WrapReport shrinkwrap(vfs::FileSystem& fs, loader::Loader& loader,
       }
     }
   }
-  report.wrap_cost = stats_delta(before, fs.stats());
+  report.wrap_cost = fs.stats() - before;
 
   for (const auto& [name, path] : resolved.closure) {
     report.resolved[name] = path;

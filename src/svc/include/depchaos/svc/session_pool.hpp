@@ -41,15 +41,15 @@
 //
 // Memoization under latency models: per-view cache warmth (NfsModel's
 // attribute cache) shows up in sim_time_s, so a memoized report cannot be
-// handed out verbatim when the base carries a LatencyModel. Instead of
-// disabling the memo (the old behaviour), the miss run records the exact
-// charge log — (op, hit, shared-vs-node-local route, path) for every
-// latency-charged operation — alongside the warmth-INDEPENDENT report
-// fields. A memo hit then replays that log through the hitting client's
-// own latency models: sim_time_s comes out exactly as if the client had
-// executed the load (including warming its attribute cache for subsequent
-// requests), while the resolution work is still done once fleet-wide.
-// Model-free pools keep the zero-copy shared-report fast path.
+// handed out verbatim when the base carries a LatencyModel. Instead, the
+// miss run records its vfs::OpTrace — every counted operation with its
+// hit and node-local attribution — alongside the warmth-INDEPENDENT
+// report fields. A memo hit copies the report and prices that trace
+// through the hitting client's own fork (vfs::FileSystem::replay_latency,
+// the same routing charging uses): sim_time_s comes out exactly as if the
+// client had executed the load (including warming its attribute cache for
+// subsequent requests), while the resolution work is still done once
+// fleet-wide. Model-free pools keep the zero-copy shared-report fast path.
 //
 // Backpressure: each shard's queue is bounded; past the high-water mark
 // submits fail fast with svc::Overloaded carrying a retry-after hint
@@ -320,7 +320,7 @@ class SessionPool {
   /// Whether Load dedup is active. Under a latency model the memo stays
   /// on and hits re-price sim_time_s per client (repricing_active()).
   bool memoization_enabled() const { return memo_enabled_; }
-  /// True when memo hits replay the recorded charge log through the
+  /// True when memo hits re-price the miss run's op trace through the
   /// client's own latency models (base carries a LatencyModel).
   bool repricing_active() const { return reprice_; }
   /// The shared base. Const access is safe while the pool is quiescent

@@ -30,69 +30,6 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// One latency-charged operation from a memo-miss run, exactly as
-/// FileSystem::charge routed it: `local` = the node-local model was
-/// charged (pre-staged mount), else the shared model. Replaying the log
-/// through another client's models re-prices sim_time_s for THAT client's
-/// cache warmth — and warms its caches the way executing the load would.
-struct ChargeRec {
-  vfs::OpKind op = vfs::OpKind::Stat;
-  bool hit = false;
-  bool local = false;
-  std::string path;
-};
-
-/// Decorator installed around the executing client's latency models for
-/// the duration of a memo-miss load: forwards every cost() to the wrapped
-/// model (charges and warmth are untouched) while appending the charge
-/// log the memo stores. clone() is disabled on purpose — run_load drives
-/// single-view Session::load only, and a silent un-recorded clone would
-/// corrupt the log.
-class RecordingModel final : public vfs::LatencyModel {
- public:
-  RecordingModel(std::shared_ptr<vfs::LatencyModel> inner, bool local,
-                 std::vector<ChargeRec>* log)
-      : inner_(std::move(inner)), local_(local), log_(log) {}
-
-  double cost(vfs::OpKind op, bool hit, const std::string& path) override {
-    log_->push_back(ChargeRec{op, hit, local_, path});
-    return inner_ ? inner_->cost(op, hit, path) : 0.0;
-  }
-  void clear_client_cache() override {
-    if (inner_) inner_->clear_client_cache();
-  }
-  std::shared_ptr<vfs::LatencyModel> clone() const override { return nullptr; }
-  std::string name() const override {
-    return inner_ ? inner_->name() : "recording";
-  }
-
- private:
-  std::shared_ptr<vfs::LatencyModel> inner_;
-  bool local_;
-  std::vector<ChargeRec>* log_;
-};
-
-/// Replay a recorded charge log against `fs`'s installed models,
-/// mirroring FileSystem::charge's routing: node-local records price
-/// through the local model (lazily a default LocalDiskModel, exactly like
-/// charge), everything else through the shared model. Returns the total
-/// simulated seconds — the hit's re-priced sim_time_s.
-double replay_charges(vfs::FileSystem& fs,
-                      const std::vector<ChargeRec>& log) {
-  double total = 0;
-  for (const ChargeRec& rec : log) {
-    if (rec.local) {
-      if (!fs.local_latency_model_ptr()) {
-        fs.set_local_latency_model(std::make_shared<vfs::LocalDiskModel>());
-      }
-      total += fs.local_latency_model_ptr()->cost(rec.op, rec.hit, rec.path);
-    } else if (vfs::LatencyModel* model = fs.latency_model()) {
-      total += model->cost(rec.op, rec.hit, rec.path);
-    }
-  }
-  return total;
-}
-
 }  // namespace
 
 std::string_view request_kind_name(RequestKind kind) {
@@ -214,8 +151,8 @@ struct SessionPool::MemoShard {
     /// every hit (zero copies); re-pricing pools copy it and patch
     /// stats.sim_time_s per client.
     std::shared_ptr<const loader::LoadReport> report;
-    /// The miss run's latency charge log (null on model-free pools).
-    std::shared_ptr<const std::vector<ChargeRec>> charges;
+    /// The miss run's op trace (null on model-free pools).
+    std::shared_ptr<const vfs::OpTrace> trace;
   };
   mutable std::shared_mutex mutex;
   std::unordered_map<std::string, Entry> map;
@@ -231,11 +168,11 @@ SessionPool::SessionPool(core::Session base, PoolConfig config)
   memo_enabled_ = config_.memoize_loads;
   // A latency model's per-view state (NfsModel's attribute cache) shows up
   // in sim_time_s, so memo hits cannot reuse the stored report verbatim:
-  // misses record their charge log and hits replay it through the client's
+  // misses record their op trace and hits replay it through the client's
   // own models. (Counters and load orders are warmth-transparent by the
-  // PR-3 dentry-cache contract, so everything else memoizes as-is.
-  // charge() only prices ops when the shared model is installed, which is
-  // why reprice_ keys on latency_model() alone.)
+  // PR-3 dentry-cache contract, so everything else memoizes as-is. Ops
+  // are priced only when the shared model is installed, which is why
+  // reprice_ keys on latency_model() alone.)
   reprice_ = base_.fs().latency_model() != nullptr;
   // Seal the fork family: freeze the base's overlay and dentry snapshot
   // once (observably what the old priming fork did) so every admission is
@@ -554,7 +491,7 @@ void SessionPool::execute(Shard& shard, Command& command) {
   // the report is a pure function of the exe (see header), so thousands of
   // clients loading the same closure cost one resolution fleet-wide. On a
   // model-free pool every hit receives the same immutable report object
-  // (no copies); under a latency model a hit replays the stored charge log
+  // (no copies); under a latency model a hit replays the stored op trace
   // through the client's own models, so sim_time_s (and the client's cache
   // warmth afterwards) is exactly what executing the load would produce.
   auto run_load =
@@ -569,10 +506,10 @@ void SessionPool::execute(Shard& shard, Command& command) {
           memo_lock.unlock();
           memo_hit = true;
           memo.hits.fetch_add(1, std::memory_order_relaxed);
-          if (!entry.charges) return entry.report;
+          if (!entry.trace) return entry.report;
           auto priced = std::make_shared<loader::LoadReport>(*entry.report);
           priced->stats.sim_time_s =
-              replay_charges(ensure_session().fs(), *entry.charges);
+              ensure_session().fs().replay_latency(*entry.trace);
           return priced;
         }
       }
@@ -580,35 +517,11 @@ void SessionPool::execute(Shard& shard, Command& command) {
       core::Session& session = ensure_session();
       MemoShard::Entry entry;
       if (reprice_) {
-        // Record the charge log while executing: wrap both installed
-        // models in forwarding recorders (costs and warmth unchanged),
-        // restore the originals afterwards. The local slot mirrors
-        // charge()'s lazy default when empty.
-        auto log = std::make_shared<std::vector<ChargeRec>>();
-        vfs::FileSystem& fs = session.fs();
-        std::shared_ptr<vfs::LatencyModel> orig = fs.latency_model_ptr();
-        std::shared_ptr<vfs::LatencyModel> orig_local =
-            fs.local_latency_model_ptr();
-        fs.set_latency_model(
-            std::make_shared<RecordingModel>(orig, /*local=*/false,
-                                             log.get()));
-        fs.set_local_latency_model(std::make_shared<RecordingModel>(
-            orig_local ? orig_local
-                       : std::make_shared<vfs::LocalDiskModel>(),
-            /*local=*/true, log.get()));
-        loader::LoadReport report;
-        try {
-          report = session.load(exe);
-        } catch (...) {
-          fs.set_latency_model(std::move(orig));
-          fs.set_local_latency_model(std::move(orig_local));
-          throw;
-        }
-        fs.set_latency_model(std::move(orig));
-        fs.set_local_latency_model(std::move(orig_local));
+        auto trace = std::make_shared<vfs::OpTrace>();
+        vfs::FileSystem::TraceScope scope(session.fs(), *trace);
         entry.report =
-            std::make_shared<const loader::LoadReport>(std::move(report));
-        entry.charges = std::move(log);
+            std::make_shared<const loader::LoadReport>(session.load(exe));
+        entry.trace = std::move(trace);
       } else {
         entry.report =
             std::make_shared<const loader::LoadReport>(session.load(exe));

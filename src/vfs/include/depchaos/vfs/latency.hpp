@@ -13,6 +13,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "depchaos/support/path_table.hpp"
+
 namespace depchaos::vfs {
 
 /// The metadata operations the loader issues while searching for libraries.
@@ -23,46 +25,47 @@ enum class OpKind : std::uint8_t {
   Readlink,  // symlink traversal
 };
 
-/// One recorded metadata operation (stat/open only — the storm traffic).
-/// `path` is a dense per-trace key assigned in first-appearance order, so
-/// a replayed trace is deterministic and a simulator can key client-side
-/// caches without carrying strings.
+/// One recorded counted operation (stat, open or read). `path` is a dense
+/// per-trace key assigned in first-appearance order, so a replayed trace is
+/// deterministic and a simulator can key client-side caches without
+/// carrying strings; OpTrace::id maps it back to the interned path.
 struct OpRecord {
   OpKind kind = OpKind::Stat;
   bool hit = false;         // the path existed
-  bool shared = false;      // fleet-wide substrate (FileSystem::MetaBreakdown
-                            // rules: read-only mounts, below-fork content,
-                            // failed probes)
+  bool shared = false;      // stat/open served by fleet-wide substrate
+                            // (read-only mounts, below-fork content, failed
+                            // probes); always false for reads
   bool node_local = false;  // served by a MountLatency::NodeLocal mount
                             // (pre-staged image on node-local storage)
   std::uint32_t path = 0;   // dense path key, stable within one trace
 };
 
-/// Append-only sink for the measured metadata op stream of one load
-/// (install with FileSystem::set_op_trace). This is the per-rank stream a
-/// launch-storm simulator (depchaos::mds) replays against a modelled
-/// metadata server: the op sequence is MEASURED, only op -> seconds is
-/// simulated.
+/// Append-only record of every counted operation a view issues while the
+/// trace is installed (FileSystem::TraceScope). It is the one record the
+/// fleet's shared/overlay split, the depchaos::mds launch-storm simulator
+/// (which replays the stat/open stream against a modelled metadata
+/// server) and svc's memo re-pricing (FileSystem::replay_latency) read:
+/// the op sequence is MEASURED, only op -> seconds is simulated.
 class OpTrace {
  public:
   void record(OpKind kind, bool hit, bool shared, bool node_local,
-              const std::string& path) {
+              support::PathId path) {
     const auto [it, inserted] =
-        keys_.emplace(path, static_cast<std::uint32_t>(keys_.size()));
+        keys_.try_emplace(path, static_cast<std::uint32_t>(ids_.size()));
+    if (inserted) ids_.push_back(path);
     ops_.push_back({kind, hit, shared, node_local, it->second});
   }
 
   const std::vector<OpRecord>& ops() const { return ops_; }
-  std::size_t size() const { return ops_.size(); }
-  std::size_t distinct_paths() const { return keys_.size(); }
-  void clear() {
-    ops_.clear();
-    keys_.clear();
-  }
+  std::size_t distinct_paths() const { return ids_.size(); }
+  /// The interned path of dense key `key` (valid in the recording view's
+  /// fork family).
+  support::PathId id(std::uint32_t key) const { return ids_[key]; }
 
  private:
   std::vector<OpRecord> ops_;
-  std::unordered_map<std::string, std::uint32_t> keys_;
+  std::vector<support::PathId> ids_;  // dense key -> PathId
+  std::unordered_map<support::PathId, std::uint32_t> keys_;
 };
 
 /// Cost model interface. Implementations may keep client-side cache state;
@@ -78,11 +81,9 @@ class LatencyModel {
   virtual void clear_client_cache() {}
 
   /// Duplicate this model (parameters AND current client-cache state) for
-  /// an isolated filesystem copy — what lets batched parallel loads charge
-  /// latency without sharing mutable cache state across threads. Models
-  /// that cannot be duplicated may return nullptr; callers needing
-  /// isolation (core::Session::load_many) then fall back to serial.
-  virtual std::shared_ptr<LatencyModel> clone() const { return nullptr; }
+  /// a forked view — what lets batched parallel loads charge latency
+  /// without sharing mutable cache state across threads.
+  virtual std::shared_ptr<LatencyModel> clone() const = 0;
 
   virtual std::string name() const = 0;
 };

@@ -108,6 +108,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "depchaos/support/error.hpp"
@@ -152,6 +153,9 @@ struct SyscallStats {
   std::uint64_t metadata_calls() const { return stat_calls + open_calls; }
 
   SyscallStats& operator+=(const SyscallStats& other);
+  /// Field-wise difference: the work done between two snapshots of one
+  /// view's counters (`after - before`).
+  SyscallStats operator-(const SyscallStats& before) const;
 };
 
 /// Normalize an absolute path: collapse '//', resolve '.' and '..'
@@ -209,10 +213,7 @@ class FileSystem {
   /// Subsequent mutations on either side are private to that side. The
   /// child gets the same inode numbering a deep copy would (so post-fork
   /// node allocations are byte-identical either way), zeroed syscall
-  /// counters, and its own latency model: a clone of this view's model
-  /// when the model supports clone(), else the shared pointer (callers
-  /// needing thread isolation with an uncloneable model must not fork
-  /// across threads — core::Session::load_many guards this).
+  /// counters, and its own clones of this view's latency models.
   FileSystem fork();
 
   /// Perform fork()'s parent-side mutations once: freeze the overlay,
@@ -280,12 +281,6 @@ class FileSystem {
   /// mounted there. Inherited by fork() and copies, like the rest of the
   /// mount table.
   void set_mount_latency(std::string_view point, MountLatency latency);
-
-  /// The cost model charged for NodeLocal-served operations (lazily a
-  /// default LocalDiskModel when unset). nullptr restores the default.
-  void set_local_latency_model(std::shared_ptr<LatencyModel> model) {
-    local_latency_ = std::move(model);
-  }
 
   /// Active mounts in mount order (the `mount(8)` listing).
   std::vector<MountInfo> mounts() const;
@@ -408,31 +403,38 @@ class FileSystem {
     return dentry_shared_ ? dentry_shared_->size() : 0;
   }
 
-  // ----- fleet-launch op attribution ---------------------------------------
+  // ----- op trace -----------------------------------------------------------
 
-  /// Shared-vs-private split of the counted metadata ops issued while a
-  /// sink is installed (launch::simulate_fleet_launch). "Shared" = served
-  /// by substrate identical across a sandbox fleet: read-only mounts
-  /// (images, masks, RO binds), content below the last fork boundary of a
-  /// writable mount or of this view's own storage, and failed probes (a
-  /// negative answer is the same for every rank, broadcast-amenable).
-  /// "Private" = per-view divergence: nodes created or CoW-shadowed since
-  /// the last fork (overlay upper writes, scratch tmpfs contents).
-  struct MetaBreakdown {
-    std::uint64_t shared_ops = 0;
-    std::uint64_t private_ops = 0;
+  /// Installs `trace` on `fs` for the guard's lifetime: every counted
+  /// operation (stat, open, read) is appended with its hit and node-local
+  /// attribution, and each stat/open with its shared flag. "Shared" =
+  /// served by substrate identical across a sandbox fleet: read-only
+  /// mounts (images, masks, RO binds), content below the last fork
+  /// boundary of a writable mount or of this view's own storage, and
+  /// failed probes (a negative answer is the same for every rank). The
+  /// rest is per-view divergence: nodes created or CoW-shadowed since the
+  /// last fork. The previous trace is restored on every exit, exceptions
+  /// included. Purely additive — counters, latency charges and answers are
+  /// untouched — and never inherited by fork() or copies.
+  class TraceScope {
+   public:
+    TraceScope(FileSystem& fs, OpTrace& trace)
+        : fs_(fs), previous_(std::exchange(fs.trace_, &trace)) {}
+    ~TraceScope() { fs_.trace_ = previous_; }
+    TraceScope(const TraceScope&) = delete;
+    TraceScope& operator=(const TraceScope&) = delete;
+
+   private:
+    FileSystem& fs_;
+    OpTrace* previous_;
   };
-  /// Install (nullptr removes) the attribution sink. Purely additive
-  /// accounting — counters, latency charges, and answers are untouched.
-  /// Not inherited by fork() or copies; the caller owns the sink lifetime.
-  void set_meta_breakdown(MetaBreakdown* sink) { breakdown_ = sink; }
 
-  /// Install (nullptr removes) an op-trace sink: every counted metadata op
-  /// (stat/open) is appended with its hit/shared/node-local attribution —
-  /// the measured per-rank stream the depchaos::mds queueing engine
-  /// replays. Purely additive, like set_meta_breakdown, and likewise never
-  /// inherited by fork() or copies.
-  void set_op_trace(OpTrace* sink) { trace_ = sink; }
+  /// Simulated seconds of `trace` (recorded by any view of this fork
+  /// family) priced through THIS view's latency models, exactly as
+  /// charging the same operations here would price them. Warms the
+  /// models' client caches like executing the operations; changes no
+  /// counter.
+  double replay_latency(const OpTrace& trace);
 
   /// Uncounted one-path classification under the same rules: true =
   /// shared substrate, false = per-view divergence, nullopt = the path
@@ -468,14 +470,6 @@ class FileSystem {
     latency_ = std::move(model);
   }
   LatencyModel* latency_model() const { return latency_.get(); }
-  /// Owning handles to the installed models (svc's memo re-pricing swaps
-  /// in recording decorators and must restore the originals afterwards).
-  const std::shared_ptr<LatencyModel>& latency_model_ptr() const {
-    return latency_;
-  }
-  const std::shared_ptr<LatencyModel>& local_latency_model_ptr() const {
-    return local_latency_;
-  }
 
   /// Drop client caches in the latency models (cold start).
   void clear_caches() {
@@ -640,16 +634,21 @@ class FileSystem {
   /// Allocate + link a child named `name` under directory `dir` (same
   /// store as `dir`); returns the tagged child.
   InodeNum create_child(InodeNum dir, std::string_view name, NodeType type);
-  /// `ino` (the resolved composed inode, 0 on a miss) feeds the optional
-  /// fleet-launch attribution sink and the node-local latency-class
-  /// routing; counters are unaffected by it.
-  void charge(OpKind op, bool hit, const std::string& path, InodeNum ino = 0);
+  /// Count and price one operation and append it to the installed trace.
+  /// `ino` (the resolved composed inode, 0 on a miss) feeds the trace's
+  /// shared attribution and the node-local latency-class routing; counters
+  /// are unaffected by it.
+  void charge(OpKind op, bool hit, PathId path, InodeNum ino = 0);
+  /// The latency routing rule: node-local operations price through the
+  /// node-local model (lazily a default LocalDiskModel), the rest through
+  /// the shared model; free when no shared model is installed.
+  double price(OpKind op, bool hit, PathId path, bool node_local);
   /// Was this operation served by a MountLatency::NodeLocal mount? Hits
   /// route by the owning mount (shared substrate only — overlay-private
   /// nodes always pay the shared-FS price); misses and reads attribute by
   /// the longest active node-local mountpoint prefix (a failed probe of a
   /// pre-staged image is a local negative).
-  bool op_is_node_local(InodeNum ino, bool hit, const std::string& path) const;
+  bool op_is_node_local(InodeNum ino, bool hit, PathId path) const;
   bool under_node_local_mount(const std::string& path) const;
   bool has_node_local_mount() const;
   void remove_subtree(InodeNum ino);
@@ -728,9 +727,7 @@ class FileSystem {
   // structural mutation and mount surgery; fork()/freeze_top()/collapse()
   // reset it explicitly because they move the fork boundary itself.
   mutable std::optional<std::string> fingerprint_;
-  // Fleet-launch attribution sink (set_meta_breakdown); never inherited.
-  MetaBreakdown* breakdown_ = nullptr;
-  // Measured op-stream sink (set_op_trace); never inherited.
+  // Installed op trace (TraceScope); never inherited.
   OpTrace* trace_ = nullptr;
 
   // The mount table (empty for ordinary worlds; every operation above is

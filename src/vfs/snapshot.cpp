@@ -283,7 +283,7 @@ void parse_nodes(Cursor& cur, FileSystem& fs) {
       n.type = NodeType::Regular;
       n.data.declared_size = parse_num(take_token(rest, "size"), "size");
       const std::uint64_t nbytes = parse_num(rest, "byte count");
-      if (cur.pos + nbytes > cur.image.size()) {
+      if (nbytes > cur.image.size() - cur.pos) {
         throw FsError("truncated node payload");
       }
       n.data.bytes = std::string(cur.image.substr(cur.pos, nbytes));
@@ -360,15 +360,11 @@ FileSystem load_world(std::string_view image) {
         throw FsError("malformed file record: " + std::string(line));
       }
       const std::string_view path = rest.substr(0, declared_pos);
-      std::uint64_t declared = 0, nbytes = 0;
-      const auto declared_text =
-          rest.substr(declared_pos + 1, size_pos - declared_pos - 1);
-      const auto nbytes_text = rest.substr(size_pos + 1);
-      std::from_chars(declared_text.data(),
-                      declared_text.data() + declared_text.size(), declared);
-      std::from_chars(nbytes_text.data(),
-                      nbytes_text.data() + nbytes_text.size(), nbytes);
-      if (pos + nbytes > image.size()) {
+      const std::uint64_t declared = parse_num(
+          rest.substr(declared_pos + 1, size_pos - declared_pos - 1), "size");
+      const std::uint64_t nbytes =
+          parse_num(rest.substr(size_pos + 1), "byte count");
+      if (nbytes > image.size() - pos) {
         throw FsError("truncated file payload: " + std::string(path));
       }
       FileData data;

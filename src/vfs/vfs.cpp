@@ -37,6 +37,17 @@ SyscallStats& SyscallStats::operator+=(const SyscallStats& other) {
   return *this;
 }
 
+SyscallStats SyscallStats::operator-(const SyscallStats& before) const {
+  SyscallStats delta;
+  delta.stat_calls = stat_calls - before.stat_calls;
+  delta.open_calls = open_calls - before.open_calls;
+  delta.read_calls = read_calls - before.read_calls;
+  delta.readlink_calls = readlink_calls - before.readlink_calls;
+  delta.failed_probes = failed_probes - before.failed_probes;
+  delta.sim_time_s = sim_time_s - before.sim_time_s;
+  return delta;
+}
+
 std::string normalize_path(std::string_view path) {
   if (path.empty() || path.front() != '/') {
     throw FsError("path must be absolute: '" + std::string(path) + "'");
@@ -201,14 +212,8 @@ FileSystem FileSystem::fork_sealed() const {
   child.dentry_enabled_ = dentry_enabled_;
   child.auto_collapse_ = auto_collapse_;
   child.dentry_snapshot_cap_ = dentry_snapshot_cap_;
-  if (latency_) {
-    auto clone = latency_->clone();
-    child.latency_ = clone ? std::move(clone) : latency_;
-  }
-  if (local_latency_) {
-    auto clone = local_latency_->clone();
-    child.local_latency_ = clone ? std::move(clone) : local_latency_;
-  }
+  if (latency_) child.latency_ = latency_->clone();
+  if (local_latency_) child.local_latency_ = local_latency_->clone();
   if (dentry_enabled_) {
     child.dentry_shared_ = dentry_shared_;
   }
@@ -560,8 +565,7 @@ bool FileSystem::overlay_delta_equal(const FileSystem& other) const {
   return true;
 }
 
-void FileSystem::charge(OpKind op, bool hit, const std::string& path,
-                        InodeNum ino) {
+void FileSystem::charge(OpKind op, bool hit, PathId path, InodeNum ino) {
   if (!counting_) return;
   // Latency-class routing: ops served by a pre-staged (NodeLocal) mount
   // charge the node-local cost model and are flagged in the op trace, so
@@ -569,14 +573,12 @@ void FileSystem::charge(OpKind op, bool hit, const std::string& path,
   // costs — pre-staging is no longer post-hoc extrapolation arithmetic.
   const bool node_local =
       has_node_local_mount() && op_is_node_local(ino, hit, path);
-  if (op == OpKind::Stat || op == OpKind::Open) {
-    // Failed probes are shared — a negative answer (missing path OR
-    // open of a non-regular node) is the same for every rank.
-    const bool shared = !hit || op_is_shared(ino);
-    if (breakdown_ != nullptr) {
-      ++(shared ? breakdown_->shared_ops : breakdown_->private_ops);
-    }
-    if (trace_ != nullptr) trace_->record(op, hit, shared, node_local, path);
+  if (trace_ != nullptr) {
+    // Failed probes are shared — a negative answer (missing path OR open
+    // of a non-regular node) is the same for every rank. Reads are data
+    // traffic and take no side of the metadata split.
+    const bool shared = op != OpKind::Read && (!hit || op_is_shared(ino));
+    trace_->record(op, hit, shared, node_local, path);
   }
   switch (op) {
     case OpKind::Stat:
@@ -595,14 +597,22 @@ void FileSystem::charge(OpKind op, bool hit, const std::string& path,
   if (!hit && (op == OpKind::Stat || op == OpKind::Open)) {
     ++stats_.failed_probes;
   }
-  if (latency_) {
-    if (node_local) {
-      if (!local_latency_) local_latency_ = std::make_shared<LocalDiskModel>();
-      stats_.sim_time_s += local_latency_->cost(op, hit, path);
-    } else {
-      stats_.sim_time_s += latency_->cost(op, hit, path);
-    }
+  stats_.sim_time_s += price(op, hit, path, node_local);
+}
+
+double FileSystem::price(OpKind op, bool hit, PathId path, bool node_local) {
+  if (!latency_) return 0;
+  if (!node_local) return latency_->cost(op, hit, paths_->str(path));
+  if (!local_latency_) local_latency_ = std::make_shared<LocalDiskModel>();
+  return local_latency_->cost(op, hit, paths_->str(path));
+}
+
+double FileSystem::replay_latency(const OpTrace& trace) {
+  double total = 0;
+  for (const OpRecord& op : trace.ops()) {
+    total += price(op.kind, op.hit, trace.id(op.path), op.node_local);
   }
+  return total;
 }
 
 InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,
@@ -866,7 +876,7 @@ bool FileSystem::under_node_local_mount(const std::string& path) const {
 }
 
 bool FileSystem::op_is_node_local(InodeNum ino, bool hit,
-                                  const std::string& path) const {
+                                  PathId path) const {
   if (hit && ino != 0) {
     const std::uint16_t m = mount_index(ino);
     if (m == 0) return false;
@@ -879,7 +889,7 @@ bool FileSystem::op_is_node_local(InodeNum ino, bool hit,
   // Miss (or unresolved read): a probe that dies inside a pre-staged
   // image's namespace is answered locally — the local negative the PR-5
   // follow-up asked for.
-  return under_node_local_mount(path);
+  return under_node_local_mount(paths_->str(path));
 }
 
 // ----- setup ---------------------------------------------------------------
@@ -1189,7 +1199,7 @@ std::optional<Stat> FileSystem::stat(PathId id) {
   } catch (const FsError&) {
     ino = 0;
   }
-  charge(OpKind::Stat, ino != 0, paths_->str(id), ino);
+  charge(OpKind::Stat, ino != 0, id, ino);
   if (ino == 0) return std::nullopt;
   const Node& n = node(ino);
   return Stat{ino, n.type, n.type == NodeType::Regular ? n.data.size() : 0};
@@ -1203,7 +1213,7 @@ std::optional<Stat> FileSystem::lstat(PathId id) {
   } catch (const FsError&) {
     ino = 0;
   }
-  charge(OpKind::Stat, ino != 0, paths_->str(id), ino);
+  charge(OpKind::Stat, ino != 0, id, ino);
   if (ino == 0) return std::nullopt;
   const Node& n = node(ino);
   return Stat{ino, n.type, n.type == NodeType::Regular ? n.data.size() : 0};
@@ -1218,13 +1228,13 @@ const FileData* FileSystem::open(PathId id) {
     ino = 0;
   }
   const bool hit = ino != 0 && node(ino).type == NodeType::Regular;
-  charge(OpKind::Open, hit, paths_->str(id), ino);
+  charge(OpKind::Open, hit, id, ino);
   if (!hit) return nullptr;
   return &node(ino).data;
 }
 
 void FileSystem::count_read(PathId id) {
-  charge(OpKind::Read, true, paths_->str(id));
+  charge(OpKind::Read, true, id);
 }
 
 }  // namespace depchaos::vfs

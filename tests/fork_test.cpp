@@ -566,26 +566,6 @@ TEST(SessionForkTest, ForkClonesStatefulLatencyModel) {
   EXPECT_GT(report.stats.sim_time_s, 0.0);
 }
 
-// A stateful model whose base-class clone() returns nullptr: load_many must
-// detect the shared pointer on the probe fork and fall back to serial.
-struct UncloneableModel final : vfs::LatencyModel {
-  double cost(vfs::OpKind, bool, const std::string&) override { return 1e-6; }
-  std::string name() const override { return "uncloneable"; }
-};
-
-TEST(SessionForkTest, LoadManyFallsBackToSerialWithUncloneableModel) {
-  auto builder = small_world();
-  builder.latency(std::make_shared<UncloneableModel>());
-  auto session = builder.build();
-  const std::vector<std::string> exes(3, session.default_exe());
-  const auto reports = session.load_many(exes);
-  ASSERT_EQ(reports.size(), exes.size());
-  for (const auto& report : reports) {
-    EXPECT_TRUE(report.success);
-    EXPECT_GT(report.stats.sim_time_s, 0.0);
-  }
-}
-
 TEST(SessionForkTest, LoadManyAfterForkStaysByteIdentical) {
   WorldBuilder builder;
   builder.install("/usr/lib/libcommon.so", make_library("libcommon.so"));

@@ -17,12 +17,14 @@ namespace {
 
 class LaunchTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    fs_.set_latency_model(std::make_shared<vfs::NfsModel>());
+  void SetUp() override { app_ = build_world(fs_); }
+
+  static workload::PynamicApp build_world(vfs::FileSystem& fs) {
+    fs.set_latency_model(std::make_shared<vfs::NfsModel>());
     workload::PynamicConfig config;
     config.num_modules = 120;  // scaled-down Pynamic
     config.exe_extra_bytes = 8ull << 20;
-    app_ = workload::generate_pynamic(fs_, config);
+    return workload::generate_pynamic(fs, config);
   }
 
   /// A bare launch at one rank count: the one-entry sweep.
@@ -141,6 +143,31 @@ TEST_F(LaunchTest, SweepReusesOneMeasurementByteIdentically) {
     EXPECT_EQ(sweep[i].meta_time_s, single.meta_time_s);
     EXPECT_EQ(sweep[i].total_time_s, single.total_time_s);
   }
+}
+
+TEST_F(LaunchTest, ThrowingQueueingSweepDetachesItsTrace) {
+  // The sweep records its load into a local trace; a load that throws
+  // (missing executable) must not leave that trace installed on the view,
+  // or the next counted op writes through a dangling pointer.
+  loader::Loader loader(fs_);
+  EXPECT_THROW(scaling_sweep_queueing(fs_, loader, "/apps/pynamic/missing",
+                                      {}, {64}),
+               FsError);
+  const loader::LoadReport after = loader.load(app_.exe_path);
+
+  vfs::FileSystem twin;
+  build_world(twin);
+  const loader::LoadReport expected = loader::Loader(twin).load(app_.exe_path);
+  ASSERT_TRUE(after.success);
+  ASSERT_EQ(after.load_order.size(), expected.load_order.size());
+  for (std::size_t i = 0; i < after.load_order.size(); ++i) {
+    EXPECT_EQ(after.load_order[i].path, expected.load_order[i].path);
+  }
+  EXPECT_EQ(after.stats.stat_calls, expected.stats.stat_calls);
+  EXPECT_EQ(after.stats.open_calls, expected.stats.open_calls);
+  EXPECT_EQ(after.stats.read_calls, expected.stats.read_calls);
+  EXPECT_EQ(after.stats.failed_probes, expected.stats.failed_probes);
+  EXPECT_EQ(after.stats.sim_time_s, expected.stats.sim_time_s);
 }
 
 // --------------------------------------------------- containerized launch

@@ -710,11 +710,12 @@ TEST_F(LoaderTest, LoadInternsOnlyProbedCandidates) {
   config.record_probes = true;
 
   vfs::OpTrace trace;
-  fs_.set_op_trace(&trace);
   const std::size_t before = fs_.paths().size();
-  const auto report = glibc(config).load("/bin/app");
+  const auto report = [&] {
+    vfs::FileSystem::TraceScope scope(fs_, trace);
+    return glibc(config).load("/bin/app");
+  }();
   const std::size_t after = fs_.paths().size();
-  fs_.set_op_trace(nullptr);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.stats.metadata_calls(), 4u);
   EXPECT_LE(after - before, trace.distinct_paths());

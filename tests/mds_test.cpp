@@ -304,5 +304,78 @@ TEST(MdsSim, RunOverloadsAgree) {
   EXPECT_EQ(a.batches, b.batches);
 }
 
+TEST(MdsTest, ReadRecordsAreNotServerTraffic) {
+  // Measured traces carry the data-phase reads after each open; the
+  // simulator must replay only the metadata stream. Interleave reads (on
+  // opened keys, on unseen keys, shared and node-local) into heterogeneous
+  // streams and compare every SimResult field across topologies, caching,
+  // stragglers and a warm second wave.
+  std::vector<std::vector<vfs::OpRecord>> meta;
+  for (std::uint32_t r = 0; r < 5; ++r) {
+    auto s = shared_stream(12 + 3 * r);
+    s.push_back(op(vfs::OpKind::Stat, /*hit=*/false, 500 + r));
+    s.push_back(op(vfs::OpKind::Open, /*hit=*/true, 600 + r,
+                   /*shared=*/false));
+    meta.push_back(std::move(s));
+  }
+  std::vector<std::vector<vfs::OpRecord>> with_reads;
+  for (const auto& stream : meta) {
+    std::vector<vfs::OpRecord> s = {
+        op(vfs::OpKind::Read, /*hit=*/true, 900, /*shared=*/false)};
+    for (const vfs::OpRecord& o : stream) {
+      s.push_back(o);
+      if (o.kind == vfs::OpKind::Open && o.hit) {
+        s.push_back(op(vfs::OpKind::Read, true, o.path, /*shared=*/false,
+                       /*node_local=*/o.path % 3 == 0));
+      }
+    }
+    s.push_back(op(vfs::OpKind::Read, true, 901, /*shared=*/true));
+    with_reads.push_back(std::move(s));
+  }
+
+  const auto expect_same = [](const SimResult& a, const SimResult& b) {
+    EXPECT_EQ(a.makespan_s, b.makespan_s);
+    EXPECT_EQ(a.server_requests, b.server_requests);
+    EXPECT_EQ(a.batches, b.batches);
+    EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+    EXPECT_EQ(a.mean_batch, b.mean_batch);
+    EXPECT_EQ(a.latency_mean_s, b.latency_mean_s);
+    EXPECT_EQ(a.latency_p50_s, b.latency_p50_s);
+    EXPECT_EQ(a.latency_p99_s, b.latency_p99_s);
+    EXPECT_EQ(a.latency_max_s, b.latency_max_s);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.cache_misses, b.cache_misses);
+    EXPECT_EQ(a.local_ops, b.local_ops);
+    EXPECT_EQ(a.relayed_ops, b.relayed_ops);
+    ASSERT_EQ(a.ranks.size(), b.ranks.size());
+    for (std::size_t r = 0; r < a.ranks.size(); ++r) {
+      EXPECT_EQ(a.ranks[r].finish_s, b.ranks[r].finish_s);
+      EXPECT_EQ(a.ranks[r].server_ops, b.ranks[r].server_ops);
+      EXPECT_EQ(a.ranks[r].cache_hits, b.ranks[r].cache_hits);
+      EXPECT_EQ(a.ranks[r].local_ops, b.ranks[r].local_ops);
+      EXPECT_EQ(a.ranks[r].relayed_ops, b.ranks[r].relayed_ops);
+    }
+  };
+
+  std::vector<MdsConfig> configs(4);
+  configs[1].cache.enabled = true;
+  configs[1].cache.negative_caching = true;
+  configs[1].service.dist = Dist::Uniform;
+  configs[1].start_delays = {0, 2e-5};
+  configs[2].topology = Topology::spindle();
+  configs[2].cache.enabled = true;
+  configs[3].topology = Topology::prestaged();
+  configs[3].service.dist = Dist::Pareto;
+  for (const MdsConfig& config : configs) {
+    MdsSimulator plain(config);
+    MdsSimulator traced(config);
+    for (int wave = 0; wave < 2; ++wave) {
+      expect_same(plain.run(meta), traced.run(with_reads));
+    }
+    expect_same(MdsSimulator(config).run_homogeneous(meta[1], 7),
+                MdsSimulator(config).run_homogeneous(with_reads[1], 7));
+  }
+}
+
 }  // namespace
 }  // namespace depchaos::mds

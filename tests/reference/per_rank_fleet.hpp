@@ -25,25 +25,26 @@
 
 namespace depchaos::reference {
 
-/// One rank's cold load inside its sandbox, with every stat/open
-/// attributed to the shared substrate or the rank's overlay, and every
-/// staged byte likewise. `trace` (optional) captures the op stream.
+/// One rank's cold load inside its sandbox, recorded into `trace`, with
+/// every stat/open attributed to the shared substrate or the rank's
+/// overlay, and every staged byte likewise.
 inline launch::RankMeasurement measure_rank_in_sandbox(
-    core::Session& sandbox, const std::string& exe, vfs::OpTrace* trace) {
+    core::Session& sandbox, const std::string& exe, vfs::OpTrace& trace) {
   vfs::FileSystem& fs = sandbox.fs();
-  vfs::FileSystem::MetaBreakdown split;
-  fs.set_meta_breakdown(&split);
-  fs.set_op_trace(trace);
   fs.clear_caches();
-  const loader::LoadReport report = sandbox.load(exe);
-  fs.set_meta_breakdown(nullptr);
-  fs.set_op_trace(nullptr);
+  loader::LoadReport report;
+  {
+    vfs::FileSystem::TraceScope scope(fs, trace);
+    report = sandbox.load(exe);
+  }
 
   launch::RankMeasurement rank;
   rank.load_succeeded = report.success;
   rank.meta_ops = report.stats.metadata_calls();
-  rank.shared_meta_ops = split.shared_ops;
-  rank.overlay_meta_ops = split.private_ops;
+  for (const vfs::OpRecord& op : trace.ops()) {
+    if (op.kind == vfs::OpKind::Read) continue;
+    ++(op.shared ? rank.shared_meta_ops : rank.overlay_meta_ops);
+  }
   for (const auto& obj : report.load_order) {
     const vfs::FileData* data = fs.peek(obj.path);
     if (data == nullptr) continue;
@@ -72,9 +73,7 @@ inline launch::LaunchResult per_rank_fleet_launch(
   result.sandboxed = true;
   result.load_succeeded = true;
   result.ranks_measured = nprocs;
-  if (traces != nullptr) {
-    traces->assign(static_cast<std::size_t>(nprocs), vfs::OpTrace{});
-  }
+  if (traces != nullptr) traces->clear();
   std::uint64_t shared_bytes = 0, overlay_bytes = 0;
   for (int r = 0; r < nprocs; ++r) {
     core::Session sandbox = session.sandbox(spec);
@@ -83,10 +82,10 @@ inline launch::LaunchResult per_rank_fleet_launch(
       sandbox.fs().set_mount_latency(spec.image_mount,
                                      vfs::MountLatency::NodeLocal);
     }
-    const launch::RankMeasurement m = measure_rank_in_sandbox(
-        sandbox, exe,
-        traces != nullptr ? &(*traces)[static_cast<std::size_t>(r)]
-                          : nullptr);
+    vfs::OpTrace trace;
+    const launch::RankMeasurement m =
+        measure_rank_in_sandbox(sandbox, exe, trace);
+    if (traces != nullptr) traces->push_back(std::move(trace));
     result.load_succeeded = result.load_succeeded && m.load_succeeded;
     result.fleet_meta_ops += m.meta_ops;
     result.fleet_bytes += m.bytes;

@@ -230,6 +230,12 @@ TEST(FleetSnapshot, RejectsMalformedImages) {
   EXPECT_THROW(load_fleet("DCWORLD2\nimages 1\nimage 0 3 2\n"
                           "node 1 dir 1\nc 2 f\nnode 2 file 0 100\nshort"),
                FsError);
+  // A payload length near 2^64 must not wrap the bounds check.
+  EXPECT_THROW(load_fleet("DCWORLD2\nimages 1\nimage 0 3 2\n"
+                          "node 1 dir 1\nc 2 f\n"
+                          "node 2 file 0 18446744073709551615\n"
+                          "endimage\nviews 0\n"),
+               FsError);
   // Unknown node kind.
   EXPECT_THROW(load_fleet("DCWORLD2\nimages 1\nimage 0 3 2\n"
                           "node 1 dir 0\nnode 2 blob\nendimage\nviews 0\n"),
@@ -249,6 +255,14 @@ TEST(FleetSnapshot, RejectsMalformedImages) {
 
 TEST(Snapshot, RejectsTruncatedPayload) {
   EXPECT_THROW(load_world("DCWORLD1\nfile /x 0 100\nshort"), FsError);
+  // A length near 2^64 must not wrap the bounds check.
+  EXPECT_THROW(load_world("DCWORLD1\nfile /a 0 18446744073709551615\n"
+                          "dir /b\n"),
+               FsError);
+  // Sizes and lengths are whole unsigned numbers.
+  EXPECT_THROW(load_world("DCWORLD1\nfile /a 12abc 3\nabc\n"), FsError);
+  EXPECT_THROW(load_world("DCWORLD1\nfile /a -5 3\nabc\n"), FsError);
+  EXPECT_THROW(load_world("DCWORLD1\nfile /a 5 3x\nabc\n"), FsError);
 }
 
 TEST(Snapshot, RejectsUnknownRecord) {

@@ -199,6 +199,49 @@ TEST(SessionPool, MemoizationStaysOnUnderLatencyModelWithRepricing) {
   EXPECT_GE(stats.memo_misses, 1u);
 }
 
+TEST(SessionPool, RepricedHitOverPrestagedMountPricesLikeExecution) {
+  // A sandbox of the samba host under NFS with a 20-module Pynamic image
+  // at "/". Marked NodeLocal (pre-staged), the image's ops price through
+  // the node-local model, and a re-priced memo hit must route them the
+  // same way executing the load does.
+  workload::PynamicConfig app;
+  app.num_modules = 20;
+  const auto make_base = [&](bool prestaged) {
+    WorldBuilder image;
+    image.pynamic(app);
+    core::SandboxSpec spec;
+    spec.exe = image.pynamic_info()->exe_path;
+    spec.image = image.build_image();
+    spec.image_mount = "/";
+    WorldBuilder host;
+    Session host_session = host.samba().nfs().build();
+    Session sandbox = host_session.sandbox(spec);
+    if (prestaged) {
+      sandbox.fs().set_mount_latency("/", vfs::MountLatency::NodeLocal);
+    }
+    return sandbox;
+  };
+
+  Session reference = make_base(true);
+  reference.seal();  // mirror the pool's ctor seal
+  const double direct = reference.fork_sealed().load().stats.sim_time_s;
+
+  SessionPool pool(make_base(true));
+  const auto miss = pool.submit_load(1, "").get();
+  const auto hit = pool.submit_load(2, "").get();
+  pool.drain();
+  ASSERT_TRUE(miss.success);
+  EXPECT_EQ(pool.stats().memo_hits, 1u);
+  EXPECT_NEAR(miss.stats.sim_time_s, direct, 1e-9);
+  EXPECT_NEAR(hit.stats.sim_time_s, direct, 1e-9);
+
+  SessionPool shared(make_base(false));
+  const auto shared_miss = shared.submit_load(1, "").get();
+  const auto shared_hit = shared.submit_load(2, "").get();
+  EXPECT_LT(miss.stats.sim_time_s, shared_miss.stats.sim_time_s);
+  EXPECT_LT(hit.stats.sim_time_s, shared_hit.stats.sim_time_s);
+}
+
 TEST(SessionPool, ShrinkwrapIsolatedPerClientAndFifoOrdered) {
   WorldBuilder twin_a;
   install_fleet(twin_a, 2);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "depchaos/elf/patcher.hpp"
+#include "depchaos/loader/loader.hpp"
 #include "depchaos/vfs/vfs.hpp"
 
 namespace depchaos::vfs {
@@ -449,6 +451,44 @@ TEST(Vfs, DentryCacheInvalidatedByMutations) {
   fs.remove("/usr/lib/liblink.so");
   fs.symlink("/elsewhere", "/usr/lib/liblink.so");
   EXPECT_FALSE(fs.stat("/usr/lib/liblink.so").has_value());  // dangling now
+}
+
+// ---------------------------------------------------------------- op trace
+
+TEST(OpTraceTest, ReplayLatencyPricesLikeCharging) {
+  FileSystem base;
+  base.set_latency_model(std::make_shared<NfsModel>());
+  elf::install_object(base, "/deps/b/libx.so", elf::make_library("libx.so"));
+  elf::install_object(
+      base, "/bin/app",
+      elf::make_executable({"libx.so"}, {"/deps/a", "/deps/b", "/deps/c"}));
+  base.seal();
+
+  FileSystem traced = base.fork_sealed();
+  OpTrace trace;
+  const loader::LoadReport report = [&] {
+    FileSystem::TraceScope scope(traced, trace);
+    return loader::Loader(traced).load("/bin/app");
+  }();
+  ASSERT_TRUE(report.success);
+  ASSERT_GT(report.stats.failed_probes, 0u);
+  ASSERT_GT(report.stats.read_calls, 0u);
+  EXPECT_EQ(trace.ops().size(),
+            report.stats.metadata_calls() + report.stats.read_calls);
+
+  // A cold sibling prices the trace exactly as the load was charged, and
+  // the replay warms its NFS attribute cache: a second replay is cheaper.
+  FileSystem sibling = base.fork_sealed();
+  const double cold = sibling.replay_latency(trace);
+  EXPECT_DOUBLE_EQ(cold, report.stats.sim_time_s);
+  const double warm = sibling.replay_latency(trace);
+  EXPECT_LT(warm, cold);
+
+  const SyscallStats& counters = sibling.stats();
+  EXPECT_EQ(counters.metadata_calls(), 0u);
+  EXPECT_EQ(counters.read_calls, 0u);
+  EXPECT_EQ(counters.failed_probes, 0u);
+  EXPECT_EQ(counters.sim_time_s, 0.0);
 }
 
 }  // namespace
