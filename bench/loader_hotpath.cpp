@@ -16,10 +16,19 @@
 // non-zero on regression, so CI runs it next to fork_scaling
 // (DEPCHAOS_SMOKE=1 shrinks the worlds for the quick mode). Full load()
 // closure throughput is reported for context.
+//
+// Warm forks: a session that already loaded every exe is sealed, so its
+// fork-shared dentry snapshot holds the whole candidate storm, failed
+// probes included. The bench times the first load on a fresh fork of it
+// and a second load on that same fork, interleaved fork by fork. The
+// snapshot answers positive and negative walks alike, so the first load
+// should walk nothing; the second gate requires the pynamic first-load
+// rate to be >= 0.85x the second-load rate.
 
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -132,9 +141,41 @@ double loads_per_sec(core::Session& session,
   return static_cast<double>(exes.size()) * rounds / seconds_since(start);
 }
 
-/// Measure one world; returns the cached/baseline speedup.
-double report_world(const char* world_name, core::Session& session,
-                    const std::vector<std::string>& exes) {
+struct WarmForkRates {
+  double first = 0;   // loads/s, first load on a fresh fork
+  double second = 0;  // loads/s, second load on the same fork
+};
+
+/// Loads every exe, seals `session`, then for each (round, exe) stamps a
+/// fresh fork and times its first and its second load of that exe.
+WarmForkRates warm_fork_loads_per_sec(core::Session& session,
+                                      const std::vector<std::string>& exes,
+                                      int rounds) {
+  for (const auto& exe : exes) session.load(exe);
+  session.seal();
+  double first_s = 0;
+  double second_s = 0;
+  for (int round = 0; round < rounds; ++round) {
+    for (const auto& exe : exes) {
+      core::Session fork = session.fork_sealed();
+      auto start = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(fork.load(exe).load_order.size());
+      first_s += seconds_since(start);
+      start = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(fork.load(exe).load_order.size());
+      second_s += seconds_since(start);
+    }
+  }
+  const double loads = static_cast<double>(exes.size()) * rounds;
+  return {loads / first_s, loads / second_s};
+}
+
+/// Measure one world; returns the cached/baseline speedup and the
+/// warm-fork first/second load-rate ratio.
+std::pair<double, double> report_world(const char* world_name,
+                                       core::Session& session,
+                                       const std::vector<std::string>& exes,
+                                       int fork_rounds) {
   using depchaos::bench::fmt;
   using depchaos::bench::row;
 
@@ -156,7 +197,16 @@ double report_world(const char* world_name, core::Session& session,
   row(std::string(world_name) + " speedup", fmt(speedup, 2) + "x");
   row(std::string(world_name) + " load() closures/s",
       fmt(loads_per_sec(session, exes, smoke_mode() ? 2 : 4), 0));
-  return speedup;
+
+  const WarmForkRates warm =
+      warm_fork_loads_per_sec(session, exes, fork_rounds);
+  const double warm_ratio = warm.second > 0 ? warm.first / warm.second : 0.0;
+  row(std::string(world_name) + " warm fork: first load/s", fmt(warm.first, 0));
+  row(std::string(world_name) + " warm fork: second load/s",
+      fmt(warm.second, 0));
+  row(std::string(world_name) + " warm fork: first/second",
+      fmt(warm_ratio, 2) + "x");
+  return {speedup, warm_ratio};
 }
 
 int print_report() {
@@ -167,17 +217,24 @@ int print_report() {
   auto debian = make_debian_session();
   const auto debian_targets = debian_exes(smoke_mode() ? 24 : 64);
   const double debian_speedup =
-      report_world("debian", debian, debian_targets);
+      report_world("debian", debian, debian_targets, smoke_mode() ? 20 : 40)
+          .first;
 
   auto pynamic = make_pynamic_session();
   const std::vector<std::string> pynamic_targets{pynamic.default_exe()};
-  report_world("pynamic", pynamic, pynamic_targets);
+  const double pynamic_warm_ratio =
+      report_world("pynamic", pynamic, pynamic_targets,
+                   smoke_mode() ? 400 : 100)
+          .second;
 
   heading("acceptance gate");
-  const bool gate_ok = debian_speedup >= 2.0;
+  const bool speedup_ok = debian_speedup >= 2.0;
   row(">= 2x resolves/s over string baseline (debian)",
-      gate_ok ? "PASS" : "FAIL — hot-path regression");
-  return gate_ok ? 0 : 1;
+      speedup_ok ? "PASS" : "FAIL — hot-path regression");
+  const bool warm_ok = pynamic_warm_ratio >= 0.85;
+  row(">= 0.85x second-load rate for a warm fork's first load (pynamic)",
+      warm_ok ? "PASS" : "FAIL — a fresh fork re-walks its parent's probes");
+  return speedup_ok && warm_ok ? 0 : 1;
 }
 
 void BM_StatInternedCached(benchmark::State& state) {

@@ -97,7 +97,6 @@ enum class WireKind : std::uint8_t {
 };
 inline constexpr std::uint8_t kWireKindMax =
     static_cast<std::uint8_t>(WireKind::Shutdown);
-std::string_view wire_kind_name(WireKind kind);
 
 enum class WireStatus : std::uint8_t {
   Ok = 0,
@@ -139,8 +138,6 @@ QueryResult decode_query_result(std::string_view bytes);
 
 std::string encode_request_frame(WireKind kind, ClientId client,
                                  std::uint64_t seq, std::string_view payload);
-std::string encode_response_frame(WireStatus status, WireKind kind,
-                                  std::uint64_t seq, std::string_view payload);
 
 /// One decoded response frame (header + raw payload). Typed accessors on
 /// WireClient decode the payload; byte-identity tests compare it raw.

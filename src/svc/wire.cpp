@@ -312,28 +312,6 @@ void put_response_header(std::string& out, WireStatus status, WireKind kind,
 
 }  // namespace
 
-std::string_view wire_kind_name(WireKind kind) {
-  switch (kind) {
-    case WireKind::Load:
-      return "load";
-    case WireKind::LoadMany:
-      return "load_many";
-    case WireKind::Whatif:
-      return "whatif";
-    case WireKind::Shrinkwrap:
-      return "shrinkwrap";
-    case WireKind::Query:
-      return "query";
-    case WireKind::Release:
-      return "release";
-    case WireKind::Reset:
-      return "reset";
-    case WireKind::Shutdown:
-      return "shutdown";
-  }
-  return "?";
-}
-
 std::string encode_load_report(const loader::LoadReport& report) {
   std::string out;
   put_load_report(out, report);
@@ -429,15 +407,6 @@ std::string encode_request_frame(WireKind kind, ClientId client,
   put_u64(out, client);
   put_u64(out, seq);
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload);
-  return out;
-}
-
-std::string encode_response_frame(WireStatus status, WireKind kind,
-                                  std::uint64_t seq, std::string_view payload) {
-  std::string out;
-  out.reserve(kWireResponseHeaderBytes + payload.size());
-  put_response_header(out, status, kind, seq, payload.size());
   out.append(payload);
   return out;
 }

@@ -27,9 +27,8 @@
 // umounted (inactive) mount-table slots are compacted away on restore, so
 // a view with umount history may renumber the mount-index bits of its
 // COMPOSED inode numbers (stored worlds are unaffected); and a view
-// flattened by the fork() auto-collapse threshold no longer shares layers
-// with its base and is rejected — raise set_auto_collapse on worlds that
-// must stay fleet-saveable across deep fork chains.
+// flattened by fork()'s auto-collapse (a child more than 64 layers deep)
+// no longer shares layers with its base and is rejected.
 //
 // DCWORLD2 grammar (line-oriented; <raw> spans are length-prefixed):
 //   DCWORLD2

@@ -28,13 +28,13 @@
 // directories (the loader's candidate storm) skip the overlay -> base
 // chain entirely; the cache is dropped on any mutation. At a fork
 // boundary the memo is frozen into an immutable shared snapshot both
-// sides keep consulting (positive entries only — content is identical at
-// the fork point), so a forked fleet starts warm; the first mutation on a
-// side drops that side's snapshot reference (copy-on-invalidate).
-// collapse() flattens a long fork chain back into a single layer (inode
-// numbers and observable content preserved, so cached dentries stay
-// valid); fork() does it automatically past a configurable layer-depth
-// threshold.
+// sides keep consulting (positive and negative entries — content is
+// identical at the fork point), so a forked fleet starts warm; the first
+// mutation on a side drops that side's snapshot reference
+// (copy-on-invalidate). collapse() flattens a long fork chain back into a
+// single layer (inode numbers and observable content preserved, so cached
+// dentries stay valid); fork() does it automatically once a child would
+// be more than 64 layers deep.
 //
 // Mount model: a view optionally composes MOUNTED filesystems under its
 // path namespace, real mount-table style. Each mount attaches another
@@ -385,24 +385,6 @@ class FileSystem {
   void set_dentry_cache(bool enabled);
   bool dentry_cache_enabled() const { return dentry_enabled_; }
 
-  /// Dentry snapshot generations: at a fork boundary the warm-start
-  /// snapshot normally merges every prior generation's walk results, so a
-  /// long fork chain can carry entries for paths nothing resolves anymore.
-  /// Past `cap` merged entries the snapshot is instead REBUILT from the
-  /// current generation alone — the entries walked or re-hit since the
-  /// last fork (shared-snapshot hits are promoted into the private map
-  /// precisely so a rebuild keeps the still-hot paths). The cache stays
-  /// transparent either way: a shed entry is simply re-walked. A single
-  /// generation larger than the cap is kept whole (the cap bounds
-  /// cross-generation accumulation, not one generation's working set).
-  /// 0 = uncapped. Inherited by forks and copies. Default: 1 << 16.
-  void set_dentry_snapshot_cap(std::size_t cap) { dentry_snapshot_cap_ = cap; }
-  std::size_t dentry_snapshot_cap() const { return dentry_snapshot_cap_; }
-  /// Entries currently frozen in the fork-shared snapshot (test hook).
-  std::size_t dentry_snapshot_entries() const {
-    return dentry_shared_ ? dentry_shared_->size() : 0;
-  }
-
   // ----- op trace -----------------------------------------------------------
 
   /// Installs `trace` on `fs` for the guard's lifetime: every counted
@@ -502,15 +484,11 @@ class FileSystem {
   /// dentries remain valid; the cost is O(world) time and owned bytes —
   /// after a collapse this view no longer shares storage with its fork
   /// family. Long fork chains (overlay-on-overlay-on-…) pay a per-lookup
-  /// chain walk; collapsing trades one flatten for flat lookups.
+  /// chain walk; collapsing trades one flatten for flat lookups. fork()
+  /// and fork_sealed() collapse the CHILD on the spot when its
+  /// layer_depth() would exceed 64 (the parent keeps its chain, so fork()
+  /// stays O(1) for the caller).
   void collapse();
-
-  /// Auto-collapse policy: when a fork() would hand back a child whose
-  /// layer_depth() exceeds `threshold`, the CHILD is collapsed on the spot
-  /// (the parent view keeps its chain — fork() stays O(1) for the caller).
-  /// 0 disables. Inherited by forks. Default: 64.
-  void set_auto_collapse(std::size_t threshold) { auto_collapse_ = threshold; }
-  std::size_t auto_collapse() const { return auto_collapse_; }
 
  private:
   // Raw storage access for the DCWORLD2 snapshot codec (snapshot.cpp):
@@ -695,22 +673,21 @@ class FileSystem {
   using DentryMap = std::unordered_map<std::uint64_t, Dentry>;
   // Two-level memo. `dentry_` is per-view and private: new walk results
   // land here. `dentry_shared_` is an immutable snapshot frozen at the
-  // last fork boundary, consulted for POSITIVE entries only — every view
-  // sharing it has identical content for those paths until it mutates.
-  // Invalidation (mutable_node — the single choke point every structural
-  // change goes through — and mount-table surgery) drops the private map
-  // AND this view's snapshot reference (copy-on-invalidate: siblings keep
-  // theirs). Mutable because resolution memoizes inside const read paths.
+  // last fork boundary, consulted for every entry it holds, positive or
+  // negative — every view sharing it has identical content until it
+  // mutates. A key lives in at most one of the two maps (a walk runs only
+  // when both miss). At most one entry per (interned path, follow) pair,
+  // so the interner's fixed capacity bounds both. Invalidation
+  // (mutable_node — the single choke point every structural change goes
+  // through — mount-table surgery, and set_dentry_cache) drops the
+  // private map AND this view's snapshot reference (copy-on-invalidate:
+  // siblings keep theirs). Mutable because resolution memoizes inside
+  // const read paths.
   mutable DentryMap dentry_;
   std::shared_ptr<const DentryMap> dentry_shared_;
-  // Keys present in BOTH maps this generation (capped mode only):
-  // promoted positive hits plus re-walked shared negatives. The fork
-  // merge subtracts them to size the true union exactly.
-  mutable std::size_t dentry_dup_ = 0;
   void invalidate_dentries() {
     dentry_.clear();
     dentry_shared_.reset();
-    dentry_dup_ = 0;
     fingerprint_.reset();
     sealed_ = false;  // any invalidation means the substrate may change
   }
@@ -720,8 +697,6 @@ class FileSystem {
   // concurrently. Cleared at the invalidate_dentries choke point, at node
   // allocation, and at collapse().
   bool sealed_ = false;
-  std::size_t auto_collapse_ = 64;
-  std::size_t dentry_snapshot_cap_ = 1 << 16;
   // Memoized overlay_fingerprint (mutable: computed inside const reads).
   // Reset wherever the delta can change: invalidate_dentries covers every
   // structural mutation and mount surgery; fork()/freeze_top()/collapse()

@@ -10,6 +10,9 @@ namespace depchaos::vfs {
 
 namespace {
 constexpr int kMaxSymlinkHops = 40;  // Linux ELOOP limit
+// fork() collapses a child whose layer chain would be deeper than this:
+// past it the chain walk under every dentry miss starts to dominate.
+constexpr std::size_t kAutoCollapseDepth = 64;
 constexpr support::PathId kNoPath = support::PathTable::kNone;
 }  // namespace
 
@@ -112,8 +115,6 @@ FileSystem::FileSystem(const FileSystem& other) {
   // the dentry cache is a per-view memo and starts cold.
   paths_ = other.paths_;
   dentry_enabled_ = other.dentry_enabled_;
-  auto_collapse_ = other.auto_collapse_;
-  dentry_snapshot_cap_ = other.dentry_snapshot_cap_;
   // Mount table: immutable backings are shared (never copied); writable
   // backings get the same deep-copy treatment as the host storage.
   mounts_.reserve(other.mounts_.size());
@@ -163,30 +164,18 @@ FileSystem FileSystem::fork() {
 
 void FileSystem::seal() {
   freeze_top();
-  // Dentry warm start: freeze the memo into an immutable snapshot every
-  // future child keeps consulting (content is identical at the seal point,
-  // so every entry stays valid until a side mutates — which drops only
-  // that side's snapshot reference). The private map restarts empty so
-  // concurrent forked workers never write a shared structure.
+  // Dentry warm start: merge the private memo into a new immutable
+  // snapshot every future child keeps consulting (content is identical at
+  // the seal point, so every entry — positive or negative — stays valid
+  // until a side mutates, which drops only that side's snapshot
+  // reference). The private map restarts empty so concurrent forked
+  // workers never write a shared structure.
   if (dentry_enabled_ && !dentry_.empty()) {
-    // Snapshot generations: merging every generation forever lets a long
-    // fork chain carry dead entries. Past the cap, rebuild age-based —
-    // only this generation's entries (fresh walks plus promoted shared
-    // hits, i.e. everything actually touched since the last fork)
-    // survive; untouched carry-overs are shed and simply re-walked on
-    // demand.
-    // Keys living in BOTH maps (promoted hits, re-walked negatives)
-    // are subtracted so the merged size is the exact union and a
-    // working set under the cap never rebuilds.
-    const std::size_t carried = dentry_shared_ ? dentry_shared_->size() : 0;
-    const std::size_t merged = dentry_.size() + carried - dentry_dup_;
-    if (carried != 0 &&
-        (dentry_snapshot_cap_ == 0 || merged <= dentry_snapshot_cap_)) {
+    if (dentry_shared_) {
       dentry_.insert(dentry_shared_->begin(), dentry_shared_->end());
     }
     dentry_shared_ = std::make_shared<const DentryMap>(std::move(dentry_));
     dentry_ = DentryMap{};
-    dentry_dup_ = 0;
   }
   // Writable mount backings are part of the forkable state: seal them too
   // so fork_sealed() can stamp their children without mutating them.
@@ -210,13 +199,9 @@ FileSystem FileSystem::fork_sealed() const {
   child.counting_ = counting_;
   child.paths_ = paths_;  // one interner per fork family
   child.dentry_enabled_ = dentry_enabled_;
-  child.auto_collapse_ = auto_collapse_;
-  child.dentry_snapshot_cap_ = dentry_snapshot_cap_;
   if (latency_) child.latency_ = latency_->clone();
   if (local_latency_) child.local_latency_ = local_latency_->clone();
-  if (dentry_enabled_) {
-    child.dentry_shared_ = dentry_shared_;
-  }
+  child.dentry_shared_ = dentry_shared_;  // null while the cache is off
   // Mount table: share read-only backings, stamp sealed children of
   // writable ones so per-view divergence stays in the view. Mount indices
   // — baked into tagged inode numbers, including the warm dentries — are
@@ -230,12 +215,9 @@ FileSystem FileSystem::fork_sealed() const {
     child.mounts_.push_back(std::move(copy));
   }
   child.mount_at_ = mount_at_;
-  // Layer compaction: past the threshold the chain walk under every cache
-  // miss starts to dominate, so flatten the CHILD (the view that carries
-  // the chain forward); the parent stays O(1) as fork() promises.
-  if (auto_collapse_ != 0 && child.layer_depth() > auto_collapse_) {
-    child.collapse();
-  }
+  // Layer compaction: flatten the CHILD (the view that carries the chain
+  // forward); the parent stays O(1) as fork() promises.
+  if (child.layer_depth() > kAutoCollapseDepth) child.collapse();
   return child;
 }
 
@@ -628,31 +610,17 @@ InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,
     return root_ino();
   }
   const std::uint64_t key = dentry_key(id, follow_final);
-  bool key_in_snapshot = false;  // re-walked negative: lives in both maps
   if (dentry_enabled_) {
+    // The private memo first, then the fork-shared snapshot: a key lives
+    // in at most one of them, and either answers positive and negative
+    // walks alike.
     const Dentry* hit = nullptr;
     if (const auto it = dentry_.find(key); it != dentry_.end()) {
       hit = &it->second;
     } else if (dentry_shared_) {
-      // The fork-shared snapshot serves POSITIVE entries only; negative
-      // results are re-walked and memoized privately.
       if (const auto sit = dentry_shared_->find(key);
           sit != dentry_shared_->end()) {
-        if (sit->second.ino != 0) {
-          hit = &sit->second;
-          // Recency for the snapshot cap: a served entry is young.
-          // Promote it into the private map so an age-based rebuild at
-          // the next fork keeps the paths this generation touched, not
-          // only the ones it re-walked. (`hit` stays valid: it points
-          // into the shared map.) Pointless when uncapped — fork merges
-          // everything anyway.
-          if (dentry_snapshot_cap_ != 0 &&
-              dentry_.emplace(key, sit->second).second) {
-            ++dentry_dup_;
-          }
-        } else {
-          key_in_snapshot = true;
-        }
+        hit = &sit->second;
       }
     }
     if (hit != nullptr) {
@@ -706,13 +674,7 @@ InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,
     }
   }
   if (dentry_enabled_) {
-    const bool inserted =
-        dentry_.emplace(key, Dentry{result, result_canon, hops - hops_before})
-            .second;
-    // A re-walked shared-snapshot negative now sits in both maps too.
-    if (inserted && key_in_snapshot && dentry_snapshot_cap_ != 0) {
-      ++dentry_dup_;
-    }
+    dentry_.emplace(key, Dentry{result, result_canon, hops - hops_before});
   }
   if (canonical) *canonical = result_canon;
   return result;

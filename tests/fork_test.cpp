@@ -362,33 +362,40 @@ TEST(FsForkTest, CollapseFlattensPreservingObservables) {
 }
 
 TEST(FsForkTest, AutoCollapseBoundsChainDepth) {
-  FileSystem fs;
-  fs.write_file("/f", "seed");
-  fs.set_auto_collapse(3);
   // Each generation mutates (so fork really freezes a new layer) and
-  // replaces the view with its child, the way long what-if chains do.
-  for (int generation = 0; generation < 10; ++generation) {
-    fs.write_file("/g" + std::to_string(generation), "x");
+  // replaces the view with its child, the way long what-if chains do. A
+  // never-forked twin takes the same writes.
+  FileSystem fs;
+  FileSystem flat;
+  fs.write_file("/f", "seed");
+  flat.write_file("/f", "seed");
+  int collapses = 0;
+  for (int generation = 0; generation < 70; ++generation) {
+    const std::string path = "/g" + std::to_string(generation);
+    fs.write_file(path, "x");
+    flat.write_file(path, "x");
+    const std::size_t depth = fs.layer_depth();
     fs = fs.fork();
-    EXPECT_LE(fs.layer_depth(), 3u) << "generation " << generation;
+    // A fork of a written view is one layer deeper, except where the
+    // 64-layer bound flattens the child.
+    if (depth < 64) {
+      EXPECT_EQ(fs.layer_depth(), depth + 1) << "generation " << generation;
+    } else {
+      EXPECT_EQ(fs.layer_depth(), 1u) << "generation " << generation;
+      ++collapses;
+    }
   }
-  for (int generation = 0; generation < 10; ++generation) {
-    EXPECT_TRUE(fs.exists("/g" + std::to_string(generation)));
-  }
-  // Threshold 0 disables: depth grows again.
-  fs.set_auto_collapse(0);
-  const std::size_t depth = fs.layer_depth();
-  fs.write_file("/more", "x");
-  fs = fs.fork();
-  EXPECT_GT(fs.layer_depth(), depth);
+  EXPECT_EQ(collapses, 1);
+  EXPECT_EQ(fingerprint(fs), fingerprint(flat));
 }
 
 TEST(FsForkTest, PropertyCollapseEquivalentToNoCollapse) {
   // The dentry cache and compaction interact (collapse preserves cached
-  // inode numbers; fork drops the cache), so the equivalence is checked
-  // under randomized mutation traffic WITH periodic re-forking: view A
-  // never compacts, view B auto-collapses at a tiny threshold and gets
-  // explicit collapse() calls sprinkled in.
+  // inode numbers; fork freezes the memo into the shared snapshot), so the
+  // equivalence is checked under randomized mutation traffic: `chained`
+  // forks and replaces itself after each of 150 mutations, past the
+  // 64-layer auto-collapse bound, with explicit collapse() calls sprinkled
+  // in; `flat` is a never-forked twin given the same mutations.
   for (const std::uint64_t seed : {3ull, 77ull, 0xbeefull}) {
     support::Rng rng(seed);
     FileSystem base;
@@ -408,53 +415,50 @@ TEST(FsForkTest, PropertyCollapseEquivalentToNoCollapse) {
       }
     }
 
-    FileSystem plain = base.fork();
-    FileSystem compacted = base.fork();
-    plain.set_auto_collapse(0);
-    compacted.set_auto_collapse(2);
+    FileSystem flat(base);  // deep copy: identical inode numbering
+    FileSystem chained = base.fork();
+    int auto_collapses = 0;
 
-    for (int step = 0; step < 100; ++step) {
+    for (int step = 0; step < 150; ++step) {
       const std::string fresh = "/d" + std::to_string(rng.below(6)) + "/n" +
                                 std::to_string(rng.below(30));
       const std::string victim = pool[rng.below(pool.size())];
-      switch (rng.below(6)) {
+      switch (rng.below(4)) {
         case 0:
-          apply_both(plain, compacted, [&](FileSystem& fs) {
+          apply_both(flat, chained, [&](FileSystem& fs) {
             fs.write_file(fresh, "step" + std::to_string(step));
           });
           pool.push_back(fresh);
           break;
         case 1:
-          apply_both(plain, compacted, [&](FileSystem& fs) {
+          apply_both(flat, chained, [&](FileSystem& fs) {
             fs.remove(victim, /*recursive=*/true);
           });
           break;
         case 2:
-          apply_both(plain, compacted,
+          apply_both(flat, chained,
                      [&](FileSystem& fs) { fs.rename(victim, fresh); });
           pool.push_back(fresh);
           break;
         case 3:
-          apply_both(plain, compacted,
+          apply_both(flat, chained,
                      [&](FileSystem& fs) { fs.symlink(victim, fresh); });
           pool.push_back(fresh);
           break;
-        case 4:
-          // Deepen both chains; only B's bounded by auto-collapse.
-          plain = plain.fork();
-          compacted = compacted.fork();
-          break;
-        case 5:
-          if (rng.below(2) == 0) compacted.collapse();
-          break;
       }
+      // Only the 64-layer bound leaves a fresh fork flat: fork() freezes
+      // at least one layer under the child, so depth 1 means it collapsed.
+      chained = chained.fork();
+      if (chained.layer_depth() == 1) ++auto_collapses;
+      EXPECT_LE(chained.layer_depth(), 64u);
+      if (rng.below(60) == 0) chained.collapse();
       if (step % 25 == 0) {
-        ASSERT_EQ(fingerprint(plain), fingerprint(compacted))
+        ASSERT_EQ(fingerprint(flat), fingerprint(chained))
             << "seed " << seed << " step " << step;
       }
     }
-    EXPECT_EQ(fingerprint(plain), fingerprint(compacted)) << "seed " << seed;
-    EXPECT_LE(compacted.layer_depth(), 2u);  // the bound held
+    EXPECT_EQ(fingerprint(flat), fingerprint(chained)) << "seed " << seed;
+    EXPECT_GE(auto_collapses, 1) << "seed " << seed;
   }
 }
 
@@ -714,162 +718,137 @@ TEST(DentryWarmStart, DisabledCacheStaysDisabledAcrossFork) {
   EXPECT_TRUE(child.exists("/x/y"));
 }
 
-TEST(WhatIfTest, TreeDiffMarksChangedLines) {
-  const std::string diff = shrinkwrap::tree_diff("a\nb\nc\n", "a\nx\nc\n");
-  EXPECT_EQ(diff, "  a\n- b\n+ x\n  c\n");
-  EXPECT_EQ(shrinkwrap::tree_diff("same\n", "same\n"), "  same\n");
-}
-
-// ------------------------------------------- dentry snapshot generations
-
-TEST(DentrySnapshotCap, CapShedsDeadGenerationsAndStaysTransparent) {
-  // The accumulating regime is a READ-MOSTLY view forked over and over
-  // (any mutation drops the snapshot wholesale): each generation probes a
-  // DISJOINT slice of the world, so the uncapped snapshot carries every
-  // dead generation forever while the capped one rebuilds age-based and
-  // stays bounded by one generation's working set.
-  vfs::FileSystem base;
-  for (int gen = 0; gen < 8; ++gen) {
-    for (int i = 0; i < 6; ++i) {
-      base.write_file("/base/g" + std::to_string(gen) + "f" +
-                          std::to_string(i),
-                      "x");
-    }
-  }
-  vfs::FileSystem uncapped(base);
-  vfs::FileSystem capped(base);
-  uncapped.set_dentry_snapshot_cap(0);
-  capped.set_dentry_snapshot_cap(8);
-  EXPECT_EQ(capped.dentry_snapshot_cap(), 8u);
-
-  const auto generation = [](vfs::FileSystem& fs, int gen) {
-    for (int i = 0; i < 6; ++i) {
-      EXPECT_TRUE(fs.stat("/base/g" + std::to_string(gen) + "f" +
-                          std::to_string(i))
-                      .has_value());
-    }
-    fs = fs.fork();  // the long fork chain idiom: the view rides its child
-  };
-  for (int gen = 0; gen < 8; ++gen) {
-    generation(uncapped, gen);
-    generation(capped, gen);
-    // Cap inherited across the fork-and-replace above.
-    EXPECT_EQ(capped.dentry_snapshot_cap(), 8u);
-    EXPECT_LE(capped.dentry_snapshot_entries(), 16u) << "gen " << gen;
-  }
-  // Uncapped: every generation's entries, still on board.
-  EXPECT_GT(uncapped.dentry_snapshot_entries(), 40u);
-  // Shed entries are simply re-walked: every old path still answers.
-  for (int gen = 0; gen < 8; ++gen) {
-    for (int i = 0; i < 6; ++i) {
-      EXPECT_TRUE(capped.exists("/base/g" + std::to_string(gen) + "f" +
-                                std::to_string(i)));
-    }
+/// One side's answer to a launch: the counted rank stream, or the error.
+std::string launch_answer(vfs::FileSystem& fs, const std::string& exe) {
+  try {
+    loader::Loader loader(fs);
+    const auto r = launch::scaling_sweep(fs, loader, exe, {}, {64}).front();
+    return std::to_string(r.load_succeeded) + " meta=" +
+           std::to_string(r.meta_ops_per_rank) +
+           " bytes=" + std::to_string(r.bytes_per_rank) +
+           " t=" + std::to_string(r.total_time_s);
+  } catch (const Error& e) {
+    return e.what();
   }
 }
 
-TEST(DentrySnapshotCap, PromotedSharedHitsSurviveARebuild) {
-  // A path served FROM the snapshot (never re-walked) counts as young:
-  // the promotion keeps it through a capped rebuild.
-  vfs::FileSystem fs;
-  fs.write_file("/hot/file", "x");
-  fs.write_file("/cold/file", "y");
-  EXPECT_TRUE(fs.stat("/hot/file").has_value());
-  EXPECT_TRUE(fs.stat("/cold/file").has_value());
-  fs = fs.fork();  // both paths now live in the shared snapshot
-  fs.set_dentry_snapshot_cap(3);
-  // This generation touches only the hot path — served from the snapshot.
-  EXPECT_TRUE(fs.stat("/hot/file").has_value());
-  fs = fs.fork();  // merged size would exceed 3: age-based rebuild
-  EXPECT_LE(fs.dentry_snapshot_entries(), 3u);
-  // Transparency: both paths still resolve identically.
-  EXPECT_TRUE(fs.exists("/hot/file"));
-  EXPECT_TRUE(fs.exists("/cold/file"));
+/// One side's answer to a stat/lstat/open/realpath probe.
+std::string probe_answer(vfs::FileSystem& fs, const std::string& path,
+                         std::uint64_t kind) {
+  switch (kind) {
+    case 0: {
+      const auto st = fs.stat(path);
+      return st ? std::to_string(st->ino) + ":" + std::to_string(st->size)
+                : "-";
+    }
+    case 1: {
+      const auto st = fs.lstat(path);
+      return st ? std::to_string(st->ino) : "-";
+    }
+    case 2: {
+      const vfs::FileData* data = fs.open(path);
+      return data ? std::to_string(data->size()) + ":" + data->bytes : "-";
+    }
+    default:
+      return fs.realpath(path).value_or("-");
+  }
 }
 
-TEST(DentrySnapshotCap, PropertyCappedRebuildMatchesUncapped) {
-  // Randomized mutate / probe / fork / launch traffic against two views of
-  // the same world — uncapped vs a tiny cap that rebuilds constantly. The
-  // cache is a memo: every answer, error, inode number, and syscall
-  // counter must stay byte-identical.
+TEST(DentryWarmStart, PropertyForkChainsMatchUncachedTwin) {
+  // Randomized mutate / stat / negative-probe / fork-and-replace / launch
+  // traffic against a view that rides its own fork chain, so the shared
+  // snapshot answers most walks, positive and negative, and a deep-copied
+  // twin with the dentry cache off. Ghost paths are probed while missing,
+  // then created and removed, so a stale snapshot entry of either sign
+  // would show. Every answer, inode, error and counter must match.
   for (const std::uint64_t seed : {11ull, 4242ull, 0xabadull}) {
     support::Rng rng(seed);
     workload::PynamicConfig config;
     config.num_modules = 18;
     config.exe_extra_bytes = 1u << 16;
-    vfs::FileSystem plain;
-    const auto app = workload::generate_pynamic(plain, config);
-    vfs::FileSystem capped(plain);  // deep copy: identical inode numbering
-    plain.set_dentry_snapshot_cap(0);
-    capped.set_dentry_snapshot_cap(6);
+    vfs::FileSystem cached;
+    const auto app = workload::generate_pynamic(cached, config);
+    vfs::FileSystem twin(cached);  // deep copy: identical inode numbering
+    twin.set_dentry_cache(false);
 
     std::vector<std::string> pool = app.module_paths;
     pool.push_back(app.exe_path);
-    for (int step = 0; step < 80; ++step) {
-      switch (rng.below(5)) {
-        case 0: {  // mutate both sides identically
-          const std::string fresh =
-              "/scratch/d" + std::to_string(rng.below(4)) + "/f" +
-              std::to_string(rng.below(12));
-          plain.write_file(fresh, "s" + std::to_string(step));
-          capped.write_file(fresh, "s" + std::to_string(step));
-          pool.push_back(fresh);
+    std::vector<std::string> ghosts;
+    for (int i = 0; i < 12; ++i) {
+      ghosts.push_back("/scratch/d" + std::to_string(i % 3) + "/f" +
+                       std::to_string(i));
+    }
+    vfs::SyscallStats counted;  // `cached`'s counters before its forks
+    const auto pick = [&]() -> const std::string& {
+      return rng.below(2) == 0 ? ghosts[rng.below(ghosts.size())]
+                               : pool[rng.below(pool.size())];
+    };
+    for (int step = 0; step < 120; ++step) {
+      switch (rng.below(6)) {
+        case 0: {  // write: a ghost appears, or a pool file changes
+          const std::string& path = pick();
+          const std::string bytes = "s" + std::to_string(step);
+          vfs::apply_both(cached, twin, [&](vfs::FileSystem& fs) {
+            fs.write_file(path, bytes);
+          });
           break;
         }
-        case 1: {  // probe storm: answers and counters must agree
-          for (int i = 0; i < 10; ++i) {
-            const std::string& path = pool[rng.below(pool.size())];
-            const auto a = plain.stat(path);
-            const auto b = capped.stat(path);
-            ASSERT_EQ(a.has_value(), b.has_value()) << path;
-            if (a) {
-              EXPECT_EQ(a->ino, b->ino) << path;
-              EXPECT_EQ(a->size, b->size) << path;
-            }
+        case 1: {  // remove a path, or link a ghost to a pool file
+          const std::string& path = pick();
+          if (rng.below(3) == 0) {
+            const std::string& target = pool[rng.below(pool.size())];
+            vfs::apply_both(cached, twin, [&](vfs::FileSystem& fs) {
+              fs.symlink(target, path);
+            });
+          } else {
+            vfs::apply_both(cached, twin, [&](vfs::FileSystem& fs) {
+              fs.remove(path);
+            });
           }
           break;
         }
-        case 2: {  // fork-and-replace: the snapshot boundary under test
-          plain = plain.fork();
-          capped = capped.fork();
-          // A capped snapshot only ever sheds relative to the uncapped one
-          // (identical traffic keeps the per-generation maps identical).
-          EXPECT_LE(capped.dentry_snapshot_entries(),
-                    plain.dentry_snapshot_entries());
+        case 2:  // probe storm over live and ghost paths
+          for (int i = 0; i < 12; ++i) {
+            const std::string& path = pick();
+            const std::uint64_t kind = rng.below(4);
+            ASSERT_EQ(probe_answer(cached, path, kind),
+                      probe_answer(twin, path, kind))
+                << path << " seed " << seed << " step " << step;
+          }
           break;
-        }
-        case 3: {  // launch traffic: the loader's candidate storm
-          loader::Loader la(plain);
-          loader::Loader lb(capped);
-          const auto ra =
-              launch::scaling_sweep(plain, la, app.exe_path, {}, {64}).front();
-          const auto rb =
-              launch::scaling_sweep(capped, lb, app.exe_path, {}, {64})
-                  .front();
-          EXPECT_EQ(ra.meta_ops_per_rank, rb.meta_ops_per_rank);
-          EXPECT_EQ(ra.bytes_per_rank, rb.bytes_per_rank);
-          EXPECT_EQ(ra.load_succeeded, rb.load_succeeded);
+        case 3:  // fork-and-replace: the snapshot boundary under test
+          counted += cached.stats();  // a fork starts with zeroed counters
+          cached = cached.fork();
           break;
-        }
-        default: {  // negative probes (never-existing paths)
+        case 4:  // launch traffic: the loader's candidate storm
+          ASSERT_EQ(launch_answer(cached, app.exe_path),
+                    launch_answer(twin, app.exe_path))
+              << "seed " << seed << " step " << step;
+          break;
+        default: {  // negative probes of never-existing paths
           const std::string ghost =
-              "/ghost/g" + std::to_string(rng.below(20));
-          EXPECT_FALSE(plain.stat(ghost).has_value());
-          EXPECT_FALSE(capped.stat(ghost).has_value());
+              "/ghost/d" + std::to_string(rng.below(3)) + "/g" +
+              std::to_string(rng.below(8));
+          EXPECT_FALSE(cached.stat(ghost).has_value()) << ghost;
+          EXPECT_FALSE(twin.stat(ghost).has_value()) << ghost;
           break;
         }
       }
     }
-    // Counters charged identically through both cache configurations.
-    EXPECT_EQ(plain.stats().stat_calls, capped.stats().stat_calls)
-        << "seed " << seed;
-    EXPECT_EQ(plain.stats().open_calls, capped.stats().open_calls)
-        << "seed " << seed;
-    EXPECT_EQ(plain.stats().failed_probes, capped.stats().failed_probes)
-        << "seed " << seed;
-    EXPECT_EQ(plain.stats().readlink_calls, capped.stats().readlink_calls)
-        << "seed " << seed;
+    counted += cached.stats();
+    const vfs::SyscallStats& want = twin.stats();
+    EXPECT_EQ(counted.stat_calls, want.stat_calls) << "seed " << seed;
+    EXPECT_EQ(counted.open_calls, want.open_calls) << "seed " << seed;
+    EXPECT_EQ(counted.read_calls, want.read_calls) << "seed " << seed;
+    EXPECT_EQ(counted.readlink_calls, want.readlink_calls) << "seed " << seed;
+    EXPECT_EQ(counted.failed_probes, want.failed_probes) << "seed " << seed;
   }
+}
+
+TEST(WhatIfTest, TreeDiffMarksChangedLines) {
+  const std::string diff = shrinkwrap::tree_diff("a\nb\nc\n", "a\nx\nc\n");
+  EXPECT_EQ(diff, "  a\n- b\n+ x\n  c\n");
+  EXPECT_EQ(shrinkwrap::tree_diff("same\n", "same\n"), "  same\n");
 }
 
 }  // namespace

@@ -28,17 +28,22 @@ using core::WorldBuilder;
 using elf::make_executable;
 using elf::make_library;
 
+/// `count` apps over one shared libcommon. A non-empty `site_dir` goes
+/// first in every app's RUNPATH and holds nothing, so each load also
+/// fails probes there.
 std::vector<std::string> install_fleet(WorldBuilder& builder,
-                                       std::size_t count) {
+                                       std::size_t count,
+                                       const std::string& site_dir = "") {
   builder.install("/usr/lib/libcommon.so", make_library("libcommon.so"));
   std::vector<std::string> exes;
   for (std::size_t i = 0; i < count; ++i) {
     const std::string n = std::to_string(i);
     builder.install("/apps/a" + n + "/lib/libpriv" + n + ".so",
                     make_library("libpriv" + n + ".so", {"libcommon.so"}));
-    builder.install(
-        "/apps/a" + n + "/bin/app",
-        make_executable({"libpriv" + n + ".so"}, {"/apps/a" + n + "/lib"}));
+    std::vector<std::string> runpath{"/apps/a" + n + "/lib"};
+    if (!site_dir.empty()) runpath.insert(runpath.begin(), site_dir);
+    builder.install("/apps/a" + n + "/bin/app",
+                    make_executable({"libpriv" + n + ".so"}, runpath));
     exes.push_back("/apps/a" + n + "/bin/app");
   }
   return exes;
@@ -56,14 +61,44 @@ std::string digest(const loader::LoadReport& r) {
   return out.str();
 }
 
-// Raw-thread admission storm: every thread stamps its own fork_sealed()
-// child off ONE sealed base — no locks anywhere on the fork path — and
-// immediately resolves against it while its siblings do the same. The
-// interleaved resolutions intern paths into the family-shared PathTable
-// concurrently, which is exactly the sharded-index write path.
+/// Raw-thread admission storm: each of `threads` threads stamps `rounds`
+/// fork_sealed() children off the one sealed `base` — no locks anywhere
+/// on the fork path — and loads every exe on each, rotated so threads
+/// collide on different closures at different times. Returns how many
+/// reports differ from `want` (or threw).
+int concurrent_fork_mismatches(const Session& base,
+                               const std::vector<std::string>& exes,
+                               const std::vector<std::string>& want,
+                               std::size_t threads, int rounds) {
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      try {
+        for (int round = 0; round < rounds; ++round) {
+          Session child = base.fork_sealed();
+          for (std::size_t i = 0; i < exes.size(); ++i) {
+            const std::size_t pick = (t + i + round) % exes.size();
+            if (digest(child.load(exes[pick])) != want[pick]) {
+              failures.fetch_add(1);
+            }
+          }
+        }
+      } catch (...) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  return failures.load();
+}
+
+// Siblings resolve while others stamp: the interleaved resolutions intern
+// paths into the family-shared PathTable concurrently, which is exactly
+// the sharded-index write path.
 TEST(SvcStress, ConcurrentSealedForksResolveByteIdentically) {
   constexpr std::size_t kThreads = 8;
-  constexpr int kRounds = 4;
 
   WorldBuilder builder;
   const auto exes = install_fleet(builder, kThreads);
@@ -78,34 +113,33 @@ TEST(SvcStress, ConcurrentSealedForksResolveByteIdentically) {
     for (const auto& exe : exes) want.push_back(digest(reference.load(exe)));
   }
 
-  std::vector<std::vector<std::string>> got(kThreads);
-  std::atomic<int> failures{0};
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        try {
-          for (int round = 0; round < kRounds; ++round) {
-            Session child = base.fork_sealed();
-            // Each round resolves every app, rotated so threads collide
-            // on different closures at different times.
-            for (std::size_t i = 0; i < exes.size(); ++i) {
-              const std::size_t pick = (t + i + round) % exes.size();
-              const std::string d = digest(child.load(exes[pick]));
-              if (round == 0 && i == 0) got[t].push_back(d);
-              if (d != want[pick]) failures.fetch_add(1);
-            }
-          }
-        } catch (...) {
-          failures.fetch_add(1);
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(concurrent_fork_mismatches(base, exes, want, kThreads, 4), 0);
   EXPECT_TRUE(base.sealed());  // const stamps never cleared the seal
+}
+
+// Forks of a WARM sealed base: the base loaded every exe before sealing,
+// so the fork-shared dentry snapshot holds the whole candidate storm,
+// positive and negative entries alike. Every child answers its walks from
+// the one immutable snapshot concurrently and must reproduce the base's
+// sequential reports.
+TEST(SvcStress, ConcurrentForksOfAWarmSealedBaseResolveByteIdentically) {
+  constexpr std::size_t kThreads = 8;
+
+  WorldBuilder builder;
+  const auto exes = install_fleet(builder, kThreads, "/opt/site/lib");
+  Session base = builder.build();
+  std::vector<std::string> want;
+  std::uint64_t failed_probes = 0;
+  for (const auto& exe : exes) {
+    const auto report = base.load(exe);
+    failed_probes += report.stats.failed_probes;
+    want.push_back(digest(report));
+  }
+  ASSERT_GT(failed_probes, 0u);  // the snapshot holds negative entries
+  base.seal();
+
+  EXPECT_EQ(concurrent_fork_mismatches(base, exes, want, kThreads, 4), 0);
+  EXPECT_TRUE(base.sealed());
 }
 
 // The pool under competing submitters: several threads blast loads for
