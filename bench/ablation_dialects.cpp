@@ -33,7 +33,7 @@ void print_report() {
   row("glibc load of wrapped binary",
       glibc_report.success ? "SUCCESS (soname dedup, Fig 5)" : "failed");
 
-  // Same (wrapped) world, musl policy: snapshot round-trip into a second
+  // Same (wrapped) world, musl dialect: snapshot round-trip into a second
   // session.
   core::SessionConfig musl_config;
   musl_config.dialect = loader::Dialect::Musl;

@@ -2,7 +2,7 @@
 //
 // Every experiment in the paper stands on the same four-piece rig: a
 // vfs::FileSystem holding a world, a loader::Loader with a SearchConfig and
-// a dialect policy, and a loader::Environment. Session owns that rig and
+// a loader::Dialect, and a loader::Environment. Session owns that rig and
 // exposes the verbs the paper's tooling performs against it — load (ldd),
 // dlopen, shrinkwrap, verify, libtree, launch — plus batched parallel
 // resolution (load_many) for corpus-scale sweeps. Build one with
@@ -60,8 +60,8 @@ struct SandboxSpec {
 /// Everything configurable about a Session, in one aggregate.
 struct SessionConfig {
   loader::SearchConfig search;
-  /// Dialect policy; when null, `dialect` names a built-in policy.
-  std::shared_ptr<const loader::SearchPolicy> policy;
+  /// The loader dialect of this session and of every fork, sandbox and
+  /// load_many worker derived from it.
   loader::Dialect dialect = loader::Dialect::Glibc;
   /// Default process environment for every load issued by the session.
   loader::Environment env;
@@ -98,7 +98,7 @@ class Session {
 
   /// O(1) copy-on-write fork: a child session over a forked world
   /// (vfs::FileSystem::fork — shared immutable base, private overlay),
-  /// with the same search config, dialect policy, environment, and default
+  /// with the same search config, dialect, environment, and default
   /// target; a per-view latency model (cloned at fork time); FRESH
   /// syscall counters; and the parent's parsed-object /
   /// ld.so caches adopted (safe: parsed objects are immutable, keyed by
@@ -142,7 +142,6 @@ class Session {
   const vfs::FileSystem& fs() const { return *fs_; }
   loader::Loader& loader() { return *loader_; }
   const loader::Loader& loader() const { return *loader_; }
-  const loader::SearchPolicy& policy() const { return loader_->policy(); }
   /// The fork-family shared path interner (svc::SessionPool reads it to
   /// report interned-path counts across every client of a shared base).
   /// Id-keyed reads are lock-free; inserts are internally synchronized —
@@ -241,7 +240,6 @@ class Session {
   Session stamp_cold() const;
 
   SessionConfig config_;
-  std::shared_ptr<const loader::SearchPolicy> policy_;
   // Heap-held so Session stays movable while Loader keeps a stable
   // reference to the filesystem.
   std::unique_ptr<vfs::FileSystem> fs_;

@@ -4,8 +4,8 @@
 // SearchConfig + Loader + Environment boilerplate that every consumer used
 // to repeat. Generators for the paper's worlds (pynamic, emacs, samba,
 // rocm, paradox, debian) compose with custom objects, snapshot
-// load/save, and the session knobs (dialect policy, search config,
-// environment, latency model):
+// load/save, and the session knobs (dialect, search config, environment,
+// latency model):
 //
 //   auto session = core::WorldBuilder()
 //                      .pynamic({.num_modules = 300})
@@ -61,7 +61,6 @@ class WorldBuilder {
 
   // ---- session knobs -------------------------------------------------------
   WorldBuilder& dialect(loader::Dialect dialect);
-  WorldBuilder& policy(std::shared_ptr<const loader::SearchPolicy> policy);
   WorldBuilder& search(loader::SearchConfig config);
   WorldBuilder& environment(loader::Environment env);
   WorldBuilder& cluster(launch::ClusterConfig config);

@@ -10,24 +10,14 @@
 
 namespace depchaos::core {
 
-namespace {
-
-std::shared_ptr<const loader::SearchPolicy> resolve_policy(
-    const SessionConfig& config) {
-  return config.policy ? config.policy
-                       : loader::SearchPolicy::shared(config.dialect);
-}
-
-}  // namespace
-
 Session::Session(vfs::FileSystem fs, SessionConfig config,
                  std::string default_exe)
     : config_(std::move(config)),
-      policy_(resolve_policy(config_)),
       fs_(std::make_unique<vfs::FileSystem>(std::move(fs))),
       default_exe_(std::move(default_exe)) {
   if (config_.latency) fs_->set_latency_model(config_.latency);
-  loader_ = std::make_unique<loader::Loader>(*fs_, config_.search, policy_);
+  loader_ = std::make_unique<loader::Loader>(*fs_, config_.search,
+                                             config_.dialect);
 }
 
 Session Session::from_snapshot(std::string_view image, SessionConfig config) {
@@ -158,7 +148,7 @@ std::vector<Session::LoadReport> Session::load_many(
   for (std::size_t w = 0; w < workers; ++w) {
     pool.submit([this, &paths, &reports, &errors, &worlds, w, workers] {
       try {
-        loader::Loader worker(worlds[w], config_.search, policy_);
+        loader::Loader worker(worlds[w], config_.search, config_.dialect);
         // Adopt the parent loader's parsed-object and ld.so caches instead
         // of rescanning ld.so.cache per worker: the forked world is
         // byte-identical at this point, parsed objects are immutable, and

@@ -87,13 +87,6 @@ std::string WorldBuilder::save() const { return vfs::save_world(fs_); }
 
 WorldBuilder& WorldBuilder::dialect(loader::Dialect dialect) {
   config_.dialect = dialect;
-  config_.policy.reset();
-  return *this;
-}
-
-WorldBuilder& WorldBuilder::policy(
-    std::shared_ptr<const loader::SearchPolicy> policy) {
-  config_.policy = std::move(policy);
   return *this;
 }
 

@@ -95,10 +95,6 @@ struct Object {
 
   /// Undefined references this object expects the loader to bind.
   std::vector<std::string> undefined_symbols() const;
-
-  /// The name the glibc loader would record for dedup: DT_SONAME when
-  /// present, else empty (callers fall back to the file basename).
-  std::string_view effective_soname() const { return dyn.soname; }
 };
 
 /// Serialize to the SELF text format (stable field order, roundtrips

@@ -2,9 +2,8 @@
 //
 // Reproduces the search and deduplication semantics the paper analyzes
 // (§III). The dialect-specific choices (search-phase order, dedup keys,
-// RPATH/RUNPATH melding, hwcaps, ld.so.cache use) are factored into the
-// pluggable loader::SearchPolicy interface (search_policy.hpp); the two
-// built-in policies are:
+// RPATH/RUNPATH melding, hwcaps, ld.so.cache use) are one constexpr
+// DialectRules row per Dialect, returned by loader::rules():
 //
 //  Glibc:
 //   * For a needed name without '/', search in order: DT_RPATH of the
@@ -24,6 +23,8 @@
 //     searched *after* LD_LIBRARY_PATH (§IV).
 //   * Deduplication is by exact needed string and by inode only — never by
 //     soname, which is what breaks Shrinkwrap'd binaries on musl (§IV).
+//   * No hwcaps subdirectories and no ld.so.cache: the ld.so.conf and
+//     default directories are probed like any other.
 //
 // Loading is breadth-first from the executable's DT_NEEDED list, matching
 // ld.so; each object is charged the open(2) probes its search emits against
@@ -41,10 +42,43 @@
 #include <vector>
 
 #include "depchaos/elf/object.hpp"
-#include "depchaos/loader/search_policy.hpp"
 #include "depchaos/vfs/vfs.hpp"
 
 namespace depchaos::loader {
+
+enum class Dialect : std::uint8_t { Glibc, Musl };
+
+/// One step of the bare-soname directory search.
+enum class SearchPhase : std::uint8_t {
+  RpathChain,     // requester's DT_RPATH + inherited ancestor chain
+                  // (includes melded DT_RUNPATH under musl)
+  LdLibraryPath,  // environment override dirs
+  Runpath,        // requester's own DT_RUNPATH (separate phase: glibc only)
+  SystemPaths,    // ld.so.cache / ld.so.conf dirs / built-in defaults
+};
+
+/// The bundle of independent choices that makes a dialect (§IV).
+struct DialectRules {
+  /// The bare-name search phases, in the order this dialect runs them.
+  std::span<const SearchPhase> phases;
+  /// Fig 5 dedup: may a bare-soname request be satisfied from the
+  /// DT_SONAME of an already-loaded object? Both dialects always dedup by
+  /// requested string and by canonical path (inode).
+  bool dedups_by_soname;
+  /// When true, DT_RPATH and DT_RUNPATH both propagate and are searched as
+  /// one inherited chain. When false, only DT_RPATH propagates, and a
+  /// requester carrying DT_RUNPATH disables its whole RPATH protocol.
+  bool melds_rpath_runpath;
+  /// Probe SearchConfig::hwcaps subdirectories before each plain directory.
+  bool probes_hwcaps;
+  /// Consult the ld.so.cache during SystemPaths (subject to
+  /// SearchConfig::use_ld_cache); otherwise probe the directories.
+  bool uses_ld_cache;
+};
+
+/// The constexpr rule row of `dialect` (the two rows are described at the
+/// top of this file).
+const DialectRules& rules(Dialect dialect);
 
 /// Process environment relevant to the loader.
 struct Environment {
@@ -150,14 +184,10 @@ struct LoadReport {
 
 class Loader {
  public:
-  /// Back-compat factory-enum constructor: the dialect names one of the
-  /// built-in SearchPolicy singletons.
+  /// A loader over `fs` that follows `dialect`'s rules(), e.g. its search
+  /// order and dedup keys.
   explicit Loader(vfs::FileSystem& fs, SearchConfig config = {},
                   Dialect dialect = Dialect::Glibc);
-
-  /// Pluggable-policy constructor. `policy` must be non-null.
-  Loader(vfs::FileSystem& fs, SearchConfig config,
-         std::shared_ptr<const SearchPolicy> policy);
 
   /// Simulate process startup: load `exe_path` and its full closure.
   LoadReport load(const std::string& exe_path, const Environment& env = {});
@@ -169,10 +199,7 @@ class Loader {
                       const std::string& name, const Environment& env = {});
 
   const SearchConfig& config() const { return config_; }
-  /// The active dialect policy (search order, dedup keys, melding rules).
-  const SearchPolicy& policy() const { return *policy_; }
-  /// Back-compat: the factory enum this loader was built from (custom
-  /// policies map onto the dialect whose dedup semantics they follow).
+  /// The dialect whose rules() this loader runs.
   Dialect dialect() const { return dialect_; }
 
  private:
@@ -297,8 +324,8 @@ class Loader {
   // construction, closure keys, and the parsed-object cache all speak ids.
   std::shared_ptr<support::PathTable> paths_;
   SearchConfig config_;
-  std::shared_ptr<const SearchPolicy> policy_;
   Dialect dialect_;
+  const DialectRules& rules_;
   // Parsed-object cache keyed by canonical PathId (never invalidated:
   // loads are read-only with respect to binaries; Patcher edits go through
   // the VFS, so tests that patch then reload construct a fresh Loader or

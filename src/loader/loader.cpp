@@ -23,7 +23,38 @@ class OnExit {
   F restore_;
 };
 
+constexpr SearchPhase kGlibcPhases[] = {
+    SearchPhase::RpathChain,
+    SearchPhase::LdLibraryPath,
+    SearchPhase::Runpath,
+    SearchPhase::SystemPaths,
+};
+
+constexpr SearchPhase kMuslPhases[] = {
+    SearchPhase::LdLibraryPath,
+    SearchPhase::RpathChain,  // melded rpath+runpath, inherited
+    SearchPhase::SystemPaths,
+};
+
+// One row per Dialect, in enum order.
+constexpr DialectRules kRules[] = {
+    {.phases = kGlibcPhases,
+     .dedups_by_soname = true,
+     .melds_rpath_runpath = false,
+     .probes_hwcaps = true,
+     .uses_ld_cache = true},
+    {.phases = kMuslPhases,
+     .dedups_by_soname = false,
+     .melds_rpath_runpath = true,
+     .probes_hwcaps = false,
+     .uses_ld_cache = false},
+};
+
 }  // namespace
+
+const DialectRules& rules(Dialect dialect) {
+  return kRules[static_cast<std::size_t>(dialect)];
+}
 
 std::string_view how_found_name(HowFound how) {
   switch (how) {
@@ -68,15 +99,11 @@ const LoadedObject* LoadReport::find_loaded(
 }
 
 Loader::Loader(vfs::FileSystem& fs, SearchConfig config, Dialect dialect)
-    : Loader(fs, std::move(config), SearchPolicy::shared(dialect)) {}
-
-Loader::Loader(vfs::FileSystem& fs, SearchConfig config,
-               std::shared_ptr<const SearchPolicy> policy)
     : fs_(fs),
       paths_(fs.path_table()),
       config_(std::move(config)),
-      policy_(std::move(policy)),
-      dialect_(SearchPolicy::dialect_of(*policy_)) {}
+      dialect_(dialect),
+      rules_(rules(dialect)) {}
 
 void Loader::invalidate() {
   cache_.clear();
@@ -194,7 +221,7 @@ support::PathId Loader::intern_dir(std::string_view dir) const {
 Loader::DirProbe Loader::probe_dirs(std::span<const support::PathId> dirs,
                                     const std::string& name,
                                     elf::Machine machine) {
-  const bool hwcaps = policy_->probes_hwcaps();
+  const bool hwcaps = rules_.probes_hwcaps;
   for (std::size_t d = 0; d < dirs.size(); ++d) {
     if (hwcaps) {
       for (const auto& hwcap : config_.hwcaps) {
@@ -259,7 +286,7 @@ std::vector<support::PathId> Loader::effective_rpath_chain(
   // contributes nothing from its DT_RPATH, and a requester with DT_RUNPATH
   // disables the whole chain. Melding (musl, §IV): RPATH and RUNPATH of
   // every link in the ancestry, both propagated.
-  const bool meld = policy_->melds_rpath_runpath();
+  const bool meld = rules_.melds_rpath_runpath;
   std::vector<support::PathId> dirs;
   own_count = 0;
   const auto& order = session.report.load_order;
@@ -291,7 +318,7 @@ std::optional<std::size_t> Loader::dedup_lookup(Session& session,
   if (const auto it = session.by_name.find(name); it != session.by_name.end()) {
     return it->second;
   }
-  if (policy_->dedups_by_soname()) {
+  if (rules_.dedups_by_soname) {
     // glibc also satisfies requests from the DT_SONAME of anything already
     // loaded — the dedup Shrinkwrap exploits (Fig 5). Musl does not (§IV).
     if (const auto it = session.by_soname.find(name);
@@ -331,10 +358,10 @@ Loader::Resolution Loader::search(Session& session, const std::string& name,
     // Stale cache entry: fall through to the normal search.
   }
 
-  // Run the policy's phases in dialect order, e.g. glibc (Table I): RPATH
-  // chain, LD_LIBRARY_PATH, RUNPATH, ld.so.cache, defaults; musl (§IV):
+  // Run the dialect's phases in order, e.g. glibc (Table I): RPATH chain,
+  // LD_LIBRARY_PATH, RUNPATH, ld.so.cache, defaults; musl (§IV):
   // LD_LIBRARY_PATH, melded inherited chain, system dirs.
-  for (const SearchPhase phase : policy_->phases()) {
+  for (const SearchPhase phase : rules_.phases) {
     Resolution res = search_phase(phase, session, name, requester_index,
                                   machine);
     if (res.how != HowFound::NotFound) return res;
@@ -357,7 +384,7 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
       // Melding dialects historically label only the first own entry as
       // the requester's rpath (musl has no RPATH/RUNPATH distinction to
       // report); non-melding labels every own DT_RPATH entry.
-      const bool own_hit = policy_->melds_rpath_runpath()
+      const bool own_hit = rules_.melds_rpath_runpath
                                ? (hit.dir == 0 && own > 0)
                                : (hit.dir < own);
       return Resolution{paths_->str(hit.id),
@@ -385,7 +412,7 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
       return Resolution{paths_->str(hit.id), HowFound::Runpath, hit.id};
     }
     case SearchPhase::SystemPaths: {
-      if (policy_->uses_ld_cache() && config_.use_ld_cache) {
+      if (rules_.uses_ld_cache && config_.use_ld_cache) {
         ensure_ld_cache();
         if (const auto it = ld_cache_.find(name); it != ld_cache_.end()) {
           // The cache told us where to look; the loader still open()s it.
@@ -426,7 +453,7 @@ std::size_t Loader::register_object(Session& session, LoadedObject loaded,
   session.by_name.emplace(loaded.name, index);
   session.by_realpath.emplace(key, index);
   if (loaded.object && !loaded.object->dyn.soname.empty() &&
-      policy_->dedups_by_soname()) {
+      rules_.dedups_by_soname) {
     session.by_soname.emplace(loaded.object->dyn.soname, index);
   }
   order.push_back(std::move(loaded));
@@ -615,17 +642,24 @@ void Loader::enqueue_needed_deque(Session& session, std::size_t index,
 
 LoadedObject Loader::dlopen(LoadReport& report, const std::string& caller_path,
                             const std::string& name, const Environment& env) {
-  // Rebuild session state from the existing report.
+  // Rebuild session state from the existing report, which goes back to the
+  // caller on every exit, a throwing search included. Probes are logged
+  // as in load().
   Session session;
   session.env = &env;
   session.report = std::move(report);
+  probe_log_ = config_.record_probes ? &session.report.probe_log : nullptr;
+  const OnExit give_back([this, &report, &session] {
+    probe_log_ = nullptr;
+    report = std::move(session.report);
+  });
   for (std::size_t i = 0; i < session.report.load_order.size(); ++i) {
     const auto& obj = session.report.load_order[i];
     session.by_name.emplace(obj.name, i);
     if (!obj.real_path.empty()) {
       session.by_realpath.emplace(fs_.intern(obj.real_path), i);
     }
-    if (policy_->dedups_by_soname() && obj.object &&
+    if (rules_.dedups_by_soname && obj.object &&
         !obj.object->dyn.soname.empty()) {
       session.by_soname.emplace(obj.object->dyn.soname, i);
     }
@@ -641,7 +675,6 @@ LoadedObject Loader::dlopen(LoadReport& report, const std::string& caller_path,
     }
   }
   if (!caller_found) {
-    report = std::move(session.report);
     throw Error("dlopen caller not loaded: " + caller_path);
   }
 
@@ -654,12 +687,8 @@ LoadedObject Loader::dlopen(LoadReport& report, const std::string& caller_path,
     queue.pop_front();
     process_request(session, item, queue);
   }
-  auto delta = fs_.stats() - before;
-  session.report.stats += delta;
-
-  LoadedObject result = session.report.requests[first_request];
-  report = std::move(session.report);
-  return result;
+  session.report.stats += fs_.stats() - before;
+  return session.report.requests[first_request];
 }
 
 }  // namespace depchaos::loader

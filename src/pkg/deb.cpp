@@ -10,18 +10,6 @@ namespace depchaos::pkg::deb {
 using support::split;
 using support::trim;
 
-std::string_view dep_kind_name(DepKind kind) {
-  switch (kind) {
-    case DepKind::Unversioned:
-      return "Unversioned";
-    case DepKind::VersionRange:
-      return "Version Range";
-    case DepKind::Exact:
-      return "Exact";
-  }
-  return "?";
-}
-
 namespace {
 
 DepSpec parse_single_dep(std::string_view text) {

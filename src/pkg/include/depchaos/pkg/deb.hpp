@@ -21,8 +21,6 @@ namespace depchaos::pkg::deb {
 
 enum class DepKind : std::uint8_t { Unversioned, VersionRange, Exact };
 
-std::string_view dep_kind_name(DepKind kind);
-
 struct DepSpec {
   std::string package;
   DepKind kind = DepKind::Unversioned;

@@ -37,13 +37,6 @@ std::vector<const Recipe*> Repo::providers_of(
   return out;
 }
 
-std::vector<std::string> Repo::package_names() const {
-  std::vector<std::string> out;
-  out.reserve(recipes_.size());
-  for (const auto& [name, recipe] : recipes_) out.push_back(name);
-  return out;
-}
-
 std::string ConcreteSpec::render() const {
   std::string out = name + "@" + version;
   if (!compiler.empty()) {

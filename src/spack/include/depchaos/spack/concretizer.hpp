@@ -36,7 +36,6 @@ class Repo {
   }
 
   std::size_t size() const { return recipes_.size(); }
-  std::vector<std::string> package_names() const;
 
  private:
   std::map<std::string, Recipe> recipes_;

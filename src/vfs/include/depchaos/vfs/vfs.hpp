@@ -573,8 +573,6 @@ class FileSystem {
   InodeNum mount_root_at(PathId canon) const;
   /// The namespace root: "/" itself, honoring a mount over "/".
   InodeNum root_ino() const;
-  /// The mount owning `ino`, or null for this view's own storage.
-  Mount* mount_of(InodeNum ino);
   void ensure_writable(InodeNum ino) const;
   /// Throw "mount point busy" when an active mountpoint sits at or under
   /// canonical path `canon` (rmdir/rename of a mount ancestor is EBUSY).

@@ -332,11 +332,6 @@ InodeNum FileSystem::root_ino() const {
   return 1;
 }
 
-FileSystem::Mount* FileSystem::mount_of(InodeNum ino) {
-  const std::uint16_t m = mount_index(ino);
-  return m == 0 ? nullptr : &mounts_[m - 1];
-}
-
 std::size_t FileSystem::inode_count() const {
   std::size_t total = live_inodes_;
   for (const Mount& m : mounts_) {

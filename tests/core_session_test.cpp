@@ -5,6 +5,7 @@
 
 #include "depchaos/core/world.hpp"
 #include "depchaos/elf/patcher.hpp"
+#include "depchaos/svc/session_pool.hpp"
 
 namespace depchaos::core {
 namespace {
@@ -188,6 +189,25 @@ TEST(SessionTest, DlopenContinuesReport) {
   EXPECT_NE(report.find_loaded("/p/libplug.so"), nullptr);
 }
 
+TEST(SessionTest, ThrowingDlopenKeepsTheCallersReport) {
+  // A SELF candidate that fails to parse, and a relative path with a '/'
+  // (open() refuses it): each dlopen throws from inside its search.
+  auto session = WorldBuilder()
+                     .file("/p/libbad.so", "SELF1\nbogus\nend\n")
+                     .install("/bin/app", make_executable({}))
+                     .build();
+  auto report = session.load();
+  ASSERT_TRUE(report.success);
+  ASSERT_EQ(report.load_order.size(), 1u);
+  for (const std::string name : {"/p/libbad.so", "p/libbad.so"}) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(session.dlopen(report, "/bin/app", name), Error);
+    ASSERT_EQ(report.load_order.size(), 1u);
+    EXPECT_EQ(report.load_order[0].path, "/bin/app");
+    EXPECT_TRUE(report.success);
+  }
+}
+
 TEST(SessionTest, LaunchUsesSessionClusterConfig) {
   workload::PynamicConfig config;
   config.num_modules = 10;
@@ -282,7 +302,7 @@ TEST(LoadManyTest, MissingExecutableInBatchThrows) {
   EXPECT_THROW(session.load_many(batch), FsError);
 }
 
-// ----------------------------------------- dialect policies (Fig 5 dedup)
+// ------------------------------------------------- dialects (Fig 5 dedup)
 
 // The Fig 5 layout: the executable needs two libraries by absolute path;
 // one of them transitively requests the other by bare soname.
@@ -294,11 +314,10 @@ void install_fig5(WorldBuilder& builder) {
                make_executable({"/store/libac.so", "/store/libxyz.so"}));
 }
 
-TEST(SearchPolicyTest, GlibcPolicySatisfiesBareSonameFromDedupCache) {
+TEST(DialectTest, GlibcSatisfiesBareSonameFromDedupCache) {
   WorldBuilder builder;
   install_fig5(builder);
-  auto session =
-      builder.policy(std::make_shared<loader::GlibcPolicy>()).build();
+  auto session = builder.dialect(loader::Dialect::Glibc).build();
   const auto report = session.load();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.load_order.size(), 3u);  // no duplicate libac
@@ -306,54 +325,85 @@ TEST(SearchPolicyTest, GlibcPolicySatisfiesBareSonameFromDedupCache) {
   EXPECT_EQ(report.requests.back().how, loader::HowFound::Cache);
 }
 
-TEST(SearchPolicyTest, MuslPolicyDoesNotDedupBySoname) {
+TEST(DialectTest, MuslDoesNotDedupBySoname) {
   WorldBuilder builder;
   install_fig5(builder);
-  auto session =
-      builder.policy(std::make_shared<loader::MuslPolicy>()).build();
+  auto session = builder.dialect(loader::Dialect::Musl).build();
   const auto report = session.load();
   EXPECT_FALSE(report.success);
   ASSERT_EQ(report.missing.size(), 1u);
   EXPECT_EQ(report.missing[0].name, "libac.so");
 }
 
-TEST(SearchPolicyTest, DialectEnumRoutesToBuiltInPolicies) {
-  EXPECT_EQ(loader::SearchPolicy::for_dialect(loader::Dialect::Glibc).name(),
-            "glibc");
-  EXPECT_EQ(loader::SearchPolicy::for_dialect(loader::Dialect::Musl).name(),
-            "musl");
-  EXPECT_EQ(loader::SearchPolicy::dialect_of(loader::SearchPolicy::glibc()),
-            loader::Dialect::Glibc);
-  EXPECT_EQ(loader::SearchPolicy::dialect_of(loader::SearchPolicy::musl()),
-            loader::Dialect::Musl);
+TEST(DialectTest, RulesCarryTheTableIAndMuslSemantics) {
+  using loader::SearchPhase;
+  using Phases = std::vector<SearchPhase>;
+  // glibc, Table I: RPATH chain, LD_LIBRARY_PATH, RUNPATH, system dirs.
+  const loader::DialectRules& glibc = loader::rules(loader::Dialect::Glibc);
+  EXPECT_EQ(Phases(glibc.phases.begin(), glibc.phases.end()),
+            (Phases{SearchPhase::RpathChain, SearchPhase::LdLibraryPath,
+                    SearchPhase::Runpath, SearchPhase::SystemPaths}));
+  EXPECT_TRUE(glibc.dedups_by_soname);
+  EXPECT_FALSE(glibc.melds_rpath_runpath);
+  EXPECT_TRUE(glibc.probes_hwcaps);
+  EXPECT_TRUE(glibc.uses_ld_cache);
+  // musl, §IV: LD_LIBRARY_PATH, then the melded chain, then system dirs.
+  const loader::DialectRules& musl = loader::rules(loader::Dialect::Musl);
+  EXPECT_EQ(Phases(musl.phases.begin(), musl.phases.end()),
+            (Phases{SearchPhase::LdLibraryPath, SearchPhase::RpathChain,
+                    SearchPhase::SystemPaths}));
+  EXPECT_FALSE(musl.dedups_by_soname);
+  EXPECT_TRUE(musl.melds_rpath_runpath);
+  EXPECT_FALSE(musl.probes_hwcaps);
+  EXPECT_FALSE(musl.uses_ld_cache);
 
   WorldBuilder builder;
   install_fig5(builder);
   auto session = builder.dialect(loader::Dialect::Musl).build();
-  EXPECT_EQ(session.policy().name(), "musl");
   EXPECT_EQ(session.loader().dialect(), loader::Dialect::Musl);
   EXPECT_FALSE(session.load().success);
 }
 
-// A custom policy: glibc search semantics but musl's strict dedup. Proves
-// the seam is pluggable — this hybrid cannot be expressed with the enum.
-class StrictDedupGlibc : public loader::GlibcPolicy {
- public:
-  std::string_view name() const override { return "glibc-strict-dedup"; }
-  bool dedups_by_soname() const override { return false; }
-};
+// Every loader a session derives runs the session's dialect: its own, a
+// fork's, a sealed stamp's, a sandbox's, load_many's workers' and a pool
+// client's (on a memo miss and on a hit). The Fig 5 load succeeds on each
+// under glibc and fails on each under musl.
+TEST(DialectTest, EveryDerivedLoaderKeepsTheSessionDialect) {
+  for (const loader::Dialect dialect :
+       {loader::Dialect::Glibc, loader::Dialect::Musl}) {
+    SCOPED_TRACE(dialect == loader::Dialect::Glibc ? "glibc" : "musl");
+    const bool loads = dialect == loader::Dialect::Glibc;
+    WorldBuilder builder;
+    install_fig5(builder);
+    auto session = builder.dialect(dialect).threads(2).build();
+    EXPECT_EQ(session.load().success, loads);
 
-TEST(SearchPolicyTest, CustomHybridPolicyPlugsIn) {
-  WorldBuilder builder;
-  install_fig5(builder);
-  auto session = builder.policy(std::make_shared<StrictDedupGlibc>()).build();
-  EXPECT_EQ(session.policy().name(), "glibc-strict-dedup");
-  // Glibc search order, but the bare-soname request no longer hits the
-  // dedup cache -> the Fig 5 load breaks exactly like musl.
-  const auto report = session.load();
-  EXPECT_FALSE(report.success);
-  ASSERT_EQ(report.missing.size(), 1u);
-  EXPECT_EQ(report.missing[0].name, "libac.so");
+    auto fork = session.fork();
+    EXPECT_EQ(fork.loader().dialect(), dialect);
+    EXPECT_EQ(fork.load().success, loads);
+
+    session.seal();
+    auto stamp = session.fork_sealed();
+    EXPECT_EQ(stamp.loader().dialect(), dialect);
+    EXPECT_EQ(stamp.load().success, loads);
+
+    auto sandbox = session.sandbox({});
+    EXPECT_EQ(sandbox.loader().dialect(), dialect);
+    EXPECT_EQ(sandbox.load().success, loads);
+
+    const std::vector<std::string> batch = {"", ""};
+    for (const auto& report : session.load_many(batch)) {
+      EXPECT_EQ(report.success, loads);
+    }
+
+    svc::SessionPool pool(session.fork());
+    const auto miss = pool.submit_load(1).get();
+    const auto hit = pool.submit_load(2).get();
+    pool.drain();
+    EXPECT_EQ(pool.stats().memo_hits, 1u);
+    EXPECT_EQ(miss.success, loads);
+    EXPECT_EQ(hit.success, loads);
+  }
 }
 
 }  // namespace

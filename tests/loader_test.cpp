@@ -574,6 +574,21 @@ TEST_F(LoaderTest, DlopenLoadsTransitiveDeps) {
   EXPECT_NE(report.find_loaded("libleaf.so"), nullptr);
 }
 
+TEST_F(LoaderTest, DlopenProbesReachTheProbeLog) {
+  install_object(fs_, "/p/libplug.so", make_library("libplug.so"));
+  install_object(fs_, "/bin/app", make_executable({}, {"/nowhere", "/p"}));
+  SearchConfig config;
+  config.record_probes = true;
+  auto loader = glibc(config);
+  auto report = loader.load("/bin/app");
+  ASSERT_TRUE(report.probe_log.empty());
+  const auto plug = loader.dlopen(report, "/bin/app", "libplug.so");
+  EXPECT_EQ(plug.how, HowFound::Runpath);
+  EXPECT_EQ(report.probe_log,
+            (std::vector<std::string>{"trying /nowhere/libplug.so ... ENOENT",
+                                      "trying /p/libplug.so ... found"}));
+}
+
 TEST_F(LoaderTest, DlopenUnknownCallerThrows) {
   install_object(fs_, "/bin/app", make_executable({}));
   auto loader = glibc();
