@@ -340,8 +340,7 @@ MultiCoreResult run_multicore(std::size_t workers, std::size_t clients,
   result.hot_ops_per_s = static_cast<double>(loads.size()) / hot_elapsed;
 
   result.stats = pool.stats();
-  result.memo_active = pool.memoization_enabled() && pool.repricing_active() &&
-                       result.stats.memo_hits > 0;
+  result.memo_active = pool.repricing_active() && result.stats.memo_hits > 0;
   return result;
 }
 

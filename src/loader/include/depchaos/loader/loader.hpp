@@ -92,6 +92,11 @@ struct Environment {
   }
 };
 
+/// The per-application loader cache's side file is "<exe>" + this suffix:
+/// the loader reads it (SearchConfig::use_app_cache) and
+/// shrinkwrap::make_loader_cache writes it.
+inline constexpr char kAppCacheSuffix[] = ".ldcache";
+
 /// System-level loader configuration (a distribution's ld.so.conf).
 struct SearchConfig {
   /// Directories listed in ld.so.conf(.d), indexed into ld.so.cache.
@@ -114,13 +119,12 @@ struct SearchConfig {
   bool classify_cache_hits = false;
   /// Guix-style per-application loader cache (Courtès, "Taming the stat
   /// storm with a loader cache", referenced in §V-A): when enabled and
-  /// "<exe>.ldcache" exists, its name->path map is consulted BEFORE any
-  /// directory search. Reading the cache costs one open; each hit costs one
-  /// direct open of the target — comparable to Shrinkwrap's savings without
-  /// rewriting the binary, but tied to a side file the environment must
-  /// preserve.
+  /// "<exe>" + kAppCacheSuffix exists, its name->path map is consulted
+  /// BEFORE any directory search. Reading the cache costs one open; each
+  /// hit costs one direct open of the target — comparable to Shrinkwrap's
+  /// savings without rewriting the binary, but tied to a side file the
+  /// environment must preserve.
   bool use_app_cache = false;
-  std::string app_cache_suffix = ".ldcache";
   /// LD_DEBUG=libs-style probe trace: record every candidate path the
   /// search touches, with its outcome, into LoadReport::probe_log.
   bool record_probes = false;

@@ -484,7 +484,7 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
   // Read the per-application loader cache, if enabled and present. The
   // loader pays one open() for the cache file itself.
   if (config_.use_app_cache) {
-    const std::string cache_path = exe_path + config_.app_cache_suffix;
+    const std::string cache_path = exe_path + kAppCacheSuffix;
     if (const vfs::FileData* cache = fs_.open(cache_path)) {
       for (const auto& line : support::split(cache->bytes, '\n')) {
         const auto space = line.find(' ');

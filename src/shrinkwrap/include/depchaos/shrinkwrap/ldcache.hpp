@@ -2,11 +2,12 @@
 // in §V-A (Courtès, "Taming the 'stat' storm with a loader cache").
 //
 // Instead of rewriting the binary (Shrinkwrap), resolve the closure once
-// and record the name->path map in a side file "<exe>.ldcache" that a
-// cooperating loader (SearchConfig::use_app_cache) consults before any
-// directory search. Same stat-storm savings; different trade-off: the
-// binary is untouched, but correctness now depends on the side file
-// shipping with the binary and staying in sync.
+// and record the name->path map in a side file "<exe>.ldcache"
+// (loader::kAppCacheSuffix) that a cooperating loader
+// (SearchConfig::use_app_cache) consults before any directory search.
+// Same stat-storm savings; different trade-off: the binary is untouched,
+// but correctness now depends on the side file shipping with the binary
+// and staying in sync.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +29,6 @@ struct LdCacheReport {
 /// Resolve `exe_path`'s closure under `env` and write the cache file.
 LdCacheReport make_loader_cache(vfs::FileSystem& fs, loader::Loader& loader,
                                 const std::string& exe_path,
-                                const loader::Environment& env = {},
-                                const std::string& suffix = ".ldcache");
+                                const loader::Environment& env = {});
 
 }  // namespace depchaos::shrinkwrap

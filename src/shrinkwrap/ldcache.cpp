@@ -4,10 +4,9 @@ namespace depchaos::shrinkwrap {
 
 LdCacheReport make_loader_cache(vfs::FileSystem& fs, loader::Loader& loader,
                                 const std::string& exe_path,
-                                const loader::Environment& env,
-                                const std::string& suffix) {
+                                const loader::Environment& env) {
   LdCacheReport report;
-  report.cache_path = exe_path + suffix;
+  report.cache_path = exe_path + loader::kAppCacheSuffix;
 
   const loader::LoadReport load = loader.load(exe_path, env);
   std::string contents;

@@ -56,14 +56,14 @@
 // derived from the shard's recent per-command service time. Release/reset
 // commands bypass the bound so an overloaded pool can still shed state.
 //
-// Fork lifecycle: forks are acquired on first request, reset() re-forks
-// from the base, release() drops the client. An idle sweep runs every
-// drain cycle: pristine forks idle past `idle_evict_cycles` are evicted
-// (re-acquired O(1) on the next request); mutated idle forks are instead
-// flattened once via FileSystem::collapse() — they stop pinning the fork
-// family's frozen generations and their lookups go flat — but keep their
-// divergence (a shrinkwrapped world must survive its owner's coffee
-// break).
+// Fork lifecycle: a client's pool state is exactly its fork. A client
+// without one is pristine: model-free memo hits and release() serve it
+// without forking, and every other request forks the base O(1) on first
+// need. release() and reset() are one command that drops the fork; the
+// next request re-forks lazily. An idle sweep runs every drain cycle and
+// evicts pristine forks idle past `idle_evict_cycles` (re-forked O(1) on
+// the next request); mutated forks keep their divergence as it is (a
+// shrinkwrapped world must survive its owner's coffee break).
 //
 //   svc::SessionPool pool(core::WorldBuilder().debian().build());
 //   auto f = pool.submit_load(client_id, "/usr/bin/bin7");
@@ -131,20 +131,9 @@ struct PoolConfig {
   std::size_t threads = 0;
   /// Per-shard pending-command bound; submits past it throw Overloaded.
   std::size_t queue_high_water = 1024;
-  /// Idle sweep: a fork untouched for this many of its shard's drain
-  /// cycles is evicted (pristine) or collapsed (mutated). 0 = never.
+  /// Idle sweep: a pristine fork untouched for this many of its shard's
+  /// drain cycles is evicted; mutated forks are kept. 0 = never.
   std::uint64_t idle_evict_cycles = 1024;
-  /// Dedup identical Load requests across pristine forks. Stays on when
-  /// the base carries a latency model: hits re-price sim_time_s through
-  /// the client's own models (see the header comment).
-  bool memoize_loads = true;
-  /// Per-client fairness: at most this many commands per client per drain
-  /// cycle (deficit round-robin over the swapped batch); a chatty client's
-  /// surplus is requeued at the FRONT of the shard queue — still ahead of
-  /// newer arrivals, still FIFO within the client — so one client can no
-  /// longer monopolize a whole cycle and quiet tenants' tail latency is
-  /// bounded by (budget x clients) commands. 0 = unlimited (plain FIFO).
-  std::size_t client_budget_per_cycle = 0;
   /// Tests and scripted drivers: no worker drains are scheduled; queues
   /// advance only when pump() is called, making backpressure and idle
   /// eviction deterministic.
@@ -187,13 +176,7 @@ struct PoolStats {
   std::uint64_t memoized = 0;             // Loads served from the dedup memo
   std::uint64_t rejected = 0;             // Overloaded submits
   std::uint64_t evicted = 0;              // idle pristine forks dropped
-  std::uint64_t collapsed = 0;            // idle mutated forks flattened
   std::uint64_t drain_cycles = 0;
-  /// Most distinct clients ever served within one drain cycle (any shard):
-  /// the fairness dashboard number — under a per-client budget it grows
-  /// with the number of interleaved tenants instead of pinning at 1 while
-  /// one chatty client monopolizes a cycle.
-  std::size_t max_clients_per_cycle = 0;
   std::uint64_t worker_errors = 0;  // exceptions forwarded to futures
   std::uint64_t fork_owned_bytes = 0;  // Σ owned_bytes over live forks
   /// End-to-end (enqueue -> result ready) latency per request kind.
@@ -266,9 +249,9 @@ class SessionPool {
   std::future<QueryResult> submit_query(ClientId client);
 
   // ---- fork lifecycle (bypass the high-water mark: they shed state) -------
-  /// Drop the client's fork and queue position; the next request re-admits.
+  /// Drop the client's fork; its next request re-forks the base lazily.
   std::future<void> release(ClientId client);
-  /// Replace the client's fork with a fresh pristine fork of the base.
+  /// The same command as release(): the client is pristine again.
   std::future<void> reset(ClientId client);
 
   // ---- batched admission (front ends) -------------------------------------
@@ -308,18 +291,14 @@ class SessionPool {
   /// Run one drain cycle per shard on the calling thread, skipping shards a
   /// worker strand owns right now. Under PoolConfig::manual_drain this is
   /// the only way queues advance; otherwise whatever a shard still has
-  /// queued after its cycle (submits that arrived meanwhile, commands a
-  /// client budget deferred) is handed to a worker strand. Returns
-  /// commands run.
+  /// queued after its cycle (submits that arrived meanwhile) is handed to
+  /// a worker strand. Returns commands run.
   std::size_t pump();
 
   PoolStats stats() const;
   const PoolConfig& config() const { return config_; }
   /// Which shard serves this client (submission-order domain).
   std::size_t shard_of(ClientId client) const;
-  /// Whether Load dedup is active. Under a latency model the memo stays
-  /// on and hits re-price sim_time_s per client (repricing_active()).
-  bool memoization_enabled() const { return memo_enabled_; }
   /// True when memo hits re-price the miss run's op trace through the
   /// client's own latency models (base carries a LatencyModel).
   bool repricing_active() const { return reprice_; }
@@ -338,19 +317,21 @@ class SessionPool {
   MemoShard& memo_shard_for(const std::string& key);
   void schedule_drain(Shard& shard);     // under shard.mutex
   std::size_t drain_cycle(Shard& shard);  // strand body; returns commands run
-  void enqueue(ClientId client, RequestKind kind, Command command);
+  /// Build the command around `cmd`, enqueue it, return its future.
+  template <typename Cmd>
+  auto submit_command(ClientId client, Cmd cmd);
+  void enqueue(ClientId client, Command command);
   void execute(Shard& shard, Command& command);
   void notify(Shard& shard, Command& command);  // the Admission completion
   void retire();  // one admitted command is done: count it off pending_
   void wake_touched(const Admission& admission);
   void wake(Shard& shard);  // start a strand for what the shard has queued
-  void sweep_idle(Shard& shard);
+  std::size_t sweep_idle(Shard& shard);  // returns forks evicted
   void finish(Shard& shard, RequestKind kind, bool error, bool memo_hit,
               double wait_s, double service_s);
 
   PoolConfig config_;
   core::Session base_;
-  bool memo_enabled_ = false;
   bool reprice_ = false;  // base carries a latency model: re-price hits
 
   /// Fallback only: admissions are lock-free via fork_sealed() while the

@@ -199,7 +199,7 @@ struct WireStats {
 /// acceptor+IO thread owns every connection and sleeps in poll(2) until a
 /// socket or a completed request needs it. It decodes every complete frame
 /// of a read into pool submit_* calls inside one SessionPool::Admission
-/// (so admission, fairness, memoization, and backpressure are the pool's —
+/// (so admission, memoization, and backpressure are the pool's —
 /// unchanged — and each touched shard is woken once per read), and writes
 /// responses AS THEY COMPLETE: each command's completion queues its ticket
 /// for the IO thread and writes the wake pipe only when that queue was

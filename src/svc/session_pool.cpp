@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <optional>
 #include <shared_mutex>
 #include <type_traits>
 #include <utility>
@@ -89,28 +88,32 @@ struct FleetCmd {
 struct QueryCmd {
   std::promise<QueryResult> done;
 };
-struct ControlCmd {
-  bool reset = false;  // false = release
+struct ControlCmd {  // release and reset: drop the client's fork
   std::promise<void> done;
 };
 
 struct SessionPool::Command {
+  /// One alternative per RequestKind, in its order.
+  using Op = std::variant<LoadCmd, LoadManyCmd, WhatifCmd, WrapCmd, FleetCmd,
+                          QueryCmd, ControlCmd>;
+  static_assert(std::variant_size_v<Op> == kRequestKinds);
+
   ClientId client = 0;
-  RequestKind kind = RequestKind::Load;
   Clock::time_point enqueued;
-  std::variant<LoadCmd, LoadManyCmd, WhatifCmd, WrapCmd, FleetCmd, QueryCmd,
-               ControlCmd>
-      op;
+  Op op;
   /// Set when submitted inside an Admission: called with `tag` once the
   /// result is set.
   std::function<void(std::uint64_t)> on_done;
   std::uint64_t tag = 0;
+
+  RequestKind kind() const { return static_cast<RequestKind>(op.index()); }
 };
 
+/// A client's whole pool state: the fork it holds. A client without an
+/// entry is pristine and holds nothing.
 struct SessionPool::ClientState {
-  std::optional<core::Session> session;
-  bool pristine = true;        // no mutating request executed on this fork
-  bool collapsed_idle = false;  // the idle sweep flattened it already
+  core::Session session;
+  bool pristine = true;  // no mutating request executed on this fork
   std::uint64_t last_active = 0;  // shard drain-cycle stamp
 };
 
@@ -126,15 +129,13 @@ struct SessionPool::Shard {
   std::uint64_t memoized = 0;
   std::uint64_t rejected = 0;
   std::uint64_t evicted = 0;
-  std::uint64_t collapsed = 0;
   std::uint64_t errors = 0;
   std::uint64_t cycles = 0;
-  std::size_t max_clients_per_cycle = 0;  // fairness dashboard high-water
   std::array<support::LogHistogram, kRequestKinds> latency;  // microseconds
 
-  /// Client map AND the sessions inside it. The strand holds it for the
-  /// duration of each command so stats() can read live-fork aggregates
-  /// without racing execution; submits never touch it.
+  /// Client forks, one entry per client holding one. The strand holds it
+  /// for the duration of each command so stats() can read live-fork
+  /// aggregates without racing execution; submits never touch it.
   mutable std::mutex client_mutex;
   std::unordered_map<ClientId, ClientState> clients;
 
@@ -165,7 +166,6 @@ struct SessionPool::MemoShard {
 SessionPool::SessionPool(core::Session base, PoolConfig config)
     : config_(config), base_(std::move(base)) {
   config_.shards = std::max<std::size_t>(1, config_.shards);
-  memo_enabled_ = config_.memoize_loads;
   // A latency model's per-view state (NfsModel's attribute cache) shows up
   // in sim_time_s, so memo hits cannot reuse the stored report verbatim:
   // misses record their op trace and hits replay it through the client's
@@ -230,13 +230,21 @@ SessionPool::Admission::~Admission() {
   pool_.wake_touched(*this);
 }
 
-void SessionPool::enqueue(ClientId client, RequestKind kind, Command command) {
+template <typename Cmd>
+auto SessionPool::submit_command(ClientId client, Cmd cmd) {
+  auto future = cmd.done.get_future();
+  Command command;
+  command.op = std::move(cmd);
+  enqueue(client, std::move(command));
+  return future;
+}
+
+void SessionPool::enqueue(ClientId client, Command command) {
   Shard& shard = shard_for(client);
   Admission* admission =
       t_admission != nullptr && &t_admission->pool_ == this ? t_admission
                                                             : nullptr;
   command.client = client;
-  command.kind = kind;
   command.enqueued = Clock::now();
   if (admission) {
     command.on_done = admission->on_done_;
@@ -246,7 +254,7 @@ void SessionPool::enqueue(ClientId client, RequestKind kind, Command command) {
     std::lock_guard lock(shard.mutex);
     // Control commands (release/reset) shed state and bypass the bound —
     // an overloaded pool must stay able to shrink itself.
-    if (kind != RequestKind::Control &&
+    if (command.kind() != RequestKind::Control &&
         shard.queue.size() >= config_.queue_high_water) {
       ++shard.rejected;
       throw Overloaded(shard.index, shard.queue.size(),
@@ -359,34 +367,6 @@ std::size_t SessionPool::drain_cycle(Shard& shard) {
     batch.swap(shard.queue);
     ++shard.cycles;
   }
-  // Deficit round-robin over the swapped batch: under a per-client budget
-  // each client runs at most `budget` commands this cycle; the surplus is
-  // requeued (below) at the FRONT of the shard queue — ahead of anything
-  // submitted since the swap — so per-client FIFO order and old-before-new
-  // precedence both survive, but one chatty client can no longer pin the
-  // strand for a whole cycle while quiet tenants wait. pending_ is NOT
-  // decremented for deferred commands (they have not run), so drain()
-  // still quiesces correctly.
-  std::deque<Command> deferred;
-  std::size_t clients_served = 0;
-  {
-    std::unordered_map<ClientId, std::size_t> per_client;
-    if (config_.client_budget_per_cycle != 0) {
-      std::deque<Command> admitted;
-      for (Command& command : batch) {
-        if (per_client[command.client]++ < config_.client_budget_per_cycle) {
-          admitted.push_back(std::move(command));
-        } else {
-          deferred.push_back(std::move(command));
-        }
-      }
-      batch.swap(admitted);
-    } else {
-      for (const Command& command : batch) per_client[command.client] = 0;
-    }
-    // budget >= 1, so every client in the batch ran at least one command.
-    clients_served = per_client.size();
-  }
   // Execute the whole batch outside the queue lock — submissions keep
   // landing while the strand works, and they will be picked up by the
   // next cycle of the same task (the while-loop in schedule_drain).
@@ -395,19 +375,15 @@ std::size_t SessionPool::drain_cycle(Shard& shard) {
     notify(shard, command);
     retire();
   }
+  std::size_t evicted = 0;
   {
     std::lock_guard lock(shard.client_mutex);
-    sweep_idle(shard);
+    evicted = sweep_idle(shard);
   }
   {
     std::lock_guard lock(shard.mutex);
-    shard.max_clients_per_cycle =
-        std::max(shard.max_clients_per_cycle, clients_served);
+    shard.evicted += evicted;
     shard.batch_sizes.record(static_cast<double>(batch.size()));
-    while (!deferred.empty()) {
-      shard.queue.push_front(std::move(deferred.back()));
-      deferred.pop_back();
-    }
   }
   return batch.size();
 }
@@ -463,28 +439,33 @@ void SessionPool::execute(Shard& shard, Command& command) {
   bool memo_hit = false;
 
   std::lock_guard clients_lock(shard.client_mutex);
-  ClientState& state = shard.clients[command.client];
-  state.last_active = shard.cycles;
+  const auto found = shard.clients.find(command.client);
+  ClientState* state =
+      found != shard.clients.end() ? &found->second : nullptr;
+  if (state) state->last_active = shard.cycles;
 
-  // Lazily acquire the client's fork (Control and memo-served Loads may
-  // not need one; everything else does). The base is sealed at pool
+  // Lazily acquire the client's fork (Control and model-free memo hits
+  // need none; everything else does). The base is sealed at pool
   // construction, so the expected path is a lock-free fork_sealed stamp;
   // the fork mutex survives only as the unsealed-base fallback.
-  auto ensure_session = [&]() -> core::Session& {
-    if (!state.session) {
-      if (base_.sealed()) {
-        state.session.emplace(base_.fork_sealed());
-        forks_wait_free_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        std::lock_guard fork_lock(fork_mutex_);
-        state.session.emplace(base_.sealed() ? base_.fork_sealed()
-                                             : base_.fork());
-        forks_locked_.fetch_add(1, std::memory_order_relaxed);
-      }
-      state.pristine = true;
-      state.collapsed_idle = false;
+  auto fork_base = [&]() -> core::Session {
+    if (base_.sealed()) {
+      forks_wait_free_.fetch_add(1, std::memory_order_relaxed);
+      return base_.fork_sealed();
     }
-    return *state.session;
+    std::lock_guard fork_lock(fork_mutex_);
+    forks_locked_.fetch_add(1, std::memory_order_relaxed);
+    return base_.sealed() ? base_.fork_sealed() : base_.fork();
+  };
+  auto ensure_session = [&]() -> core::Session& {
+    if (!state) {
+      state = &shard.clients
+                   .emplace(command.client,
+                            ClientState{.session = fork_base(),
+                                        .last_active = shard.cycles})
+                   .first->second;
+    }
+    return state->session;
   };
 
   // One Load, through the shared-world memo when sound: on a pristine fork
@@ -497,7 +478,7 @@ void SessionPool::execute(Shard& shard, Command& command) {
   auto run_load =
       [&](const std::string& exe) -> std::shared_ptr<const loader::LoadReport> {
     const std::string key = exe.empty() ? base_.default_exe() : exe;
-    if (memo_enabled_ && state.pristine) {
+    if (!state || state->pristine) {
       MemoShard& memo = memo_shard_for(key);
       {
         std::shared_lock memo_lock(memo.mutex);
@@ -554,7 +535,7 @@ void SessionPool::execute(Shard& shard, Command& command) {
     }
   };
 
-  switch (command.kind) {
+  switch (command.kind()) {
     case RequestKind::Load: {
       auto& cmd = std::get<LoadCmd>(command.op);
       deliver(cmd, [&] { return run_load(cmd.exe); });
@@ -586,7 +567,7 @@ void SessionPool::execute(Shard& shard, Command& command) {
       auto& cmd = std::get<WrapCmd>(command.op);
       deliver(cmd, [&] {
         shrinkwrap::WrapReport report = ensure_session().shrinkwrap(cmd.exe);
-        state.pristine = false;  // the fork's world diverged from the base
+        state->pristine = false;  // the fork's world diverged from the base
         return report;
       });
       break;
@@ -613,66 +594,33 @@ void SessionPool::execute(Shard& shard, Command& command) {
         result.interned_paths = session.fs().paths().size();
         result.mount_count = session.fs().mounts().size();
         result.default_exe = session.default_exe();
-        result.pristine = state.pristine;
+        result.pristine = state->pristine;
         return result;
       });
       break;
     }
     case RequestKind::Control: {
+      // Drop the fork; the next request re-forks lazily.
       auto& cmd = std::get<ControlCmd>(command.op);
-      deliver(cmd, [&] {
-        if (cmd.reset) {
-          // Lazy re-fork: drop the state; the next request re-admits.
-          state = ClientState{};
-          state.last_active = shard.cycles;
-        } else {
-          shard.clients.erase(command.client);
-        }
-      });
+      deliver(cmd, [&] { shard.clients.erase(command.client); });
       break;
     }
   }
 
   const double service_s = seconds_between(started, Clock::now());
-  finish(shard, command.kind, error, memo_hit, wait_s, service_s);
+  finish(shard, command.kind(), error, memo_hit, wait_s, service_s);
 }
 
-void SessionPool::sweep_idle(Shard& shard) {
-  // Caller holds shard.client_mutex.
-  if (config_.idle_evict_cycles == 0) return;
-  std::uint64_t evicted = 0;
-  std::uint64_t collapsed = 0;
-  for (auto it = shard.clients.begin(); it != shard.clients.end();) {
-    ClientState& state = it->second;
-    const bool idle = state.session &&
-                      shard.cycles - state.last_active >=
-                          config_.idle_evict_cycles;
-    if (!idle) {
-      ++it;
-      continue;
-    }
-    if (state.pristine) {
-      // A pristine fork carries no divergence: drop it, re-fork O(1) on
-      // the next request.
-      it = shard.clients.erase(it);
-      ++evicted;
-      continue;
-    }
-    if (!state.collapsed_idle) {
-      // A mutated fork must keep its divergence, but flattening it stops
-      // it pinning the fork family's frozen generations and makes its
-      // lookups flat for whenever the owner returns.
-      state.session->fs().collapse();
-      state.collapsed_idle = true;
-      ++collapsed;
-    }
-    ++it;
-  }
-  if (evicted != 0 || collapsed != 0) {
-    std::lock_guard lock(shard.mutex);
-    shard.evicted += evicted;
-    shard.collapsed += collapsed;
-  }
+std::size_t SessionPool::sweep_idle(Shard& shard) {
+  // Caller holds shard.client_mutex. A pristine fork carries no
+  // divergence: drop it, re-fork O(1) on the next request. A mutated fork
+  // stays as it is.
+  if (config_.idle_evict_cycles == 0) return 0;
+  return std::erase_if(shard.clients, [&](const auto& entry) {
+    const ClientState& state = entry.second;
+    return state.pristine &&
+           shard.cycles - state.last_active >= config_.idle_evict_cycles;
+  });
 }
 
 // ---- typed submits --------------------------------------------------------
@@ -688,80 +636,41 @@ std::future<loader::LoadReport> SessionPool::submit_load(ClientId client,
 
 std::future<std::shared_ptr<const loader::LoadReport>>
 SessionPool::submit_load_shared(ClientId client, std::string exe) {
-  LoadCmd cmd{std::move(exe), {}};
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::Load, std::move(command));
-  return future;
+  return submit_command(client, LoadCmd{std::move(exe), {}});
 }
 
 std::future<std::vector<loader::LoadReport>> SessionPool::submit_load_many(
     ClientId client, std::vector<std::string> exes) {
-  LoadManyCmd cmd{std::move(exes), {}};
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::LoadMany, std::move(command));
-  return future;
+  return submit_command(client, LoadManyCmd{std::move(exes), {}});
 }
 
 std::future<core::Session::WhatIfReport> SessionPool::submit_whatif(
     ClientId client, std::string exe) {
-  WhatifCmd cmd{std::move(exe), {}};
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::Whatif, std::move(command));
-  return future;
+  return submit_command(client, WhatifCmd{std::move(exe), {}});
 }
 
 std::future<shrinkwrap::WrapReport> SessionPool::submit_shrinkwrap(
     ClientId client, std::string exe) {
-  WrapCmd cmd{std::move(exe), {}};
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::Shrinkwrap, std::move(command));
-  return future;
+  return submit_command(client, WrapCmd{std::move(exe), {}});
 }
 
 std::future<launch::LaunchResult> SessionPool::submit_launch_fleet(
     ClientId client, core::SandboxSpec spec, std::string exe, int ranks,
     launch::FleetConfig fleet) {
-  FleetCmd cmd{std::move(spec), std::move(exe), ranks, std::move(fleet), {}};
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::LaunchFleet, std::move(command));
-  return future;
+  return submit_command(client, FleetCmd{std::move(spec), std::move(exe),
+                                         ranks, std::move(fleet), {}});
 }
 
 std::future<QueryResult> SessionPool::submit_query(ClientId client) {
-  QueryCmd cmd;
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::Query, std::move(command));
-  return future;
+  return submit_command(client, QueryCmd{});
 }
 
 std::future<void> SessionPool::release(ClientId client) {
-  ControlCmd cmd{/*reset=*/false, {}};
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::Control, std::move(command));
-  return future;
+  return submit_command(client, ControlCmd{});
 }
 
 std::future<void> SessionPool::reset(ClientId client) {
-  ControlCmd cmd{/*reset=*/true, {}};
-  auto future = cmd.done.get_future();
-  Command command;
-  command.op = std::move(cmd);
-  enqueue(client, RequestKind::Control, std::move(command));
-  return future;
+  return release(client);
 }
 
 // ---- observability --------------------------------------------------------
@@ -780,21 +689,17 @@ PoolStats SessionPool::stats() const {
       stats.memoized += shard->memoized;
       stats.rejected += shard->rejected;
       stats.evicted += shard->evicted;
-      stats.collapsed += shard->collapsed;
       stats.worker_errors += shard->errors;
       stats.drain_cycles += shard->cycles;
-      stats.max_clients_per_cycle =
-          std::max(stats.max_clients_per_cycle, shard->max_clients_per_cycle);
       for (std::size_t k = 0; k < kRequestKinds; ++k) {
         merged[k].merge(shard->latency[k]);
       }
       batches.merge(shard->batch_sizes);
     }
     std::lock_guard lock(shard->client_mutex);
+    stats.clients_live += shard->clients.size();
     for (const auto& [id, state] : shard->clients) {
-      if (!state.session) continue;
-      ++stats.clients_live;
-      stats.fork_owned_bytes += state.session->fs().owned_bytes();
+      stats.fork_owned_bytes += state.session.fs().owned_bytes();
     }
   }
   stats.admitted = stats.executed + pending_.load(std::memory_order_acquire);

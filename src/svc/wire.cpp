@@ -1143,8 +1143,7 @@ loader::LoadReport WireClient::load(ClientId client, const std::string& exe) {
 std::vector<loader::LoadReport> WireClient::load_many(
     ClientId client, std::vector<std::string> exes) {
   std::string payload;
-  put_u32(payload, static_cast<std::uint32_t>(exes.size()));
-  for (const auto& exe : exes) put_str(payload, exe);
+  put_strings(payload, exes);
   WireResponse response = call(WireKind::LoadMany, client, payload);
   response.throw_if_failed();
   return decode_load_reports(response.payload);

@@ -111,7 +111,7 @@ void print_usage(std::FILE* out) {
       "      (mount table of a fleet image's first view)\n"
       "  depchaos serve <world-file> --exe=PATH [--clients=N]\n"
       "      [--requests=N] [--shards=N] [--threads=N] [--mix=load|mixed]\n"
-      "      [--seed=N] [--high-water=N] [--no-memo] [--listen=PORT]\n"
+      "      [--seed=N] [--high-water=N] [--listen=PORT]\n"
       "      (multi-tenant session service demo: a svc::SessionPool over\n"
       "       the world plus an in-process scripted driver — N client\n"
       "       threads each firing a request script at the pool's sharded\n"
@@ -484,11 +484,9 @@ void print_pool_dashboard(const svc::PoolStats& stats) {
   std::printf("executed / memoized %llu / %llu\n",
               static_cast<unsigned long long>(stats.executed - stats.memoized),
               static_cast<unsigned long long>(stats.memoized));
-  std::printf("rejected / evicted / collapsed / errors  %llu / %llu / %llu "
-              "/ %llu\n",
+  std::printf("rejected / evicted / errors  %llu / %llu / %llu\n",
               static_cast<unsigned long long>(stats.rejected),
               static_cast<unsigned long long>(stats.evicted),
-              static_cast<unsigned long long>(stats.collapsed),
               static_cast<unsigned long long>(stats.worker_errors));
   std::printf("drain cycles        %llu over %zu shards\n",
               static_cast<unsigned long long>(stats.drain_cycles),
@@ -573,7 +571,6 @@ int cmd_serve(const std::vector<std::string>& args) {
       static_cast<std::size_t>(parse_long(args, "--threads=", 0, 0, 4096));
   config.queue_high_water = static_cast<std::size_t>(
       parse_long(args, "--high-water=", 1024, 1, 1'000'000'000));
-  config.memoize_loads = !has_flag(args, "--no-memo");
 
   core::Session base = open_session(args);
   // Saved snapshots carry no default target; `--exe=` names the app the
@@ -597,9 +594,9 @@ int cmd_serve(const std::vector<std::string>& args) {
         parse_long_text("--listen=", listen, 0, 65535));
     svc::WireServer server(pool, wire_config);
     // The exact line the CI loopback smoke greps for the ephemeral port.
-    std::printf("listening on %s:%u (%s, %zu shards, memo %s)\n",
+    std::printf("listening on %s:%u (%s, %zu shards)\n",
                 wire_config.host.c_str(), server.port(), exe.c_str(),
-                config.shards, pool.memoization_enabled() ? "on" : "off");
+                config.shards);
     std::fflush(stdout);
     server.wait();  // until a remote Shutdown frame
     print_wire_stats(server.stats());
@@ -607,10 +604,8 @@ int cmd_serve(const std::vector<std::string>& args) {
     return 0;
   }
 
-  std::printf("serving %s: %zu clients x %zu requests (%s mix, %zu shards, "
-              "memo %s)\n",
-              exe.c_str(), clients, requests, mix.c_str(), config.shards,
-              pool.memoization_enabled() ? "on" : "off");
+  std::printf("serving %s: %zu clients x %zu requests (%s mix, %zu shards)\n",
+              exe.c_str(), clients, requests, mix.c_str(), config.shards);
 
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> request_errors{0};
