@@ -1,11 +1,11 @@
-// Heterogeneous fleets at scale: fingerprint-clustered rank measurement.
+// Heterogeneous fleets at scale: class-clustered rank measurement.
 //
 // A 1024-rank mixed-Pynamic MPMD fleet in 4 program classes, launched as
 // containerized per-rank sandboxes (rootfs image + CoW overlay). The
 // per-rank reference model (tests/reference/per_rank_fleet.hpp) replays
 // the loader once per RANK — O(nprocs) full metadata walks for a launch
 // model whose inputs only vary per CLASS. launch::simulate_fleet_launch
-// keys each rank's sandbox by (overlay fingerprint, environment),
+// keys each rank's sandbox by its exact (overlay key, environment) pair,
 // measures ONE representative per equivalence class, and replicates the
 // per-class streams — O(#classes).
 //

@@ -13,7 +13,7 @@
 // copy-on-write and mounts the shared image without copying a byte of it
 // (gated by bench/fig6_container.cpp). Measurement cost scales with the
 // number of DISTINCT rank configurations, not the rank count: ranks are
-// clustered into equivalence classes by (sandbox overlay fingerprint,
+// clustered into equivalence classes on an exact key (sandbox overlay key,
 // loader environment) after rank_setup runs in every sandbox, and one
 // representative per class is measured (gated by bench/hetero_fleet.cpp
 // against the per-rank reference model in tests/reference/). A fleet
@@ -116,13 +116,10 @@ std::string env_class_key(const loader::Environment& env) {
   return key;
 }
 
-bool env_equal(const loader::Environment& a, const loader::Environment& b) {
-  return a.ld_library_path == b.ld_library_path && a.ld_preload == b.ld_preload;
-}
-
-/// One rank equivalence class. The representative's sandbox is kept alive
-/// so later ranks can be structurally compared against it
-/// (overlay_delta_equal — the hash-collision paranoia check).
+/// One rank equivalence class. The representative's sandbox is kept
+/// alive: a rank_setup hook may mount an image or bind source it creates
+/// per rank, which the overlay key names by address, and a live address
+/// cannot be reused by a later rank's different substrate.
 struct RankClass {
   core::Session sandbox;
   RankMeasurement m;
@@ -164,32 +161,17 @@ std::vector<RankClass> measure_classes(core::Session& session,
     return classes;
   }
   // Run the (cheap) rank_setup hook in every rank's sandbox and key each
-  // sandbox by its overlay-delta fingerprint plus the loader environment.
-  // The fingerprint is O(delta) (cached at the vfs mutation choke point)
-  // and hash-equal candidates are confirmed structurally before joining a
-  // class, so a sha256 collision can only split a class (extra
-  // measurement), never merge two (wrong numbers).
-  std::unordered_map<std::string, std::vector<std::size_t>> by_key;
+  // sandbox by its overlay key (self-delimiting) plus its loader
+  // environment: both injective, so a rank joins a class on an exact hit.
+  std::unordered_map<std::string, std::size_t> class_of;
   for (int r = 0; r < nprocs; ++r) {
     core::Session rank_session = prepare_rank(r);
-    std::string key = rank_session.fs().overlay_fingerprint();
-    key += '\0';
+    std::string key = rank_session.fs().overlay_key();
     key += env_class_key(rank_session.env());
-    std::vector<std::size_t>& bucket = by_key[key];
-    std::size_t cls = classes.size();
-    for (const std::size_t candidate : bucket) {
-      if (classes[candidate].sandbox.fs().overlay_delta_equal(
-              rank_session.fs()) &&
-          env_equal(classes[candidate].sandbox.env(), rank_session.env())) {
-        cls = candidate;
-        break;
-      }
-    }
-    if (cls == classes.size()) {
-      bucket.push_back(cls);
-      add_class(std::move(rank_session));
-    }
-    classes[cls].ranks.push_back(r);
+    const auto [it, fresh] =
+        class_of.try_emplace(std::move(key), classes.size());
+    if (fresh) add_class(std::move(rank_session));
+    classes[it->second].ranks.push_back(r);
   }
   return classes;
 }

@@ -116,7 +116,7 @@ struct LaunchResult {
   /// Loader replays: 1 for bare launches; for a fleet, one per rank
   /// equivalence class (== classes_measured).
   int ranks_measured = 0;
-  /// Rank equivalence classes (image, overlay fingerprint, env), one
+  /// Rank equivalence classes (equal overlay key and environment), one
   /// loader replay each; 1 for a fleet without a rank_setup hook. 0 for
   /// bare launches.
   int classes_measured = 0;
@@ -220,11 +220,11 @@ struct FleetConfig {
   /// Per-rank divergence hook, applied to rank r's sandbox before its
   /// measurement (rank-private config writes, shadowing libraries, ...).
   /// Non-null = every rank gets its own sandbox, and ranks whose sandbox
-  /// divergence (vfs::FileSystem::overlay_fingerprint, confirmed by
-  /// overlay_delta_equal) and loader environment are identical form one
-  /// equivalence class with ONE measured load — O(#classes) loader
-  /// replays instead of O(nprocs), byte-identical totals. Null = one
-  /// class: rank 0's sandbox is measured for all nprocs ranks.
+  /// divergence (vfs::FileSystem::overlay_key) and loader environment are
+  /// identical form one equivalence class with ONE measured load —
+  /// O(#classes) loader replays instead of O(nprocs), byte-identical
+  /// totals. Null = one class: rank 0's sandbox is measured for all
+  /// nprocs ranks.
   std::function<void(core::Session&, int rank)> rank_setup;
   /// The image was broadcast/staged to node-local storage before launch:
   /// shared-substrate metadata and bytes are served at the cluster's

@@ -239,7 +239,7 @@ class SessionPool {
                                                         std::string exe = {});
   /// Containerized fleet launch: the FleetConfig (cluster model,
   /// rank_setup hook, engine/prestage knobs) rides along with the command,
-  /// so pooled tenants get the same O(#classes) fingerprint-clustered
+  /// so pooled tenants get the same O(#classes) class-clustered
   /// measurement as direct Session::launch_fleet callers. The hook runs on
   /// the client's strand inside per-rank sandbox forks of the client's own
   /// view — never on a shared structure.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <list>
 #include <shared_mutex>
 #include <type_traits>
 #include <utility>
@@ -115,6 +116,7 @@ struct SessionPool::ClientState {
   core::Session session;
   bool pristine = true;  // no mutating request executed on this fork
   std::uint64_t last_active = 0;  // shard drain-cycle stamp
+  std::list<ClientId>::iterator idle_slot{};  // in Shard::idle, if pristine
 };
 
 struct SessionPool::Shard {
@@ -138,6 +140,10 @@ struct SessionPool::Shard {
   /// aggregates without racing execution; submits never touch it.
   mutable std::mutex client_mutex;
   std::unordered_map<ClientId, ClientState> clients;
+  /// The pristine forks of `clients`, least recently active first: the
+  /// idle sweep pops due forks off the front and stops at the first that
+  /// is not due, so a cycle pays only for what it evicts.
+  std::list<ClientId> idle;
 
   /// Commands executed per drain-cycle batch (PoolStats::drain_batch).
   support::LogHistogram batch_sizes;
@@ -442,7 +448,12 @@ void SessionPool::execute(Shard& shard, Command& command) {
   const auto found = shard.clients.find(command.client);
   ClientState* state =
       found != shard.clients.end() ? &found->second : nullptr;
-  if (state) state->last_active = shard.cycles;
+  if (state) {
+    state->last_active = shard.cycles;
+    if (state->pristine) {
+      shard.idle.splice(shard.idle.end(), shard.idle, state->idle_slot);
+    }
+  }
 
   // Lazily acquire the client's fork (Control and model-free memo hits
   // need none; everything else does). The base is sealed at pool
@@ -464,6 +475,7 @@ void SessionPool::execute(Shard& shard, Command& command) {
                             ClientState{.session = fork_base(),
                                         .last_active = shard.cycles})
                    .first->second;
+      state->idle_slot = shard.idle.insert(shard.idle.end(), command.client);
     }
     return state->session;
   };
@@ -567,7 +579,10 @@ void SessionPool::execute(Shard& shard, Command& command) {
       auto& cmd = std::get<WrapCmd>(command.op);
       deliver(cmd, [&] {
         shrinkwrap::WrapReport report = ensure_session().shrinkwrap(cmd.exe);
-        state->pristine = false;  // the fork's world diverged from the base
+        if (state->pristine) {  // the fork's world diverged from the base
+          state->pristine = false;
+          shard.idle.erase(state->idle_slot);
+        }
         return report;
       });
       break;
@@ -575,8 +590,8 @@ void SessionPool::execute(Shard& shard, Command& command) {
     case RequestKind::LaunchFleet: {
       auto& cmd = std::get<FleetCmd>(command.op);
       // The caller's config (rank_setup, engine) rides along: pooled
-      // tenants get the same fingerprint-clustered O(#classes) measurement
-      // as direct launch_fleet callers.
+      // tenants get the same class-clustered O(#classes) measurement as
+      // direct launch_fleet callers.
       deliver(cmd, [&] {
         return ensure_session().launch_fleet(cmd.spec, cmd.exe, cmd.ranks,
                                              cmd.fleet);
@@ -602,7 +617,11 @@ void SessionPool::execute(Shard& shard, Command& command) {
     case RequestKind::Control: {
       // Drop the fork; the next request re-forks lazily.
       auto& cmd = std::get<ControlCmd>(command.op);
-      deliver(cmd, [&] { shard.clients.erase(command.client); });
+      deliver(cmd, [&] {
+        if (!state) return;
+        if (state->pristine) shard.idle.erase(state->idle_slot);
+        shard.clients.erase(command.client);
+      });
       break;
     }
   }
@@ -616,11 +635,17 @@ std::size_t SessionPool::sweep_idle(Shard& shard) {
   // divergence: drop it, re-fork O(1) on the next request. A mutated fork
   // stays as it is.
   if (config_.idle_evict_cycles == 0) return 0;
-  return std::erase_if(shard.clients, [&](const auto& entry) {
-    const ClientState& state = entry.second;
-    return state.pristine &&
-           shard.cycles - state.last_active >= config_.idle_evict_cycles;
-  });
+  std::size_t evicted = 0;
+  while (!shard.idle.empty()) {
+    const auto it = shard.clients.find(shard.idle.front());
+    if (shard.cycles - it->second.last_active < config_.idle_evict_cycles) {
+      break;
+    }
+    shard.clients.erase(it);
+    shard.idle.pop_front();
+    ++evicted;
+  }
+  return evicted;
 }
 
 // ---- typed submits --------------------------------------------------------

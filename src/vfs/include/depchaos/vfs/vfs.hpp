@@ -82,11 +82,11 @@
 //    no external lock (svc::SessionPool's wait-free admission path), and
 //    each child is byte-identical to what legacy fork() would return.
 //    Only fork_sealed() has this guarantee — other const reads on the
-//    sealed view (resolution, fingerprinting) still touch per-view
-//    mutable memo state and stay single-threaded. ANY mutation (node
-//    write, mount surgery, collapse) clears the seal; fork_sealed() then
-//    throws until seal() runs again, so a stale seal can never hand out
-//    a child that misses unfrozen state.
+//    sealed view (resolution) still touch per-view mutable memo state and
+//    stay single-threaded. ANY mutation (node write, mount surgery,
+//    collapse) clears the seal; fork_sealed() then throws until seal()
+//    runs again, so a stale seal can never hand out a child that misses
+//    unfrozen state.
 //  * collapse() rewrites the calling view's layer chain only; sibling
 //    views keep their own references to the frozen generations, so one
 //    client flattening its world never perturbs another. Mutating a
@@ -217,10 +217,10 @@ class FileSystem {
   FileSystem fork();
 
   /// Perform fork()'s parent-side mutations once: freeze the overlay,
-  /// rotate the dentry memo into the shared snapshot, seal writable mount
-  /// backings recursively, and pre-warm the fingerprint memo. Afterwards —
-  /// until the next mutation — fork_sealed() needs no lock. Idempotent;
-  /// observably identical to a discarded priming fork().
+  /// rotate the dentry memo into the shared snapshot, and seal writable
+  /// mount backings recursively. Afterwards — until the next mutation —
+  /// fork_sealed() needs no lock. Idempotent; observably identical to a
+  /// discarded priming fork().
   void seal();
 
   /// Lock-free fork fast path over a seal()ed view: stamps a new sibling
@@ -423,23 +423,15 @@ class FileSystem {
   /// does not resolve.
   std::optional<bool> served_shared(std::string_view path) const;
 
-  /// Content fingerprint of this view's post-fork private delta: a sha256
-  /// over the overlay nodes (inode, kind, children, bytes, link target),
-  /// the CoW-shadow set, and the mount-table shape, recursing into
-  /// writable mount backings. Two sibling sandboxes forked from the same
-  /// base compare equal iff their divergence since the fork is identical —
-  /// the launch layer clusters fleet ranks into equivalence classes by
-  /// this key and measures one representative per class. Cached; cost is
-  /// O(delta) after any structural mutation (the cache is dropped at the
-  /// mutable_node choke point, at mount surgery, and at fork/collapse
-  /// boundaries). Equal fingerprints should be confirmed with
-  /// overlay_delta_equal before acting on them (collision paranoia).
-  const std::string& overlay_fingerprint() const;
-
-  /// Structural comparison of the same inputs overlay_fingerprint hashes:
-  /// true iff both views carry an identical private delta over equivalent
-  /// substrate. O(delta); hash-collision-proof fallback for clustering.
-  bool overlay_delta_equal(const FileSystem& other) const;
+  /// Exact key of this view's post-fork private delta: an injective,
+  /// self-delimiting byte encoding of the overlay nodes, the CoW-shadow set
+  /// and the mount table. Shared substrate (the frozen layer chain, images,
+  /// binds, overlay lowers) enters by address; writable backings and tmpfs
+  /// mounts, fresh per view, by their own key. Sibling forks key equal iff
+  /// their divergence since the fork is identical: the launch layer's
+  /// rank-class key. O(delta) per call; an address names substrate only
+  /// while that substrate is alive.
+  std::string overlay_key() const;
 
   // ----- accounting ---------------------------------------------------------
 
@@ -686,7 +678,6 @@ class FileSystem {
   void invalidate_dentries() {
     dentry_.clear();
     dentry_shared_.reset();
-    fingerprint_.reset();
     sealed_ = false;  // any invalidation means the substrate may change
   }
   bool dentry_enabled_ = true;
@@ -695,11 +686,6 @@ class FileSystem {
   // concurrently. Cleared at the invalidate_dentries choke point, at node
   // allocation, and at collapse().
   bool sealed_ = false;
-  // Memoized overlay_fingerprint (mutable: computed inside const reads).
-  // Reset wherever the delta can change: invalidate_dentries covers every
-  // structural mutation and mount surgery; fork()/freeze_top()/collapse()
-  // reset it explicitly because they move the fork boundary itself.
-  mutable std::optional<std::string> fingerprint_;
   // Installed op trace (TraceScope); never inherited.
   OpTrace* trace_ = nullptr;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "depchaos/support/sha256.hpp"
 #include "depchaos/support/strings.hpp"
 
 namespace depchaos::vfs {
@@ -147,9 +146,6 @@ void FileSystem::freeze_top() {
   top_nodes_.clear();
   top_shadow_.clear();
   base_ = std::move(layer);
-  // The fork boundary moved: the private delta is now empty, which is a
-  // different fingerprint even though no node changed.
-  fingerprint_.reset();
 }
 
 FileSystem FileSystem::fork() {
@@ -182,9 +178,6 @@ void FileSystem::seal() {
   for (Mount& m : mounts_) {
     if (m.active && !m.read_only && m.backing) m.backing->seal();
   }
-  // Pre-warm the fingerprint memo (a mutable cache): concurrent
-  // fork_sealed() callers must never be the first to compute it.
-  overlay_fingerprint();
   sealed_ = true;
 }
 
@@ -231,9 +224,7 @@ void FileSystem::collapse() {
   top_shadow_.clear();
   top_start_ = 0;
   base_.reset();
-  // Cached dentries survive: inode numbers and content are unchanged. The
-  // overlay fingerprint does NOT: the whole world is the private delta now.
-  fingerprint_.reset();
+  // Cached dentries survive: inode numbers and content are unchanged.
   sealed_ = false;  // the overlay is the whole (unfrozen) world again
 }
 
@@ -422,58 +413,46 @@ std::optional<bool> FileSystem::served_shared(std::string_view path) const {
   return op_is_shared(ino);
 }
 
-const std::string& FileSystem::overlay_fingerprint() const {
-  if (fingerprint_) return *fingerprint_;
-  support::Sha256 hash;
-  // Length-prefix every variable-width field so adjacent fields can never
-  // alias across node boundaries.
-  auto u64 = [&hash](std::uint64_t v) { hash.update(&v, sizeof v); };
+std::string FileSystem::overlay_key() const {
+  // Fixed-width integers and length-prefixed strings: injective and
+  // self-delimiting, so a key can be concatenated with another.
+  std::string key;
+  auto u64 = [&key](std::uint64_t v) {
+    key.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
   auto str = [&](std::string_view s) {
     u64(s.size());
-    hash.update(s);
+    key += s;
   };
-  auto add_node = [&](InodeNum ino, const Node& n) {
-    u64(ino);
+  auto add_node = [&](const Node& n) {
     u64(static_cast<std::uint64_t>(n.type));
     u64(n.children.size());
     for (const auto& [name, child] : n.children) {
       str(name);
       u64(child);
     }
-    switch (n.type) {
-      case NodeType::Regular:
-        str(support::sha256_hex(n.data.bytes));
-        u64(n.data.declared_size);
-        break;
-      case NodeType::Symlink:
-        str(n.link_target);
-        break;
-      case NodeType::Directory:
-        break;
-    }
+    str(n.data.bytes);
+    u64(n.data.declared_size);
+    str(n.link_target);
   };
-  // Substrate identity: equal deltas over DIFFERENT shared bases are
-  // different configurations. Pointer identity is exactly right within one
-  // process — sibling forks share the frozen chain and the RO mount
-  // backings by shared_ptr — and fingerprints are only ever compared
-  // within one process (fleet clustering), never persisted.
+  // Shared substrate by identity: sibling forks share the frozen chain.
   u64(reinterpret_cast<std::uintptr_t>(base_.get()));
   u64(top_start_);
-  // The private delta: appended nodes in inode order, then the CoW-shadow
-  // set in sorted order (the map iterates nondeterministically).
+  // Appended nodes in inode order, then the CoW-shadow set sorted (the map
+  // iterates nondeterministically).
   u64(top_nodes_.size());
-  for (std::size_t i = 0; i < top_nodes_.size(); ++i) {
-    add_node(top_start_ + i, top_nodes_[i]);
-  }
+  for (const Node& n : top_nodes_) add_node(n);
   std::vector<InodeNum> shadowed;
   shadowed.reserve(top_shadow_.size());
   for (const auto& [ino, node] : top_shadow_) shadowed.push_back(ino);
   std::sort(shadowed.begin(), shadowed.end());
   u64(shadowed.size());
-  for (const InodeNum ino : shadowed) add_node(ino, top_shadow_.at(ino));
-  // Mount-table shape. Read-only backings and overlay lowers contribute
-  // pointer identity (shared substrate); writable backings contribute
-  // their own recursive delta fingerprint.
+  for (const InodeNum ino : shadowed) {
+    u64(ino);
+    add_node(top_shadow_.at(ino));
+  }
+  // Images, binds and overlay lowers are shared substrate (identity);
+  // writable backings and tmpfs mounts are per-view (their own key).
   u64(mounts_.size());
   for (const Mount& m : mounts_) {
     str(paths_->str(m.point));
@@ -483,63 +462,13 @@ const std::string& FileSystem::overlay_fingerprint() const {
     u64(static_cast<std::uint64_t>(m.latency));
     u64(m.source_root);
     u64(reinterpret_cast<std::uintptr_t>(m.lower.get()));
-    if (m.active && !m.read_only && m.backing) {
-      str(m.backing->overlay_fingerprint());
+    if (!m.read_only || m.kind == MountKind::Tmpfs) {
+      str(m.backing->overlay_key());
     } else {
       u64(reinterpret_cast<std::uintptr_t>(m.backing.get()));
     }
   }
-  fingerprint_ = hash.hex_digest();
-  return *fingerprint_;
-}
-
-bool FileSystem::overlay_delta_equal(const FileSystem& other) const {
-  if (this == &other) return true;
-  auto node_equal = [](const Node& a, const Node& b) {
-    if (a.type != b.type || a.children != b.children) return false;
-    switch (a.type) {
-      case NodeType::Regular:
-        return a.data.bytes == b.data.bytes &&
-               a.data.declared_size == b.data.declared_size;
-      case NodeType::Symlink:
-        return a.link_target == b.link_target;
-      case NodeType::Directory:
-        return true;
-    }
-    return false;
-  };
-  if (base_.get() != other.base_.get() || top_start_ != other.top_start_ ||
-      top_nodes_.size() != other.top_nodes_.size() ||
-      top_shadow_.size() != other.top_shadow_.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < top_nodes_.size(); ++i) {
-    if (!node_equal(top_nodes_[i], other.top_nodes_[i])) return false;
-  }
-  for (const auto& [ino, node] : top_shadow_) {
-    const auto it = other.top_shadow_.find(ino);
-    if (it == other.top_shadow_.end() || !node_equal(node, it->second)) {
-      return false;
-    }
-  }
-  if (mounts_.size() != other.mounts_.size()) return false;
-  for (std::size_t i = 0; i < mounts_.size(); ++i) {
-    const Mount& a = mounts_[i];
-    const Mount& b = other.mounts_[i];
-    if (paths_->str(a.point) != other.paths_->str(b.point) ||
-        a.kind != b.kind ||
-        a.read_only != b.read_only || a.active != b.active ||
-        a.latency != b.latency || a.source_root != b.source_root ||
-        a.lower.get() != b.lower.get()) {
-      return false;
-    }
-    if (a.active && !a.read_only && a.backing && b.backing) {
-      if (!a.backing->overlay_delta_equal(*b.backing)) return false;
-    } else if (a.backing.get() != b.backing.get()) {
-      return false;
-    }
-  }
-  return true;
+  return key;
 }
 
 void FileSystem::charge(OpKind op, bool hit, PathId path, InodeNum ino) {

@@ -163,10 +163,10 @@ ContainerLaunchScenario make_container_launch_scenario(
 /// overlay (the loader then binds the overlay copies — rank-private
 /// metadata) and prepends c class-unique library directories to the loader
 /// environment (extra probes on the shared substrate). Every class
-/// therefore has a distinct (overlay fingerprint, environment) key AND a
+/// therefore has a distinct (overlay key, environment) pair AND a
 /// distinct measured op stream, while two ranks of one class produce
-/// byte-identical sandboxes — exactly what fingerprint-clustered fleet
-/// measurement (launch::FleetConfig::rank_setup) keys on.
+/// byte-identical sandboxes — exactly what clustered fleet measurement
+/// (launch::FleetConfig::rank_setup) keys on.
 ///
 /// Deterministic and core-free by design: callers wrap it into a
 /// rank_setup hook as

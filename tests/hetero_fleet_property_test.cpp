@@ -1,16 +1,17 @@
-// Fingerprint-clustered heterogeneous fleet measurement, end to end.
+// Class-clustered heterogeneous fleet measurement, end to end.
 //
 // Two layers under test:
-//  * vfs::FileSystem::overlay_fingerprint / overlay_delta_equal — the
-//    equivalence-class key. Sibling forks with byte-identical deltas must
-//    hash equal; ANY structural divergence (content, names, env is keyed
-//    separately) must split them; the memo must refresh across mutation,
-//    fork, and collapse (the delta-defining boundaries).
+//  * vfs::FileSystem::overlay_key — the exact equivalence-class key.
+//    Sibling forks with byte-identical deltas must key equal; ANY
+//    divergence (content, names, mount latency; env is keyed separately)
+//    must split them; fork and collapse move the delta boundary; fresh
+//    per-view tmpfs mounts key by content, shared images by identity.
 //  * launch::simulate_fleet_launch clustering — measuring ONE
-//    representative per (fingerprint, environment) class and replicating
+//    representative per (overlay key, environment) class and replicating
 //    per-class results must be byte-identical to the per-rank reference
 //    model (reference/per_rank_fleet.hpp) on every counter, split, fleet
-//    total, and modelled time, for randomized shuffled class layouts.
+//    total, and modelled time, for randomized shuffled class layouts, with
+//    and without masked and scratch mounts.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +31,7 @@
 namespace depchaos {
 namespace {
 
-// ------------------------------------------------------- fingerprint layer
+// ------------------------------------------------------------ key layer
 
 vfs::FileSystem seed_world() {
   vfs::FileSystem fs;
@@ -40,7 +41,7 @@ vfs::FileSystem seed_world() {
   return fs;
 }
 
-TEST(OverlayFingerprint, SiblingForksWithIdenticalDeltasHashEqual) {
+TEST(OverlayKey, SiblingForksWithIdenticalDeltasKeyEqual) {
   vfs::FileSystem parent = seed_world();
   vfs::FileSystem a = parent.fork();
   vfs::FileSystem b = parent.fork();
@@ -49,66 +50,92 @@ TEST(OverlayFingerprint, SiblingForksWithIdenticalDeltasHashEqual) {
     fs->write_file("/work/out/result.so", std::string("same-delta"));
     fs->symlink("/work/out/result.so", "/work/latest");
   }
-  EXPECT_EQ(a.overlay_fingerprint(), b.overlay_fingerprint());
-  EXPECT_TRUE(a.overlay_delta_equal(b));
-  EXPECT_TRUE(b.overlay_delta_equal(a));
+  EXPECT_EQ(a.overlay_key(), b.overlay_key());
 }
 
-TEST(OverlayFingerprint, ContentDivergenceSplitsTheClass) {
+TEST(OverlayKey, ContentDivergenceSplitsTheClass) {
   vfs::FileSystem parent = seed_world();
   vfs::FileSystem a = parent.fork();
   vfs::FileSystem b = parent.fork();
   a.write_file("/work/result.so", std::string("alpha"));
   b.write_file("/work/result.so", std::string("bravo"));
-  EXPECT_NE(a.overlay_fingerprint(), b.overlay_fingerprint());
-  EXPECT_FALSE(a.overlay_delta_equal(b));
+  EXPECT_NE(a.overlay_key(), b.overlay_key());
 }
 
-TEST(OverlayFingerprint, NameDivergenceSplitsTheClass) {
+TEST(OverlayKey, NameDivergenceSplitsTheClass) {
   vfs::FileSystem parent = seed_world();
   vfs::FileSystem a = parent.fork();
   vfs::FileSystem b = parent.fork();
   a.write_file("/work/one.so", std::string("payload"));
   b.write_file("/work/two.so", std::string("payload"));
-  EXPECT_NE(a.overlay_fingerprint(), b.overlay_fingerprint());
-  EXPECT_FALSE(a.overlay_delta_equal(b));
+  EXPECT_NE(a.overlay_key(), b.overlay_key());
 }
 
-TEST(OverlayFingerprint, MemoRefreshesAcrossMutationForkAndCollapse) {
+TEST(OverlayKey, KeyFollowsMutationForkAndCollapse) {
   vfs::FileSystem fs = seed_world();
-  const std::string empty_delta = fs.overlay_fingerprint();
+  const std::string empty_delta = fs.overlay_key();
 
-  // Structural mutation must show up even though the value was memoized.
   fs.write_file("/opt/lib/libnew.so", std::string("new"));
-  const std::string after_write = fs.overlay_fingerprint();
+  const std::string after_write = fs.overlay_key();
   EXPECT_NE(after_write, empty_delta);
 
   // fork() freezes the parent's overlay: the delta boundary moved, so the
-  // parent's (now empty) delta must not reuse the pre-fork hash.
+  // parent's (now empty) delta keys differently.
   vfs::FileSystem child = fs.fork();
-  const std::string after_fork = fs.overlay_fingerprint();
+  const std::string after_fork = fs.overlay_key();
   EXPECT_NE(after_fork, after_write);
   // A pristine child shares the parent's base and an empty delta.
-  EXPECT_EQ(child.overlay_fingerprint(), after_fork);
-  EXPECT_TRUE(child.overlay_delta_equal(fs));
+  EXPECT_EQ(child.overlay_key(), after_fork);
 
-  // collapse() makes the whole world the delta; the memo must refresh even
-  // though observable content is unchanged.
+  // collapse() makes the whole world the delta: the key changes although
+  // observable content does not.
   child.collapse();
-  EXPECT_NE(child.overlay_fingerprint(), after_fork);
-  // A hash miss can only SPLIT a class (extra measurement), never merge
-  // one: content-equal views are still structurally distinguishable.
-  EXPECT_FALSE(child.overlay_delta_equal(fs));
+  EXPECT_NE(child.overlay_key(), after_fork);
 }
 
-TEST(OverlayFingerprint, RepeatedReadsAreStable) {
+TEST(OverlayKey, RepeatedReadsAreStable) {
   vfs::FileSystem fs = seed_world();
   fs.write_file("/work/x", std::string("x"));
-  const std::string first = fs.overlay_fingerprint();
-  EXPECT_EQ(fs.overlay_fingerprint(), first);
-  // Pure reads must not disturb the memo.
+  const std::string first = fs.overlay_key();
+  EXPECT_EQ(fs.overlay_key(), first);
   (void)fs.peek("/work/x");
-  EXPECT_EQ(fs.overlay_fingerprint(), first);
+  EXPECT_EQ(fs.overlay_key(), first);
+}
+
+TEST(OverlayKey, MountLatencyChangesTheKey) {
+  vfs::FileSystem parent = seed_world();
+  auto image = std::make_shared<vfs::FileSystem>(seed_world());
+  vfs::FileSystem a = parent.fork();
+  vfs::FileSystem b = parent.fork();
+  b.mount_image("/app", image);
+  b.set_mount_latency("/app", vfs::MountLatency::NodeLocal);
+  a.mount_image("/app", image);
+  const std::string before = a.overlay_key();
+  a.set_mount_latency("/app", vfs::MountLatency::NodeLocal);
+  EXPECT_NE(a.overlay_key(), before);
+  EXPECT_EQ(a.overlay_key(), b.overlay_key());
+}
+
+TEST(OverlayKey, FreshTmpfsKeysByContentImagesByIdentity) {
+  vfs::FileSystem parent = seed_world();
+  vfs::FileSystem a = parent.fork();
+  vfs::FileSystem b = parent.fork();
+  // mount_tmpfs makes a fresh tmpfs for each view: equal content, one key.
+  for (vfs::FileSystem* fs : {&a, &b}) {
+    fs->mount_tmpfs("/usr/lib/masked", /*read_only=*/true);
+    fs->mount_tmpfs("/scratch");
+    fs->write_file("/scratch/out", std::string("same"));
+  }
+  EXPECT_EQ(a.overlay_key(), b.overlay_key());
+  b.write_file("/scratch/out", std::string("diff"));
+  EXPECT_NE(a.overlay_key(), b.overlay_key());
+
+  // Images are shared substrate: two equal copies are still two images.
+  vfs::FileSystem c = parent.fork();
+  vfs::FileSystem d = parent.fork();
+  c.mount_image("/app", std::make_shared<vfs::FileSystem>(seed_world()));
+  d.mount_image("/app", std::make_shared<vfs::FileSystem>(seed_world()));
+  EXPECT_NE(c.overlay_key(), d.overlay_key());
 }
 
 // ----------------------------------------------- clustered fleet property
@@ -120,6 +147,20 @@ workload::PynamicConfig small_pynamic() {
   return config;
 }
 
+/// The sandbox shapes every clustering property runs under: the rootfs
+/// image behind a per-rank writable overlay, and the same plus a masked
+/// host dir and a scratch dir (fresh tmpfs mounts in every rank's sandbox).
+std::vector<core::SandboxSpec> fleet_specs(core::Session& session) {
+  core::SandboxSpec spec;
+  spec.image = std::make_shared<vfs::FileSystem>(session.fs());
+  spec.image_mount = "/";
+  spec.writable_image_overlay = true;
+  core::SandboxSpec masked = spec;
+  masked.mask = {"/usr/lib/masked"};
+  masked.scratch = {"/tmp/scratch"};
+  return {spec, masked};
+}
+
 /// Mixed fleet with the class layout SHUFFLED along the rank axis: rank r
 /// runs program class perm[r] % classes, so representatives are discovered
 /// in arbitrary order and replication must land back on the right ranks.
@@ -127,10 +168,6 @@ TEST(HeteroFleetProperty, ClusteredEqualsPerRankByteForByte) {
   for (const std::uint64_t seed : {3ull, 77ull, 4096ull}) {
     core::WorldBuilder builder;
     auto session = builder.pynamic(small_pynamic()).nfs().build();
-    core::SandboxSpec spec;
-    spec.image = std::make_shared<vfs::FileSystem>(session.fs());
-    spec.image_mount = "/";
-    spec.writable_image_overlay = true;
 
     support::Rng rng(seed);
     const int nprocs = 12;
@@ -154,44 +191,47 @@ TEST(HeteroFleetProperty, ClusteredEqualsPerRankByteForByte) {
     clustered.cluster = session.config().cluster;
     clustered.rank_setup = setup;
 
-    const auto fast = session.launch_fleet(spec, "", nprocs, clustered);
-    const auto slow =
-        reference::per_rank_fleet_launch(session, spec, "", nprocs, clustered);
+    for (const core::SandboxSpec& spec : fleet_specs(session)) {
+      const std::string label = "seed " + std::to_string(seed) +
+                                (spec.mask.empty() ? "" : " masked");
+      const auto fast = session.launch_fleet(spec, "", nprocs, clustered);
+      const auto slow = reference::per_rank_fleet_launch(session, spec, "",
+                                                         nprocs, clustered);
 
-    // Class accounting: one loader replay per distinct class, sizes tile
-    // the fleet, and the reference measured every rank.
-    const int distinct = std::min(classes, nprocs);
-    EXPECT_EQ(fast.classes_measured, distinct) << "seed " << seed;
-    EXPECT_EQ(fast.ranks_measured, distinct) << "seed " << seed;
-    int covered = 0;
-    for (const int size : fast.class_sizes) covered += size;
-    EXPECT_EQ(covered, nprocs) << "seed " << seed;
-    EXPECT_EQ(slow.ranks_measured, nprocs) << "seed " << seed;
-    EXPECT_EQ(slow.classes_measured, 0) << "seed " << seed;
+      // Class accounting: one loader replay per distinct class, sizes tile
+      // the fleet, and the reference measured every rank.
+      const int distinct = std::min(classes, nprocs);
+      EXPECT_EQ(fast.classes_measured, distinct) << label;
+      EXPECT_EQ(fast.ranks_measured, distinct) << label;
+      int covered = 0;
+      for (const int size : fast.class_sizes) covered += size;
+      EXPECT_EQ(covered, nprocs) << label;
+      EXPECT_EQ(slow.ranks_measured, nprocs) << label;
+      EXPECT_EQ(slow.classes_measured, 0) << label;
 
-    // Byte identity: measuring one representative per class and
-    // replicating must equal measuring every rank, on every field.
-    EXPECT_EQ(fast.load_succeeded, slow.load_succeeded) << "seed " << seed;
-    EXPECT_EQ(fast.meta_ops_per_rank, slow.meta_ops_per_rank)
-        << "seed " << seed;
-    EXPECT_EQ(fast.bytes_per_rank, slow.bytes_per_rank) << "seed " << seed;
-    EXPECT_EQ(fast.shared_meta_ops_per_rank, slow.shared_meta_ops_per_rank)
-        << "seed " << seed;
-    EXPECT_EQ(fast.overlay_meta_ops_per_rank, slow.overlay_meta_ops_per_rank)
-        << "seed " << seed;
-    EXPECT_EQ(fast.shared_bytes_per_rank, slow.shared_bytes_per_rank)
-        << "seed " << seed;
-    EXPECT_EQ(fast.overlay_bytes_per_rank, slow.overlay_bytes_per_rank)
-        << "seed " << seed;
-    EXPECT_EQ(fast.fleet_meta_ops, slow.fleet_meta_ops) << "seed " << seed;
-    EXPECT_EQ(fast.fleet_bytes, slow.fleet_bytes) << "seed " << seed;
-    EXPECT_EQ(fast.fleet_shared_meta_ops, slow.fleet_shared_meta_ops)
-        << "seed " << seed;
-    EXPECT_EQ(fast.fleet_overlay_meta_ops, slow.fleet_overlay_meta_ops)
-        << "seed " << seed;
-    EXPECT_EQ(fast.data_time_s, slow.data_time_s) << "seed " << seed;
-    EXPECT_EQ(fast.meta_time_s, slow.meta_time_s) << "seed " << seed;
-    EXPECT_EQ(fast.total_time_s, slow.total_time_s) << "seed " << seed;
+      // Byte identity: measuring one representative per class and
+      // replicating must equal measuring every rank, on every field.
+      EXPECT_EQ(fast.load_succeeded, slow.load_succeeded) << label;
+      EXPECT_EQ(fast.meta_ops_per_rank, slow.meta_ops_per_rank) << label;
+      EXPECT_EQ(fast.bytes_per_rank, slow.bytes_per_rank) << label;
+      EXPECT_EQ(fast.shared_meta_ops_per_rank, slow.shared_meta_ops_per_rank)
+          << label;
+      EXPECT_EQ(fast.overlay_meta_ops_per_rank, slow.overlay_meta_ops_per_rank)
+          << label;
+      EXPECT_EQ(fast.shared_bytes_per_rank, slow.shared_bytes_per_rank)
+          << label;
+      EXPECT_EQ(fast.overlay_bytes_per_rank, slow.overlay_bytes_per_rank)
+          << label;
+      EXPECT_EQ(fast.fleet_meta_ops, slow.fleet_meta_ops) << label;
+      EXPECT_EQ(fast.fleet_bytes, slow.fleet_bytes) << label;
+      EXPECT_EQ(fast.fleet_shared_meta_ops, slow.fleet_shared_meta_ops)
+          << label;
+      EXPECT_EQ(fast.fleet_overlay_meta_ops, slow.fleet_overlay_meta_ops)
+          << label;
+      EXPECT_EQ(fast.data_time_s, slow.data_time_s) << label;
+      EXPECT_EQ(fast.meta_time_s, slow.meta_time_s) << label;
+      EXPECT_EQ(fast.total_time_s, slow.total_time_s) << label;
+    }
   }
 }
 
@@ -199,14 +239,11 @@ TEST(HeteroFleetProperty, ClassStreamsReplayLikePerRankStreams) {
   // The queueing engine replays each rank's class stream in that rank's
   // slot. Against per-rank streams, with the class layout shuffled along
   // the rank axis, a straggler, warm client caches across two waves and
-  // (second pass) a pre-staged image, every simulated statistic and every
-  // rank's finish time must agree exactly.
+  // (second pass) a pre-staged image, with and without masked and scratch
+  // mounts, every simulated statistic and every rank's finish time must
+  // agree exactly.
   core::WorldBuilder builder;
   auto session = builder.pynamic(small_pynamic()).nfs().build();
-  core::SandboxSpec spec;
-  spec.image = std::make_shared<vfs::FileSystem>(session.fs());
-  spec.image_mount = "/";
-  spec.writable_image_overlay = true;
 
   const int nprocs = 10;
   const int classes = 3;
@@ -220,47 +257,55 @@ TEST(HeteroFleetProperty, ClassStreamsReplayLikePerRankStreams) {
       workload::make_container_launch_scenario(small_pynamic());
   const workload::PynamicApp& app = scenario.app;
 
-  for (const bool prestaged : {false, true}) {
-    launch::FleetConfig fleet;
-    fleet.cluster = session.config().cluster;
-    fleet.rank_setup = [&perm, &app](core::Session& sandbox, int rank) {
-      workload::apply_mpmd_rank(sandbox.fs(), sandbox.env(), app,
-                                perm[static_cast<std::size_t>(rank)], classes);
-    };
-    fleet.engine = launch::Engine::Queueing;
-    fleet.prestaged_image = prestaged;
-    fleet.cache.enabled = true;
-    fleet.sim_waves = 2;
-    fleet.start_delays.assign(static_cast<std::size_t>(nprocs), 0.0);
-    fleet.start_delays[7] = 0.01;
+  for (const core::SandboxSpec& spec : fleet_specs(session)) {
+    for (const bool prestaged : {false, true}) {
+      const std::string label =
+          std::string(spec.mask.empty() ? "plain" : "masked") +
+          (prestaged ? " prestaged" : "");
+      launch::FleetConfig fleet;
+      fleet.cluster = session.config().cluster;
+      fleet.rank_setup = [&perm, &app](core::Session& sandbox, int rank) {
+        workload::apply_mpmd_rank(sandbox.fs(), sandbox.env(), app,
+                                  perm[static_cast<std::size_t>(rank)],
+                                  classes);
+      };
+      fleet.engine = launch::Engine::Queueing;
+      fleet.prestaged_image = prestaged;
+      fleet.cache.enabled = true;
+      fleet.sim_waves = 2;
+      fleet.start_delays.assign(static_cast<std::size_t>(nprocs), 0.0);
+      fleet.start_delays[7] = 0.01;
 
-    const auto fast =
-        launch::simulate_fleet_launch_sim(session, spec, "", nprocs, fleet);
-    const auto slow = reference::per_rank_fleet_launch_sim(session, spec, "",
-                                                           nprocs, fleet);
-    ASSERT_TRUE(fast.launch.load_succeeded);
-    EXPECT_EQ(fast.launch.classes_measured, classes);
-    EXPECT_EQ(fast.launch.fleet_meta_ops, slow.launch.fleet_meta_ops);
-    EXPECT_EQ(fast.launch.fleet_shared_meta_ops,
-              slow.launch.fleet_shared_meta_ops);
-    EXPECT_EQ(fast.launch.data_time_s, slow.launch.data_time_s);
-    EXPECT_EQ(fast.launch.meta_time_s, slow.launch.meta_time_s);
-    EXPECT_EQ(fast.launch.total_time_s, slow.launch.total_time_s);
-    EXPECT_EQ(fast.wave_makespans, slow.wave_makespans);
-    EXPECT_EQ(fast.sim.server_requests, slow.sim.server_requests);
-    EXPECT_EQ(fast.sim.batches, slow.sim.batches);
-    EXPECT_EQ(fast.sim.latency_p99_s, slow.sim.latency_p99_s);
-    EXPECT_EQ(fast.sim.cache_hits, slow.sim.cache_hits);
-    EXPECT_EQ(fast.sim.local_ops, slow.sim.local_ops);
-    ASSERT_EQ(fast.sim.ranks.size(), slow.sim.ranks.size());
-    for (std::size_t r = 0; r < fast.sim.ranks.size(); ++r) {
-      EXPECT_EQ(fast.sim.ranks[r].finish_s, slow.sim.ranks[r].finish_s)
-          << "rank " << r << (prestaged ? " prestaged" : "");
-      EXPECT_EQ(fast.sim.ranks[r].server_ops, slow.sim.ranks[r].server_ops)
-          << "rank " << r << (prestaged ? " prestaged" : "");
-    }
-    if (prestaged) {
-      EXPECT_GT(fast.sim.local_ops, 0u);
+      const auto fast =
+          launch::simulate_fleet_launch_sim(session, spec, "", nprocs, fleet);
+      const auto slow = reference::per_rank_fleet_launch_sim(session, spec, "",
+                                                             nprocs, fleet);
+      ASSERT_TRUE(fast.launch.load_succeeded) << label;
+      EXPECT_EQ(fast.launch.classes_measured, classes) << label;
+      EXPECT_EQ(fast.launch.fleet_meta_ops, slow.launch.fleet_meta_ops)
+          << label;
+      EXPECT_EQ(fast.launch.fleet_shared_meta_ops,
+                slow.launch.fleet_shared_meta_ops)
+          << label;
+      EXPECT_EQ(fast.launch.data_time_s, slow.launch.data_time_s) << label;
+      EXPECT_EQ(fast.launch.meta_time_s, slow.launch.meta_time_s) << label;
+      EXPECT_EQ(fast.launch.total_time_s, slow.launch.total_time_s) << label;
+      EXPECT_EQ(fast.wave_makespans, slow.wave_makespans) << label;
+      EXPECT_EQ(fast.sim.server_requests, slow.sim.server_requests) << label;
+      EXPECT_EQ(fast.sim.batches, slow.sim.batches) << label;
+      EXPECT_EQ(fast.sim.latency_p99_s, slow.sim.latency_p99_s) << label;
+      EXPECT_EQ(fast.sim.cache_hits, slow.sim.cache_hits) << label;
+      EXPECT_EQ(fast.sim.local_ops, slow.sim.local_ops) << label;
+      ASSERT_EQ(fast.sim.ranks.size(), slow.sim.ranks.size());
+      for (std::size_t r = 0; r < fast.sim.ranks.size(); ++r) {
+        EXPECT_EQ(fast.sim.ranks[r].finish_s, slow.sim.ranks[r].finish_s)
+            << "rank " << r << " " << label;
+        EXPECT_EQ(fast.sim.ranks[r].server_ops, slow.sim.ranks[r].server_ops)
+            << "rank " << r << " " << label;
+      }
+      if (prestaged) {
+        EXPECT_GT(fast.sim.local_ops, 0u) << label;
+      }
     }
   }
 }
@@ -268,7 +313,7 @@ TEST(HeteroFleetProperty, ClassStreamsReplayLikePerRankStreams) {
 TEST(HeteroFleetProperty, EnvironmentOnlyDivergenceStillSplitsClasses) {
   // Two ranks with byte-identical overlays but different loader
   // environments resolve differently — the class key must include the
-  // environment, not just the filesystem fingerprint.
+  // environment, not just the overlay key.
   core::WorldBuilder builder;
   auto session = builder.pynamic(small_pynamic()).nfs().build();
   core::SandboxSpec spec;

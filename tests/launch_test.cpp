@@ -242,8 +242,8 @@ TEST(FleetLaunch, RankSetupDivergenceLandsInOverlayOps) {
   };
   const auto result = session.launch_fleet(spec, "", 4, fleet);
   ASSERT_TRUE(result.load_succeeded);
-  // All four ranks apply the SAME shadow, so fingerprint clustering folds
-  // them into one equivalence class measured once.
+  // All four ranks apply the SAME shadow, so class clustering folds them
+  // into one equivalence class measured once.
   EXPECT_EQ(result.ranks_measured, 1);
   EXPECT_EQ(result.classes_measured, 1);
   ASSERT_EQ(result.class_sizes.size(), 1u);
@@ -616,9 +616,9 @@ TEST(FleetLaunch, WarmWavesAndStragglersEscapeTheFormula) {
 
 TEST(FleetLaunch, NoOpRankSetupEqualsHookFreeFleet) {
   // A fleet without a rank_setup hook is measured as one class from rank
-  // 0's sandbox, with no fingerprinting; a hook that changes nothing
-  // fingerprints every rank's sandbox and must fold them into the same
-  // single class. Every field must agree, on both engines.
+  // 0's sandbox, with no class keys; a hook that changes nothing keys
+  // every rank's sandbox and must fold them into the same single class.
+  // Every field must agree, on both engines.
   core::WorldBuilder builder;
   auto session = builder.pynamic(small_pynamic()).nfs().build();
   core::SandboxSpec spec;

@@ -3,13 +3,12 @@
 //
 // launch::simulate_fleet_launch measures one representative per rank
 // equivalence class and replicates it. This model measures EVERY rank in
-// its own sandbox with its own loader replay — no fingerprints, no
-// classes, no replicated streams — and re-derives the op -> seconds
-// conversion from the public storm formulas. It is O(nprocs) loader
-// replays and obviously right, which makes it the oracle the class loop is
-// held to: every counter, split, fleet total and modelled time must match
-// it byte for byte (tests/hetero_fleet_property_test.cpp,
-// bench/hetero_fleet.cpp).
+// its own sandbox with its own loader replay — no class keys, no
+// replicated streams — and re-derives the op -> seconds conversion from
+// the public storm formulas. It is O(nprocs) loader replays and
+// obviously right, which makes it the oracle the class loop is held to:
+// every counter, split, fleet total and modelled time must match it byte
+// for byte (tests/hetero_fleet_property_test.cpp, bench/hetero_fleet.cpp).
 //
 // Header-only and test-side: nothing in src/ depends on it.
 #pragma once

@@ -451,6 +451,21 @@ TEST(SessionPool, IdleSweepEvictsPristineForksAndKeepsMutatedOnesAsTheyAre) {
   EXPECT_TRUE(refreshed.get().pristine);
 }
 
+/// Best-of-20 wall time of a manual-drain cycle that runs one memo-hit
+/// Load for client 0.
+double one_request_cycle_us(SessionPool& pool, const std::string& exe) {
+  double best_us = 1e12;
+  for (int round = 0; round < 20; ++round) {
+    pool.submit_load_shared(0, exe);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(pool.pump(), 1u);
+    best_us = std::min(best_us, std::chrono::duration<double, std::micro>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+  }
+  return best_us;
+}
+
 // A client served only by model-free memo hits never forks, so it leaves
 // no state behind: 100k such ids neither hold memory nor slow the idle
 // sweep that every drain cycle runs.
@@ -463,20 +478,7 @@ TEST(SessionPool, MemoHitOnlyClientsLeaveNoStateForTheSweep) {
   pool.submit_load_shared(0, exe);  // the miss: client 0 forks
   pool.drain();
 
-  // Best-of-20 wall time of a drain cycle that runs one memo-hit Load.
-  const auto one_request_cycle_us = [&] {
-    double best_us = 1e12;
-    for (int round = 0; round < 20; ++round) {
-      pool.submit_load_shared(0, exe);
-      const auto start = std::chrono::steady_clock::now();
-      EXPECT_EQ(pool.pump(), 1u);
-      best_us = std::min(best_us, std::chrono::duration<double, std::micro>(
-                                      std::chrono::steady_clock::now() - start)
-                                      .count());
-    }
-    return best_us;
-  };
-  const double before_us = one_request_cycle_us();
+  const double before_us = one_request_cycle_us(pool, exe);
 
   constexpr ClientId kIds = 100'000;
   for (ClientId id = 1; id <= kIds; ++id) {
@@ -484,11 +486,39 @@ TEST(SessionPool, MemoHitOnlyClientsLeaveNoStateForTheSweep) {
     if (id % 512 == 0) pool.pump();
   }
   pool.drain();
-  const double after_us = one_request_cycle_us();
+  const double after_us = one_request_cycle_us(pool, exe);
 
   const PoolStats stats = pool.stats();
   EXPECT_EQ(stats.memo_hits, kIds + 40);
   EXPECT_EQ(stats.clients_live, 1u);  // only client 0 ever forked
+  EXPECT_LE(after_us, 10 * before_us + 50)
+      << "before " << before_us << " us, after " << after_us << " us";
+}
+
+// Forks that are not yet due cost the idle sweep nothing: 20k clients
+// holding pristine forks leave the one-request drain cycle as it was.
+TEST(SessionPool, IdleSweepPaysOnlyForTheForksItEvicts) {
+  PoolConfig config;
+  config.shards = 1;
+  config.manual_drain = true;
+  SessionPool pool(make_world(1), config);
+  const std::string exe = "/apps/a0/bin/app";
+  pool.submit_load_shared(0, exe);  // the miss: client 0 forks
+  pool.drain();
+
+  const double before_us = one_request_cycle_us(pool, exe);
+
+  constexpr ClientId kIds = 20'000;
+  for (ClientId id = 1; id <= kIds; ++id) {
+    pool.submit_query(id);  // forks the client
+    if (id % 512 == 0) pool.pump();
+  }
+  pool.drain();
+  const double after_us = one_request_cycle_us(pool, exe);
+
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.clients_live, kIds + 1);  // every fork is still held
+  EXPECT_EQ(stats.evicted, 0u);
   EXPECT_LE(after_us, 10 * before_us + 50)
       << "before " << before_us << " us, after " << after_us << " us";
 }

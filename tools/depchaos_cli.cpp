@@ -10,7 +10,7 @@
 //   depchaos shrinkwrap world.dcw /apps/pynamic/bigexe   (rewrites world.dcw)
 //   depchaos whatif   world.dcw /apps/pynamic/bigexe   (fork; no rewrite)
 //   depchaos verify   world.dcw /apps/pynamic/bigexe
-//   depchaos patchelf world.dcw /path --set-runpath /a:/b
+//   depchaos patchelf world.dcw /path --set-runpath=/a:/b
 //   depchaos launch   world.dcw /apps/pynamic/bigexe --ranks=512
 //   depchaos sandbox  host.dcw app.dcw /app/bin/tool --mask=/usr/lib \
 //                     --overlay --save-fleet=fleet.dcw2
@@ -71,8 +71,8 @@ void print_usage(std::FILE* out) {
       "      (shrinkwrap inside a CoW fork; prints the libtree diff;\n"
       "       never rewrites the world file)\n"
       "  depchaos verify <world-file> <exe> [--env=DIR:DIR...]\n"
-      "  depchaos patchelf <world-file> <path> (--set-runpath|--set-rpath)"
-      " A:B | --print\n"
+      "  depchaos patchelf <world-file> <path>"
+      " (--set-runpath=|--set-rpath=)A:B | --print\n"
       "  depchaos launch <world-file> <exe> [--ranks=N]\n"
       "      [--sandbox=<image-world>] [--mount=/] [--overlay]\n"
       "      [--mask=DIR:DIR...] [--spindle] [--prestaged]\n"
@@ -985,6 +985,52 @@ int cmd_launch(const std::vector<std::string>& args) {
   return result.load_succeeded ? 0 : 1;
 }
 
+/// A subcommand and the flags its code reads: exact spellings, and
+/// prefixes ending in '=' for flags that take a value.
+struct Subcommand {
+  std::string_view name;
+  int (*run)(const std::vector<std::string>&);
+  std::vector<std::string_view> flags;
+};
+
+const Subcommand kSubcommands[] = {
+    {"worldgen", cmd_worldgen, {"--modules="}},
+    {"libtree", cmd_libtree, {"--paths", "--env="}},
+    {"ldd", cmd_ldd, {"--debug", "--env="}},
+    {"shrinkwrap", cmd_shrinkwrap, {"--no-lift", "--audit-dlopen", "--env="}},
+    {"whatif", cmd_whatif, {"--paths", "--audit-dlopen", "--env="}},
+    {"verify", cmd_verify, {"--env="}},
+    {"patchelf",
+     cmd_patchelf,
+     {"--print", "--set-runpath=", "--set-rpath=", "--env="}},
+    {"launch",
+     cmd_launch,
+     {"--ranks=", "--sandbox=", "--mount=", "--overlay", "--mask=",
+      "--spindle", "--prestaged", "--engine=", "--dist=", "--seed=",
+      "--cache", "--negative-cache", "--waves=", "--straggler=",
+      "--ranks-mix=", "--env="}},
+    {"sandbox",
+     cmd_sandbox,
+     {"--mount=", "--mask=", "--overlay", "--conf=", "--env=",
+      "--save-fleet="}},
+    {"mount", cmd_mount, {}},
+    {"serve",
+     cmd_serve,
+     {"--exe=", "--clients=", "--requests=", "--shards=", "--threads=",
+      "--mix=", "--seed=", "--high-water=", "--listen=", "--env="}},
+    {"connect",
+     cmd_connect,
+     {"--clients=", "--requests=", "--mix=", "--seed=", "--exe=",
+      "--shutdown"}},
+};
+
+bool known_flag(const Subcommand& cmd, std::string_view arg) {
+  for (const std::string_view flag : cmd.flags) {
+    if (flag.ends_with('=') ? arg.starts_with(flag) : arg == flag) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -998,27 +1044,28 @@ int main(int argc, char** argv) {
     print_usage(stdout);
     return 0;
   }
-  try {
-    if (command == "worldgen") return cmd_worldgen(args);
-    if (command == "libtree") return cmd_libtree(args);
-    if (command == "ldd") return cmd_ldd(args);
-    if (command == "shrinkwrap") return cmd_shrinkwrap(args);
-    if (command == "whatif") return cmd_whatif(args);
-    if (command == "verify") return cmd_verify(args);
-    if (command == "patchelf") return cmd_patchelf(args);
-    if (command == "launch") return cmd_launch(args);
-    if (command == "sandbox") return cmd_sandbox(args);
-    if (command == "mount") return cmd_mount(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "connect") return cmd_connect(args);
-  } catch (const Error& error) {
-    std::fprintf(stderr, "depchaos: %s\n", error.what());
-    return 1;
-  } catch (const std::exception& error) {
-    // Config validation throws std::invalid_argument; print it like any
-    // other user error instead of terminating.
-    std::fprintf(stderr, "depchaos: %s\n", error.what());
-    return 1;
+  for (const Subcommand& cmd : kSubcommands) {
+    if (cmd.name != command) continue;
+    // A flag the subcommand does not read (a typo such as --rank=64, or a
+    // removed option) must not silently run with the default behaviour.
+    for (const std::string& arg : args) {
+      if (arg.starts_with('-') && !known_flag(cmd, arg)) {
+        std::fprintf(stderr, "depchaos %s: unknown flag '%s'\n",
+                     command.c_str(), arg.c_str());
+        return 2;
+      }
+    }
+    try {
+      return cmd.run(args);
+    } catch (const Error& error) {
+      std::fprintf(stderr, "depchaos: %s\n", error.what());
+      return 1;
+    } catch (const std::exception& error) {
+      // Config validation throws std::invalid_argument; print it like any
+      // other user error instead of terminating.
+      std::fprintf(stderr, "depchaos: %s\n", error.what());
+      return 1;
+    }
   }
   usage();
 }
