@@ -78,6 +78,7 @@ class Session {
   // Aliases so member names below can shadow the library namespaces.
   using LoadReport = loader::LoadReport;
   using WrapOptions = shrinkwrap::Options;
+  using RecordedLoad = shrinkwrap::RecordedLoad;
   using WrapReport = shrinkwrap::WrapReport;
   using VerifyReport = shrinkwrap::VerifyReport;
   using TreeOptions = shrinkwrap::TreeOptions;
@@ -180,9 +181,11 @@ class Session {
                               const std::string& name);
 
   /// Freeze the resolved closure into absolute DT_NEEDED entries (§IV).
-  /// Resolves under the session environment unless `options.env` is set.
+  /// Resolves under the session environment unless `options.env` is set,
+  /// or takes the resolving load from `recorded` (shrinkwrap::shrinkwrap).
   WrapReport shrinkwrap(std::string_view exe = {});
-  WrapReport shrinkwrap(std::string_view exe, WrapOptions options);
+  WrapReport shrinkwrap(std::string_view exe, WrapOptions options,
+                        const RecordedLoad* recorded = nullptr);
 
   /// Audit that a wrapped binary loads by direct open / dedup only.
   VerifyReport verify(std::string_view exe = {});

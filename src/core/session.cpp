@@ -189,14 +189,15 @@ Session::WrapReport Session::shrinkwrap(std::string_view exe) {
 }
 
 Session::WrapReport Session::shrinkwrap(std::string_view exe,
-                                        WrapOptions options) {
+                                        WrapOptions options,
+                                        const RecordedLoad* recorded) {
   // An unset env (both vectors empty) inherits the session environment,
   // matching every other verb; pass a non-empty env to override.
   if (options.env.ld_library_path.empty() && options.env.ld_preload.empty()) {
     options.env = config_.env;
   }
   return ::depchaos::shrinkwrap::shrinkwrap(*fs_, *loader_, resolve_exe(exe),
-                                            options);
+                                            options, recorded);
 }
 
 Session::VerifyReport Session::verify(std::string_view exe) {

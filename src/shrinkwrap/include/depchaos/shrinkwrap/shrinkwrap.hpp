@@ -67,10 +67,24 @@ struct WrapReport {
   bool ok() const { return unresolved.empty(); }
 };
 
+/// A load already run elsewhere: its report and the op trace it charged.
+struct RecordedLoad {
+  const loader::LoadReport& report;
+  const vfs::OpTrace& trace;
+};
+
 /// Shrinkwrap the executable in place. The loader's caches are invalidated
 /// so subsequent loads observe the rewritten binary.
+///
+/// `recorded`, when given, stands in for the resolving load: it must be
+/// that very load (`exe_path` under `options.env` on a view with this
+/// one's content, so no `extra_needed`), and it is charged to `fs` with
+/// vfs::FileSystem::replay where the loader would have run. The report,
+/// wrap_cost included, and the view's counters, model warmth and files
+/// come out as if the loader had run.
 WrapReport shrinkwrap(vfs::FileSystem& fs, loader::Loader& loader,
-                      const std::string& exe_path, const Options& options = {});
+                      const std::string& exe_path, const Options& options = {},
+                      const RecordedLoad* recorded = nullptr);
 
 struct VerifyReport {
   bool ok = false;

@@ -18,12 +18,9 @@ struct Resolved {
   std::vector<std::string> unresolved;
 };
 
-/// Interp strategy: run the loader the way `ld.so --list` would and read the
-/// answer off the load report.
-Resolved resolve_interp(loader::Loader& loader, const std::string& exe_path,
-                        const loader::Environment& env) {
+/// The closure `ld.so --list` prints, read off a load report.
+Resolved closure_of(const loader::LoadReport& report) {
   Resolved out;
-  const loader::LoadReport report = loader.load(exe_path, env);
   for (std::size_t i = 1; i < report.load_order.size(); ++i) {
     const auto& obj = report.load_order[i];
     if (obj.how == loader::HowFound::Preload) continue;  // env, not a dep
@@ -36,29 +33,11 @@ Resolved resolve_interp(loader::Loader& loader, const std::string& exe_path,
   return out;
 }
 
-/// Native strategy: replicate the loader's traversal without "executing"
-/// anything — our own BFS with soname dedup, probing the filesystem the way
-/// the search semantics dictate (including the §IV corner cases, which the
-/// Loader's search already models: arch skipping and hwcaps).
-Resolved resolve_native(vfs::FileSystem& fs, loader::Loader& loader,
-                        const std::string& exe_path,
-                        const loader::Environment& env) {
-  // The Loader *is* our faithful implementation of the search semantics, so
-  // the native strategy reuses its search machinery via a trace load, then
-  // re-verifies each resolved path by direct stat (what a filesystem
-  // traversal would have touched). The distinction that matters to callers
-  // is the cost profile and that no binary is "executed"; both are modelled.
-  Resolved out = resolve_interp(loader, exe_path, env);
-  for (const auto& [name, path] : out.closure) {
-    (void)fs.stat(path);
-  }
-  return out;
-}
-
 }  // namespace
 
 WrapReport shrinkwrap(vfs::FileSystem& fs, loader::Loader& loader,
-                      const std::string& exe_path, const Options& options) {
+                      const std::string& exe_path, const Options& options,
+                      const RecordedLoad* recorded) {
   WrapReport report;
   elf::Patcher patcher(fs);
   elf::Object exe = patcher.read(exe_path);
@@ -76,10 +55,26 @@ WrapReport shrinkwrap(vfs::FileSystem& fs, loader::Loader& loader,
   }
 
   const vfs::SyscallStats before = fs.stats();
-  Resolved resolved =
-      options.strategy == Strategy::Interp
-          ? resolve_interp(loader, exe_path, options.env)
-          : resolve_native(fs, loader, exe_path, options.env);
+  // Both strategies start from the loader's own answer (Interp's whole
+  // answer, as `ld.so --list` gives it): a loader run, or the recorded run
+  // of that very load, charged where the loader would have run.
+  Resolved resolved;
+  if (recorded != nullptr) {
+    fs.replay(recorded->trace);
+    resolved = closure_of(recorded->report);
+  } else {
+    resolved = closure_of(loader.load(exe_path, options.env));
+  }
+  if (options.strategy == Strategy::Native) {
+    // Native replicates the loader's traversal without "executing"
+    // anything. The Loader *is* our faithful implementation of the search
+    // semantics (the §IV corner cases included: arch skipping, hwcaps), so
+    // its answer stands, and each resolved path is re-verified by direct
+    // stat (what a filesystem traversal would have touched). What matters
+    // to callers is the cost profile and that no binary is "executed";
+    // both are modelled.
+    for (const auto& [name, path] : resolved.closure) (void)fs.stat(path);
+  }
 
   if (options.audit_dlopens && resolved.unresolved.empty()) {
     // Replay the load, then walk every loaded object's recorded dlopen call

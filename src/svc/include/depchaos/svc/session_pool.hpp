@@ -44,12 +44,22 @@
 // handed out verbatim when the base carries a LatencyModel. Instead, the
 // miss run records its vfs::OpTrace — every counted operation with its
 // hit and node-local attribution — alongside the warmth-INDEPENDENT
-// report fields. A memo hit copies the report and prices that trace
-// through the hitting client's own fork (vfs::FileSystem::replay_latency,
-// the same routing charging uses): sim_time_s comes out exactly as if the
-// client had executed the load (including warming its attribute cache for
-// subsequent requests), while the resolution work is still done once
-// fleet-wide. Model-free pools keep the zero-copy shared-report fast path.
+// report fields. A memo hit charges that trace to the hitting client's
+// own fork (vfs::FileSystem::replay, the accounting charging uses) and
+// reports the fork's counter delta: the report, and the fork's counters
+// and cache warmth afterwards, are bit-identical to the client executing
+// the load, while the resolution work is still done once fleet-wide.
+// Model-free pools keep the zero-copy shared-report fast path.
+//
+// A Shrinkwrap on a pristine fork resolves the closure its load would
+// resolve, which is exactly a memo entry's load: with a re-pricing entry
+// it wraps from the entry's report and charges its trace where the loader
+// would have run (shrinkwrap::RecordedLoad), so the wrap report and the
+// fork are the same as with the loader run. That lookup only reads the
+// memo: it inserts nothing and counts in no memo statistic. Without an
+// entry, or on a model-free pool, the wrap runs the loader. Only a wrap
+// that wrote the binary (one that resolved everything) ends the fork's
+// pristine state.
 //
 // Backpressure: each shard's queue is bounded; past the high-water mark
 // submits fail fast with svc::Overloaded carrying a retry-after hint
@@ -154,7 +164,7 @@ struct QueryResult {
   std::size_t interned_paths = 0;  // fork-family shared PathTable size
   std::size_t mount_count = 0;
   std::string default_exe;
-  bool pristine = true;  // no mutating request executed on this fork
+  bool pristine = true;  // no request has written this fork's world
 };
 
 /// count and max are exact; the quantiles come from a log-bucket histogram
@@ -299,8 +309,8 @@ class SessionPool {
   const PoolConfig& config() const { return config_; }
   /// Which shard serves this client (submission-order domain).
   std::size_t shard_of(ClientId client) const;
-  /// True when memo hits re-price the miss run's op trace through the
-  /// client's own latency models (base carries a LatencyModel).
+  /// True when memo hits charge the miss run's op trace to the client's
+  /// fork, priced by its own latency models (base carries a LatencyModel).
   bool repricing_active() const { return reprice_; }
   /// The shared base. Const access is safe while the pool is quiescent
   /// (ctor, or after drain() with no concurrent submits): admissions

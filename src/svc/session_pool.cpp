@@ -155,10 +155,11 @@ struct SessionPool::Shard {
 struct SessionPool::MemoShard {
   struct Entry {
     /// The resolved report. Model-free pools hand this exact object to
-    /// every hit (zero copies); re-pricing pools copy it and patch
-    /// stats.sim_time_s per client.
+    /// every hit (zero copies); re-pricing pools copy it and set its stats
+    /// to what replaying the trace charged the client's fork.
     std::shared_ptr<const loader::LoadReport> report;
-    /// The miss run's op trace (null on model-free pools).
+    /// The miss run's op trace (null on model-free pools); with the report
+    /// it is also a pristine fork's Shrinkwrap's resolving load.
     std::shared_ptr<const vfs::OpTrace> trace;
   };
   mutable std::shared_mutex mutex;
@@ -480,31 +481,40 @@ void SessionPool::execute(Shard& shard, Command& command) {
     return state->session;
   };
 
+  // The memo's key for `exe`, and the entry under a key (copied under the
+  // shared lock; a null report when absent).
+  auto memo_key = [&](const std::string& exe) {
+    return exe.empty() ? base_.default_exe() : exe;
+  };
+  auto find_memo = [](MemoShard& memo, const std::string& key) {
+    std::shared_lock memo_lock(memo.mutex);
+    const auto it = memo.map.find(key);
+    return it != memo.map.end() ? it->second : MemoShard::Entry{};
+  };
+
   // One Load, through the shared-world memo when sound: on a pristine fork
   // the report is a pure function of the exe (see header), so thousands of
   // clients loading the same closure cost one resolution fleet-wide. On a
   // model-free pool every hit receives the same immutable report object
-  // (no copies); under a latency model a hit replays the stored op trace
-  // through the client's own models, so sim_time_s (and the client's cache
-  // warmth afterwards) is exactly what executing the load would produce.
+  // (no copies); under a latency model a hit charges the stored op trace
+  // to the client's fork (vfs::FileSystem::replay), so the report's stats
+  // and the fork's counters and cache warmth afterwards are bit-identical
+  // to executing the load.
   auto run_load =
       [&](const std::string& exe) -> std::shared_ptr<const loader::LoadReport> {
-    const std::string key = exe.empty() ? base_.default_exe() : exe;
+    const std::string key = memo_key(exe);
     if (!state || state->pristine) {
       MemoShard& memo = memo_shard_for(key);
-      {
-        std::shared_lock memo_lock(memo.mutex);
-        if (auto it = memo.map.find(key); it != memo.map.end()) {
-          MemoShard::Entry entry = it->second;  // shared_ptr copies
-          memo_lock.unlock();
-          memo_hit = true;
-          memo.hits.fetch_add(1, std::memory_order_relaxed);
-          if (!entry.trace) return entry.report;
-          auto priced = std::make_shared<loader::LoadReport>(*entry.report);
-          priced->stats.sim_time_s =
-              ensure_session().fs().replay_latency(*entry.trace);
-          return priced;
-        }
+      if (MemoShard::Entry entry = find_memo(memo, key); entry.report) {
+        memo_hit = true;
+        memo.hits.fetch_add(1, std::memory_order_relaxed);
+        if (!entry.trace) return entry.report;
+        vfs::FileSystem& fs = ensure_session().fs();
+        const vfs::SyscallStats before = fs.stats();
+        fs.replay(*entry.trace);
+        auto charged = std::make_shared<loader::LoadReport>(*entry.report);
+        charged->stats = fs.stats() - before;
+        return charged;
       }
       memo.misses.fetch_add(1, std::memory_order_relaxed);
       core::Session& session = ensure_session();
@@ -576,10 +586,25 @@ void SessionPool::execute(Shard& shard, Command& command) {
       break;
     }
     case RequestKind::Shrinkwrap: {
+      // On a pristine fork a re-pricing memo entry is the wrap's resolving
+      // load (see header); the lookup inserts nothing and counts nowhere.
       auto& cmd = std::get<WrapCmd>(command.op);
       deliver(cmd, [&] {
-        shrinkwrap::WrapReport report = ensure_session().shrinkwrap(cmd.exe);
-        if (state->pristine) {  // the fork's world diverged from the base
+        const std::string key = memo_key(cmd.exe);
+        const MemoShard::Entry entry = !state || state->pristine
+                                           ? find_memo(memo_shard_for(key), key)
+                                           : MemoShard::Entry{};
+        core::Session& session = ensure_session();
+        shrinkwrap::WrapReport report;
+        if (entry.trace) {
+          const shrinkwrap::RecordedLoad recorded{*entry.report, *entry.trace};
+          report = session.shrinkwrap(cmd.exe, {}, &recorded);
+        } else {
+          report = session.shrinkwrap(cmd.exe);
+        }
+        // With the pool's options a wrap writes the binary exactly when it
+        // resolved everything; a refused wrap leaves the fork pristine.
+        if (report.ok() && state->pristine) {
           state->pristine = false;
           shard.idle.erase(state->idle_slot);
         }

@@ -44,8 +44,9 @@ struct OpRecord {
 /// trace is installed (FileSystem::TraceScope). It is the one record the
 /// fleet's shared/overlay split, the depchaos::mds launch-storm simulator
 /// (which replays the stat/open stream against a modelled metadata
-/// server) and svc's memo re-pricing (FileSystem::replay_latency) read:
-/// the op sequence is MEASURED, only op -> seconds is simulated.
+/// server) and svc's memo hits (FileSystem::replay, which charges the
+/// recorded operations to the hitting client's fork) read: the op
+/// sequence is MEASURED, only op -> seconds is simulated.
 class OpTrace {
  public:
   void record(OpKind kind, bool hit, bool shared, bool node_local,

@@ -411,12 +411,15 @@ class FileSystem {
     OpTrace* previous_;
   };
 
-  /// Simulated seconds of `trace` (recorded by any view of this fork
-  /// family) priced through THIS view's latency models, exactly as
-  /// charging the same operations here would price them. Warms the
-  /// models' client caches like executing the operations; changes no
-  /// counter.
-  double replay_latency(const OpTrace& trace);
+  /// Charges every record of `trace` (recorded by any view of this fork
+  /// family) to THIS view in trace order, through the same accounting as
+  /// executing the operations: counters and failed probes, sim_time_s
+  /// priced op by op through this view's latency models (warming their
+  /// client caches), and the installed trace, which receives the records
+  /// as they are. Obeys set_counting(). Replaying the trace of an
+  /// operation this view would issue identically leaves the view's
+  /// counters bit-identical to executing it.
+  void replay(const OpTrace& trace);
 
   /// Uncounted one-path classification under the same rules: true =
   /// shared substrate, false = per-view divergence, nullopt = the path
@@ -607,10 +610,12 @@ class FileSystem {
   /// shared attribution and the node-local latency-class routing; counters
   /// are unaffected by it.
   void charge(OpKind op, bool hit, PathId path, InodeNum ino = 0);
-  /// The latency routing rule: node-local operations price through the
-  /// node-local model (lazily a default LocalDiskModel), the rest through
-  /// the shared model; free when no shared model is installed.
-  double price(OpKind op, bool hit, PathId path, bool node_local);
+  /// The one accounting rule charge() and replay() share: append to the
+  /// installed trace, count, and price — node-local operations through
+  /// the node-local model (lazily a default LocalDiskModel), the rest
+  /// through the shared model, free when no shared model is installed.
+  void account(OpKind op, bool hit, bool shared, bool node_local,
+               PathId path);
   /// Was this operation served by a MountLatency::NodeLocal mount? Hits
   /// route by the owning mount (shared substrate only — overlay-private
   /// nodes always pay the shared-FS price); misses and reads attribute by

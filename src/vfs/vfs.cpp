@@ -479,13 +479,24 @@ void FileSystem::charge(OpKind op, bool hit, PathId path, InodeNum ino) {
   // costs — pre-staging is no longer post-hoc extrapolation arithmetic.
   const bool node_local =
       has_node_local_mount() && op_is_node_local(ino, hit, path);
-  if (trace_ != nullptr) {
-    // Failed probes are shared — a negative answer (missing path OR open
-    // of a non-regular node) is the same for every rank. Reads are data
-    // traffic and take no side of the metadata split.
-    const bool shared = op != OpKind::Read && (!hit || op_is_shared(ino));
-    trace_->record(op, hit, shared, node_local, path);
+  // Failed probes are shared — a negative answer (missing path OR open of
+  // a non-regular node) is the same for every rank. Reads are data traffic
+  // and take no side of the metadata split. Only a trace reads the flag.
+  const bool shared = trace_ != nullptr && op != OpKind::Read &&
+                      (!hit || op_is_shared(ino));
+  account(op, hit, shared, node_local, path);
+}
+
+void FileSystem::replay(const OpTrace& trace) {
+  if (!counting_) return;
+  for (const OpRecord& op : trace.ops()) {
+    account(op.kind, op.hit, op.shared, op.node_local, trace.id(op.path));
   }
+}
+
+void FileSystem::account(OpKind op, bool hit, bool shared, bool node_local,
+                         PathId path) {
+  if (trace_ != nullptr) trace_->record(op, hit, shared, node_local, path);
   switch (op) {
     case OpKind::Stat:
       ++stats_.stat_calls;
@@ -503,22 +514,12 @@ void FileSystem::charge(OpKind op, bool hit, PathId path, InodeNum ino) {
   if (!hit && (op == OpKind::Stat || op == OpKind::Open)) {
     ++stats_.failed_probes;
   }
-  stats_.sim_time_s += price(op, hit, path, node_local);
-}
-
-double FileSystem::price(OpKind op, bool hit, PathId path, bool node_local) {
-  if (!latency_) return 0;
-  if (!node_local) return latency_->cost(op, hit, paths_->str(path));
-  if (!local_latency_) local_latency_ = std::make_shared<LocalDiskModel>();
-  return local_latency_->cost(op, hit, paths_->str(path));
-}
-
-double FileSystem::replay_latency(const OpTrace& trace) {
-  double total = 0;
-  for (const OpRecord& op : trace.ops()) {
-    total += price(op.kind, op.hit, trace.id(op.path), op.node_local);
+  if (!latency_) return;
+  if (node_local && !local_latency_) {
+    local_latency_ = std::make_shared<LocalDiskModel>();
   }
-  return total;
+  LatencyModel& model = node_local ? *local_latency_ : *latency_;
+  stats_.sim_time_s += model.cost(op, hit, paths_->str(path));
 }
 
 InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,

@@ -23,6 +23,7 @@
 #include "depchaos/elf/patcher.hpp"
 #include "depchaos/launch/launch.hpp"
 #include "depchaos/svc/session_pool.hpp"
+#include "depchaos/svc/wire.hpp"
 #include "depchaos/workload/pynamic.hpp"
 
 namespace depchaos::svc {
@@ -142,9 +143,9 @@ TEST(SessionPool, SharedLoadsAliasOneReportAndMatchCopyingApi) {
   EXPECT_EQ(digest(*a), copied);
 }
 
-// Everything in a LoadReport except sim_time_s is warmth-transparent and
-// must match bit-for-bit; sim_time_s is compared separately (1e-9) since
-// re-pricing replays floating-point charge sums.
+// Everything in a LoadReport except sim_time_s is warmth-transparent;
+// sim_time_s is compared separately, exactly: a memo hit charges the miss
+// run's op trace to the client's fork op by op, as executing would.
 std::string digest_sans_time(loader::LoadReport r) {
   r.stats.sim_time_s = 0;
   return digest(r);
@@ -184,9 +185,9 @@ TEST(SessionPool, MemoizationStaysOnUnderLatencyModelWithRepricing) {
   EXPECT_EQ(digest_sans_time(cold), digest_sans_time(ref_cold));
   EXPECT_EQ(digest_sans_time(warm), digest_sans_time(ref_warm));
   EXPECT_EQ(digest_sans_time(other), digest_sans_time(ref_other));
-  EXPECT_NEAR(cold.stats.sim_time_s, ref_cold.stats.sim_time_s, 1e-9);
-  EXPECT_NEAR(warm.stats.sim_time_s, ref_warm.stats.sim_time_s, 1e-9);
-  EXPECT_NEAR(other.stats.sim_time_s, ref_other.stats.sim_time_s, 1e-9);
+  EXPECT_EQ(cold.stats.sim_time_s, ref_cold.stats.sim_time_s);
+  EXPECT_EQ(warm.stats.sim_time_s, ref_warm.stats.sim_time_s);
+  EXPECT_EQ(other.stats.sim_time_s, ref_other.stats.sim_time_s);
   // The re-pricing is doing real work: warm NFS caches are cheaper than
   // cold ones, so the two hits of the same memo entry price differently.
   EXPECT_LT(warm.stats.sim_time_s, cold.stats.sim_time_s);
@@ -230,8 +231,8 @@ TEST(SessionPool, RepricedHitOverPrestagedMountPricesLikeExecution) {
   pool.drain();
   ASSERT_TRUE(miss.success);
   EXPECT_EQ(pool.stats().memo_hits, 1u);
-  EXPECT_NEAR(miss.stats.sim_time_s, direct, 1e-9);
-  EXPECT_NEAR(hit.stats.sim_time_s, direct, 1e-9);
+  EXPECT_EQ(miss.stats.sim_time_s, direct);
+  EXPECT_EQ(hit.stats.sim_time_s, direct);
 
   SessionPool shared(make_base(false));
   const auto shared_miss = shared.submit_load(1, "").get();
@@ -267,6 +268,76 @@ TEST(SessionPool, ShrinkwrapIsolatedPerClientAndFifoOrdered) {
 
   // Client 1's divergence is private: a third client still sees the base.
   EXPECT_EQ(digest(pool.submit_load(3, exe).get()), digest(direct.load(exe)));
+}
+
+TEST(SessionPool, MemoPrimedTurnEncodesLikeDirectExecution) {
+  // The Table II emacs turn under NFS: Load, Shrinkwrap, 4 x Load, Reset.
+  // Client 1's Load fills the memo; client 2's Load is a memo hit. Both
+  // Shrinkwraps run on pristine forks and resolve from the memo entry. Every
+  // reply must encode byte for byte like the same verbs on a plain fork.
+  Session world = WorldBuilder().nfs().emacs({}).build();
+  world.seal();
+  SessionPool pool(world.fork_sealed());
+  ASSERT_TRUE(pool.repricing_active());
+  const auto turn = [&](ClientId client) {
+    std::vector<std::string> replies;
+    replies.push_back(encode_load_report(pool.submit_load(client).get()));
+    replies.push_back(encode_wrap_report(pool.submit_shrinkwrap(client).get()));
+    for (int i = 0; i < 4; ++i) {
+      replies.push_back(encode_load_report(pool.submit_load(client).get()));
+    }
+    pool.reset(client).get();
+    return replies;
+  };
+  const std::vector<std::string> miss_turn = turn(1);
+  const std::vector<std::string> primed_turn = turn(2);
+
+  Session fork = world.fork_sealed();
+  std::vector<std::string> direct;
+  direct.push_back(encode_load_report(fork.load()));
+  const shrinkwrap::WrapReport wrap = fork.shrinkwrap();
+  ASSERT_TRUE(wrap.ok());
+  direct.push_back(encode_wrap_report(wrap));
+  for (int i = 0; i < 4; ++i) direct.push_back(encode_load_report(fork.load()));
+  ASSERT_EQ(miss_turn.size(), direct.size());
+  ASSERT_EQ(primed_turn.size(), direct.size());
+  for (std::size_t k = 0; k < direct.size(); ++k) {
+    EXPECT_EQ(miss_turn[k], direct[k]) << "miss turn, reply " << k;
+    EXPECT_EQ(primed_turn[k], direct[k]) << "primed turn, reply " << k;
+  }
+
+  // The Shrinkwraps' memo lookups count nowhere: one hit, client 2's Load.
+  pool.drain();
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.memo_hits, 1u);
+  EXPECT_EQ(stats.memo_misses, 1u);
+  EXPECT_EQ(stats.memoized, 1u);
+}
+
+TEST(SessionPool, RefusedShrinkwrapKeepsTheForkPristine) {
+  // The exe's library is nowhere: the wrap refuses and writes nothing, so
+  // the fork stays pristine, memo-served like any other. Model-free, the
+  // wrap runs the loader; under NFS it resolves from client 1's memo entry.
+  for (const bool nfs : {false, true}) {
+    SCOPED_TRACE(nfs ? "nfs" : "model-free");
+    WorldBuilder builder;
+    builder.install("/apps/broken/bin/app",
+                    make_executable({"libgone.so"}, {"/apps/broken/lib"}));
+    if (nfs) builder.nfs();
+    SessionPool pool(builder.build());
+    const std::string exe = "/apps/broken/bin/app";
+    EXPECT_FALSE(pool.submit_load(1, exe).get().success);
+
+    const shrinkwrap::WrapReport wrap = pool.submit_shrinkwrap(2, exe).get();
+    EXPECT_FALSE(wrap.ok());
+    EXPECT_FALSE(wrap.changed);
+    const QueryResult query = pool.submit_query(2).get();
+    EXPECT_TRUE(query.pristine);
+    EXPECT_EQ(query.owned_bytes, 0u);
+    EXPECT_FALSE(pool.submit_load(2, exe).get().success);
+    pool.drain();
+    EXPECT_EQ(pool.stats().memo_hits, 1u);
+  }
 }
 
 TEST(SessionPool, QueryAndLoadManyAndReset) {
@@ -639,8 +710,8 @@ TEST(SessionPoolProperty, RandomConcurrentClientsMatchSequentialRuns) {
 }
 
 // Same property under a STATEFUL latency model: random load scripts from
-// concurrent clients, memoization active, every sim_time_s within 1e-9 of
-// the sequential per-client fork reference (all other fields exact).
+// concurrent clients, memoization active, every report (sim_time_s
+// included) exactly the sequential per-client fork reference's.
 TEST(SessionPoolProperty, RandomizedMemoRepricingMatchesSequentialForks) {
   constexpr std::size_t kApps = 4;
   constexpr std::size_t kClients = 8;
@@ -685,7 +756,7 @@ TEST(SessionPoolProperty, RandomizedMemoRepricingMatchesSequentialForks) {
       const loader::LoadReport want = session.load(scripts[c][s]);
       EXPECT_EQ(digest_sans_time(got), digest_sans_time(want))
           << "client " << c << " step " << s << " exe " << scripts[c][s];
-      EXPECT_NEAR(got.stats.sim_time_s, want.stats.sim_time_s, 1e-9)
+      EXPECT_EQ(got.stats.sim_time_s, want.stats.sim_time_s)
           << "client " << c << " step " << s << " exe " << scripts[c][s];
     }
   }
@@ -699,6 +770,90 @@ TEST(SessionPoolProperty, RandomizedMemoRepricingMatchesSequentialForks) {
   EXPECT_GT(stats.memo_hits, 0u);
   EXPECT_GE(stats.memo_misses, kApps);
   EXPECT_EQ(stats.forks_locked, 0u);  // every admission was the sealed stamp
+}
+
+// Loads, Shrinkwraps and Resets from concurrent clients under a STATEFUL
+// latency model: every reply encodes byte for byte like the client's script
+// run sequentially on its own fork. A Shrinkwrap on a pristine fork
+// resolves from the memo when another strand's Load already filled the
+// entry and runs the loader when not; the reply must not show which.
+TEST(SessionPoolProperty, RandomRepricedShrinkwrapTurnsMatchSequentialForks) {
+  constexpr std::size_t kApps = 3;
+  constexpr std::size_t kClients = 8;
+  constexpr std::size_t kSteps = 8;
+  enum Op { kLoadOwn, kLoadOther, kWrap, kReset };
+
+  WorldBuilder twin_a;
+  const auto exes = install_fleet(twin_a, kApps);
+  WorldBuilder twin_b;
+  install_fleet(twin_b, kApps);
+
+  std::mt19937 rng(20261019);
+  std::uniform_int_distribution<int> op_dist(kLoadOwn, kReset);
+  std::uniform_int_distribution<std::size_t> exe_dist(0, kApps - 1);
+  std::vector<std::vector<ScriptStep>> scripts(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t s = 0; s < kSteps; ++s) {
+      ScriptStep step;
+      step.op = op_dist(rng);
+      step.exe = step.op == kLoadOther ? exes[exe_dist(rng)] : exes[c % kApps];
+      scripts[c].push_back(step);
+    }
+  }
+
+  Session base = twin_b.build();
+  base.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  PoolConfig config;
+  config.shards = 4;
+  config.threads = 4;
+  SessionPool pool(std::move(base), config);
+  std::vector<std::vector<std::future<loader::LoadReport>>> loads(kClients);
+  std::vector<std::vector<std::future<shrinkwrap::WrapReport>>> wraps(
+      kClients);
+  for (std::size_t s = 0; s < kSteps; ++s) {
+    for (std::size_t c = 0; c < kClients; ++c) {
+      const ScriptStep& step = scripts[c][s];
+      const ClientId client = static_cast<ClientId>(c + 1);
+      if (step.op == kWrap) {
+        wraps[c].push_back(pool.submit_shrinkwrap(client, step.exe));
+      } else if (step.op == kReset) {
+        pool.reset(client);
+      } else {
+        loads[c].push_back(pool.submit_load(client, step.exe));
+      }
+    }
+  }
+
+  Session reference = twin_a.build();
+  reference.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  reference.seal();  // mirror the pool's ctor seal
+  for (std::size_t c = 0; c < kClients; ++c) {
+    Session session = reference.fork_sealed();
+    std::size_t load_i = 0;
+    std::size_t wrap_i = 0;
+    for (std::size_t s = 0; s < kSteps; ++s) {
+      const ScriptStep& step = scripts[c][s];
+      std::string got;
+      std::string want;
+      if (step.op == kWrap) {
+        got = encode_wrap_report(wraps[c][wrap_i++].get());
+        want = encode_wrap_report(session.shrinkwrap(step.exe));
+      } else if (step.op == kReset) {
+        session = reference.fork_sealed();
+        continue;
+      } else {
+        got = encode_load_report(loads[c][load_i++].get());
+        want = encode_load_report(session.load(step.exe));
+      }
+      EXPECT_EQ(got, want) << "client " << c << " step " << s << " op "
+                           << step.op << " exe " << step.exe;
+    }
+  }
+
+  pool.drain();
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.worker_errors, 0u);
+  EXPECT_GT(stats.memo_hits, 0u);
 }
 
 // ------------------------------------------------------- admission safety

@@ -455,7 +455,17 @@ TEST(Vfs, DentryCacheInvalidatedByMutations) {
 
 // ---------------------------------------------------------------- op trace
 
-TEST(OpTraceTest, ReplayLatencyPricesLikeCharging) {
+// Every counter, sim_time_s included, compared exactly.
+void expect_same_stats(const SyscallStats& got, const SyscallStats& want) {
+  EXPECT_EQ(got.stat_calls, want.stat_calls);
+  EXPECT_EQ(got.open_calls, want.open_calls);
+  EXPECT_EQ(got.read_calls, want.read_calls);
+  EXPECT_EQ(got.readlink_calls, want.readlink_calls);
+  EXPECT_EQ(got.failed_probes, want.failed_probes);
+  EXPECT_EQ(got.sim_time_s, want.sim_time_s);
+}
+
+TEST(OpTraceTest, ReplayChargesLikeExecuting) {
   FileSystem base;
   base.set_latency_model(std::make_shared<NfsModel>());
   elf::install_object(base, "/deps/b/libx.so", elf::make_library("libx.so"));
@@ -476,19 +486,65 @@ TEST(OpTraceTest, ReplayLatencyPricesLikeCharging) {
   EXPECT_EQ(trace.ops().size(),
             report.stats.metadata_calls() + report.stats.read_calls);
 
-  // A cold sibling prices the trace exactly as the load was charged, and
-  // the replay warms its NFS attribute cache: a second replay is cheaper.
+  // After the same first operation, a sibling replays the load twice and a
+  // twin executes it twice: their counters end bit-identical, sim_time_s
+  // included (it is summed op by op in trace order either way).
   FileSystem sibling = base.fork_sealed();
-  const double cold = sibling.replay_latency(trace);
-  EXPECT_DOUBLE_EQ(cold, report.stats.sim_time_s);
-  const double warm = sibling.replay_latency(trace);
-  EXPECT_LT(warm, cold);
+  FileSystem twin = base.fork_sealed();
+  ASSERT_TRUE(sibling.stat("/deps/b/libx.so").has_value());
+  ASSERT_TRUE(twin.stat("/deps/b/libx.so").has_value());
+  const double at_start = sibling.stats().sim_time_s;
+  sibling.replay(trace);
+  const double after_first = sibling.stats().sim_time_s;
+  sibling.replay(trace);
+  loader::Loader twin_loader(twin);
+  (void)twin_loader.load("/bin/app");
+  (void)twin_loader.load("/bin/app");
+  expect_same_stats(sibling.stats(), twin.stats());
+  // The replays warmed the NFS attribute cache like the loads did: the
+  // second replay was cheaper than the first, and a third load costs
+  // both views the same.
+  EXPECT_LT(sibling.stats().sim_time_s - after_first, after_first - at_start);
+  const loader::LoadReport third = loader::Loader(sibling).load("/bin/app");
+  const loader::LoadReport twin_third = twin_loader.load("/bin/app");
+  EXPECT_EQ(third.stats.sim_time_s, twin_third.stats.sim_time_s);
+  EXPECT_LT(third.stats.sim_time_s, report.stats.sim_time_s);
+  expect_same_stats(sibling.stats(), twin.stats());
 
-  const SyscallStats& counters = sibling.stats();
-  EXPECT_EQ(counters.metadata_calls(), 0u);
-  EXPECT_EQ(counters.read_calls, 0u);
-  EXPECT_EQ(counters.failed_probes, 0u);
-  EXPECT_EQ(counters.sim_time_s, 0.0);
+  // A trace installed on the replaying view receives the records as they
+  // are.
+  FileSystem observed = base.fork_sealed();
+  OpTrace seen;
+  {
+    FileSystem::TraceScope scope(observed, seen);
+    observed.replay(trace);
+  }
+  ASSERT_EQ(seen.ops().size(), trace.ops().size());
+  for (std::size_t i = 0; i < trace.ops().size(); ++i) {
+    const OpRecord& got = seen.ops()[i];
+    const OpRecord& want = trace.ops()[i];
+    EXPECT_EQ(got.kind, want.kind) << i;
+    EXPECT_EQ(got.hit, want.hit) << i;
+    EXPECT_EQ(got.shared, want.shared) << i;
+    EXPECT_EQ(got.node_local, want.node_local) << i;
+    EXPECT_EQ(seen.id(got.path), trace.id(want.path)) << i;
+  }
+  expect_same_stats(observed.stats(), report.stats);
+
+  // With counting off, replay charges nothing, like charge(): no counter,
+  // no record, and the models stay cold.
+  FileSystem quiet = base.fork_sealed();
+  quiet.set_counting(false);
+  OpTrace none;
+  {
+    FileSystem::TraceScope scope(quiet, none);
+    quiet.replay(trace);
+  }
+  EXPECT_TRUE(none.ops().empty());
+  expect_same_stats(quiet.stats(), SyscallStats{});
+  quiet.set_counting(true);
+  quiet.replay(trace);
+  expect_same_stats(quiet.stats(), report.stats);
 }
 
 }  // namespace
