@@ -24,7 +24,17 @@
 // snapshot answers positive and negative walks alike, so the first load
 // should walk nothing; the second gate requires the pynamic first-load
 // rate to be >= 0.85x the second-load rate.
+//
+// Wrapped loads: the Table II emacs world under the NFS model, as a tenant
+// turn of the session pool runs it. Each fresh fork of the sealed world
+// times its first and its warm (second) unwrapped load, is shrinkwrapped
+// (untimed), then times its first and its warm wrapped load, fork by fork,
+// so the four rows interleave. They print the median microseconds per load
+// beside the exact metadata ops (1861 and 104, Table II); no gate reads
+// them.
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -170,6 +180,50 @@ WarmForkRates warm_fork_loads_per_sec(core::Session& session,
   return {loads / first_s, loads / second_s};
 }
 
+/// Median of `samples`.
+double median(std::vector<double> samples) {
+  if (samples.empty()) return 0;
+  const auto mid =
+      samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
+/// The emacs rows: per fork, the unwrapped first and warm load, Shrinkwrap,
+/// then the wrapped first and warm load (see the top of this file).
+void report_emacs_wrap(int rounds) {
+  using depchaos::bench::fmt;
+  using depchaos::bench::row;
+
+  core::Session base = core::WorldBuilder().nfs().emacs({}).build();
+  base.seal();
+  constexpr std::array<const char*, 4> kRows = {
+      "emacs (NFS) unwrapped load, first on fork",
+      "emacs (NFS) unwrapped load, warm",
+      "emacs (NFS) wrapped load, first after wrap",
+      "emacs (NFS) wrapped load, warm"};
+  std::array<std::vector<double>, kRows.size()> micros;
+  std::array<std::uint64_t, kRows.size()> meta_ops{};
+  for (int round = 0; round < rounds; ++round) {
+    core::Session fork = base.fork_sealed();
+    const auto timed_load = [&](std::size_t k) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto report = fork.load();
+      micros[k].push_back(seconds_since(start) * 1e6);
+      meta_ops[k] = report.stats.metadata_calls();
+    };
+    timed_load(0);
+    timed_load(1);
+    fork.shrinkwrap();
+    timed_load(2);
+    timed_load(3);
+  }
+  for (std::size_t k = 0; k < kRows.size(); ++k) {
+    row(kRows[k], fmt(median(micros[k]), 0) + " us, " +
+                      std::to_string(meta_ops[k]) + " metadata ops");
+  }
+}
+
 /// Measure one world; returns the cached/baseline speedup and the
 /// warm-fork first/second load-rate ratio.
 std::pair<double, double> report_world(const char* world_name,
@@ -226,6 +280,8 @@ int print_report() {
       report_world("pynamic", pynamic, pynamic_targets,
                    smoke_mode() ? 400 : 100)
           .second;
+
+  report_emacs_wrap(smoke_mode() ? 100 : 400);
 
   heading("acceptance gate");
   const bool speedup_ok = debian_speedup >= 2.0;

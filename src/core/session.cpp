@@ -152,7 +152,7 @@ std::vector<Session::LoadReport> Session::load_many(
         // Adopt the parent loader's parsed-object and ld.so caches instead
         // of rescanning ld.so.cache per worker: the forked world is
         // byte-identical at this point, parsed objects are immutable, and
-        // cache warmth never shows in counters (fetch_object charges the
+        // cache warmth never shows in counters (a load charges the open and
         // read either way) — so reports stay byte-identical to sequential
         // loads while the per-worker warmup cost drops to a map copy.
         worker.adopt_caches(*loader_);

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -207,6 +208,15 @@ class Loader {
   Dialect dialect() const { return dialect_; }
 
  private:
+  /// What the probe of an accepted candidate established: its realpath id
+  /// (kNone when it has none) and its parsed object from the cache. A
+  /// rejected candidate leaves `object` null.
+  struct Accepted {
+    support::PathId canonical = support::PathTable::kNone;
+    std::shared_ptr<const elf::Object> object;
+    explicit operator bool() const { return object != nullptr; }
+  };
+
   struct Resolution {
     std::string path;
     HowFound how = HowFound::NotFound;
@@ -214,19 +224,25 @@ class Loader {
     /// entries and preloads keep their verbatim spelling in `path`, so
     /// str(id) may differ from it there.
     support::PathId id = support::PathTable::kNone;
+    /// The probe's verdict on `id`, handed on to registration.
+    Accepted accepted;
   };
 
   /// Outcome of a directory sweep: which search dir accepted the candidate
-  /// (index into the swept dir list) and the candidate's id.
+  /// (index into the swept dir list), the candidate's id and the probe's
+  /// verdict on it.
   struct DirProbe {
     std::size_t dir = 0;
     support::PathId id = support::PathTable::kNone;
+    Accepted accepted;
     bool found() const { return id != support::PathTable::kNone; }
   };
 
-  // Pending BFS work item: `needed` entry requested by load_order[req_index].
+  // Pending BFS work item: the needed entry `*name` requested by
+  // load_order[requester_index]. `name` points into the requester's parsed
+  // object (or at dlopen's argument), which outlives the queue.
   struct WorkItem {
-    std::string name;
+    const std::string* name;
     std::size_t requester_index;
   };
 
@@ -255,15 +271,20 @@ class Loader {
     const Environment* env = nullptr;
   };
 
-  /// Parsed object behind the probed candidate `id`, from the cache keyed
-  /// by its canonical id `key` or parsed on a miss; charges one read(2)
-  /// against `id`. Null when `id` is not a SELF image.
-  std::shared_ptr<const elf::Object> fetch_object(support::PathId id,
-                                                  support::PathId key);
-  /// Set `loaded.real_path` from the interned realpath of `id` (its
-  /// verbatim path when `id` does not resolve) and return the inode-proxy
-  /// dedup key: the canonical id, else `id`.
-  support::PathId canonicalize(LoadedObject& loaded, support::PathId id) const;
+  /// The parsed object of the opened SELF image `data`, from the cache
+  /// under its inode-proxy key `key`, parsed and cached on first sight. A
+  /// parse that throws ElfError caches nothing, so it throws again on the
+  /// next sight.
+  std::shared_ptr<const elf::Object> cached_object(support::PathId key,
+                                                   const vfs::FileData& data);
+  /// Set `loaded.real_path` from `canonical`, the realpath id of `id` (its
+  /// verbatim path when kNone), and return the inode-proxy dedup key: the
+  /// canonical id, else `id`.
+  support::PathId canonicalize(LoadedObject& loaded, support::PathId id,
+                               support::PathId canonical) const;
+  /// The id of an absolute DT_NEEDED spelling (after $ORIGIN expansion),
+  /// interned on first sight; a relative one throws FsError every time.
+  support::PathId absolute_needed_id(std::string_view path);
   std::optional<std::size_t> dedup_lookup(Session& session,
                                           const std::string& name) const;
   Resolution search(Session& session, const std::string& name,
@@ -278,15 +299,13 @@ class Loader {
   /// so candidates past the hit are never interned.
   DirProbe probe_dirs(std::span<const support::PathId> dirs,
                       const std::string& name, elf::Machine machine);
-  /// Shared probe verdict: ELF magic + architecture checks with LD_DEBUG
-  /// style logging. `data` is the already-opened candidate (null = ENOENT).
-  bool classify_probe(const std::string& path, const vfs::FileData* data,
-                      elf::Machine machine);
-  /// Single ELF-validity probe of one candidate. `log_as` overrides the
+  /// Single ELF-validity probe of one candidate: one counted open(2), the
+  /// magic check on the opened bytes, then the architecture check on the
+  /// cached parse, with LD_DEBUG style logging. `log_as` overrides the
   /// probe-log spelling (paths carried verbatim from caches/preloads keep
   /// their original bytes); by default the interned string is logged.
-  bool probe_file(support::PathId id, elf::Machine machine,
-                  const std::string* log_as = nullptr);
+  Accepted probe_file(support::PathId id, elf::Machine machine,
+                      const std::string* log_as = nullptr);
   void ensure_ld_cache();
   /// Append `loaded` to load_order under its dedup keys; `key` is the
   /// inode-proxy id canonicalize() returned.
@@ -330,12 +349,28 @@ class Loader {
   SearchConfig config_;
   Dialect dialect_;
   const DialectRules& rules_;
-  // Parsed-object cache keyed by canonical PathId (never invalidated:
-  // loads are read-only with respect to binaries; Patcher edits go through
-  // the VFS, so tests that patch then reload construct a fresh Loader or
-  // call invalidate()).
+  // Parsed-object cache keyed by canonical PathId, filled the first time a
+  // probe passes a file's magic check (whatever its architecture) or a
+  // load opens its executable; probes read their architecture verdicts
+  // from it. Loads never write binaries and Patcher edits go through the
+  // VFS, so code that rewrites a binary and loads again calls invalidate()
+  // or constructs a fresh Loader; until then probes and loads see the old
+  // parse.
   std::unordered_map<support::PathId, std::shared_ptr<const elf::Object>>
       cache_;
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  // Absolute DT_NEEDED spellings (after $ORIGIN expansion) -> interned id,
+  // so a wrapped binary's entries are interned once per loader rather than
+  // once per load. Interning is lexical and the PathTable is append-only,
+  // so an entry never goes stale: invalidate() and adopt_caches() leave it
+  // alone. Bounded by the distinct absolute entries this loader has seen.
+  std::unordered_map<std::string, support::PathId, StringHash, std::equal_to<>>
+      absolute_ids_;
   // ld.so.cache: name -> (path, from ld_so_conf or default).
   std::unordered_map<std::string, Resolution> ld_cache_;
   bool ld_cache_built_ = false;
@@ -343,7 +378,8 @@ class Loader {
   std::vector<std::string>* probe_log_ = nullptr;
 
  public:
-  /// Drop parsed-object and ld.so caches (after patching binaries).
+  /// Drop parsed-object and ld.so caches (after patching binaries), and
+  /// with them the probes' cached architecture verdicts.
   void invalidate();
 
   /// Seed this loader's parsed-object and ld.so caches from another loader

@@ -1,7 +1,6 @@
 #include "depchaos/loader/loader.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 
 #include "depchaos/support/strings.hpp"
@@ -152,24 +151,20 @@ std::string_view Loader::expand_origin(std::string_view entry,
   return storage;
 }
 
-std::shared_ptr<const elf::Object> Loader::fetch_object(support::PathId id,
-                                                        support::PathId key) {
+std::shared_ptr<const elf::Object> Loader::cached_object(
+    support::PathId key, const vfs::FileData& data) {
   auto it = cache_.find(key);
   if (it == cache_.end()) {
-    const vfs::FileData* data = fs_.peek(id);
-    if (data == nullptr || !elf::looks_like_self(data->bytes)) return nullptr;
     it = cache_
              .emplace(key, std::make_shared<const elf::Object>(
-                               elf::parse(data->bytes)))
+                               elf::parse(data.bytes)))
              .first;
   }
-  fs_.count_read(id);
   return it->second;
 }
 
-support::PathId Loader::canonicalize(LoadedObject& loaded,
-                                     support::PathId id) const {
-  const support::PathId canonical = fs_.resolve_canonical(id);
+support::PathId Loader::canonicalize(LoadedObject& loaded, support::PathId id,
+                                     support::PathId canonical) const {
   if (canonical == support::PathTable::kNone) {
     loaded.real_path = loaded.path;
     return id;
@@ -178,37 +173,49 @@ support::PathId Loader::canonicalize(LoadedObject& loaded,
   return canonical;
 }
 
-bool Loader::classify_probe(const std::string& path,
-                            const vfs::FileData* data, elf::Machine machine) {
+Loader::Accepted Loader::probe_file(support::PathId id, elf::Machine machine,
+                                    const std::string* log_as) {
+  const vfs::FileData* data = fs_.open(id);  // one counted open(2)
+  const auto log = [&](std::string_view outcome) {
+    if (probe_log_) {
+      std::string line = "trying ";
+      line += log_as != nullptr ? *log_as : paths_->str(id);
+      line += " ... ";
+      line += outcome;
+      probe_log_->push_back(std::move(line));
+    }
+  };
   if (data == nullptr) {
-    if (probe_log_) probe_log_->push_back("trying " + path + " ... ENOENT");
-    return false;
+    log("ENOENT");
+    return {};
   }
   if (!elf::looks_like_self(data->bytes)) {
-    if (probe_log_) {
-      probe_log_->push_back("trying " + path + " ... not an object, skipped");
-    }
-    return false;
+    log("not an object, skipped");
+    return {};
   }
   // The System V rule the paper leans on (§IV): a candidate whose
   // architecture does not match is silently ignored and the search goes on.
-  elf::Object header = elf::parse(data->bytes);
-  if (header.machine != machine) {
-    if (probe_log_) {
-      probe_log_->push_back("trying " + path +
-                            " ... wrong architecture, skipped");
-    }
-    return false;
+  Accepted accepted;
+  accepted.canonical = fs_.resolve_canonical(id);
+  accepted.object = cached_object(
+      accepted.canonical != support::PathTable::kNone ? accepted.canonical
+                                                      : id,
+      *data);
+  if (accepted.object->machine != machine) {
+    log("wrong architecture, skipped");
+    return {};
   }
-  if (probe_log_) probe_log_->push_back("trying " + path + " ... found");
-  return true;
+  log("found");
+  return accepted;
 }
 
-bool Loader::probe_file(support::PathId id, elf::Machine machine,
-                        const std::string* log_as) {
-  const vfs::FileData* data = fs_.open(id);  // one counted open(2)
-  return classify_probe(log_as != nullptr ? *log_as : paths_->str(id), data,
-                        machine);
+support::PathId Loader::absolute_needed_id(std::string_view path) {
+  if (const auto it = absolute_ids_.find(path); it != absolute_ids_.end()) {
+    return it->second;
+  }
+  const support::PathId id = fs_.intern(path);  // throws on a relative path
+  absolute_ids_.emplace(path, id);
+  return id;
 }
 
 support::PathId Loader::intern_dir(std::string_view dir) const {
@@ -227,11 +234,15 @@ Loader::DirProbe Loader::probe_dirs(std::span<const support::PathId> dirs,
       for (const auto& hwcap : config_.hwcaps) {
         const support::PathId candidate =
             paths_->child(paths_->intern_under(dirs[d], hwcap), name);
-        if (probe_file(candidate, machine)) return DirProbe{d, candidate};
+        if (Accepted hit = probe_file(candidate, machine)) {
+          return DirProbe{d, candidate, std::move(hit)};
+        }
       }
     }
     const support::PathId candidate = paths_->child(dirs[d], name);
-    if (probe_file(candidate, machine)) return DirProbe{d, candidate};
+    if (Accepted hit = probe_file(candidate, machine)) {
+      return DirProbe{d, candidate, std::move(hit)};
+    }
   }
   return DirProbe{};
 }
@@ -249,7 +260,7 @@ void Loader::ensure_ld_cache() {
         // Spelled by the interned id, like the directory sweep, so a conf
         // dir given as "/usr/lib/" or "/usr//lib" reports "/usr/lib/x".
         const support::PathId cand = paths_->child(dir_id, name);
-        ld_cache_.emplace(name, Resolution{paths_->str(cand), how, cand});
+        ld_cache_.emplace(name, Resolution{paths_->str(cand), how, cand, {}});
       }
     }
   };
@@ -341,19 +352,20 @@ Loader::Resolution Loader::search(Session& session, const std::string& name,
   if (name.find('/') != std::string::npos) {
     std::string storage;
     const support::PathId id =
-        fs_.intern(expand_origin(name, requester.path, storage));
-    if (probe_file(id, machine)) {
-      return Resolution{paths_->str(id), HowFound::AbsolutePath, id};
+        absolute_needed_id(expand_origin(name, requester.path, storage));
+    if (Accepted hit = probe_file(id, machine)) {
+      return Resolution{paths_->str(id), HowFound::AbsolutePath, id,
+                        std::move(hit)};
     }
-    return Resolution{{}, HowFound::NotFound};
+    return Resolution{};
   }
 
   // Per-application loader cache: consulted before any directory search.
   if (const auto it = session.app_cache.find(name);
       it != session.app_cache.end()) {
     const support::PathId id = fs_.intern(it->second);
-    if (probe_file(id, machine, &it->second)) {
-      return Resolution{it->second, HowFound::AppCache, id};
+    if (Accepted hit = probe_file(id, machine, &it->second)) {
+      return Resolution{it->second, HowFound::AppCache, id, std::move(hit)};
     }
     // Stale cache entry: fall through to the normal search.
   }
@@ -366,7 +378,7 @@ Loader::Resolution Loader::search(Session& session, const std::string& name,
                                   machine);
     if (res.how != HowFound::NotFound) return res;
   }
-  return Resolution{{}, HowFound::NotFound};
+  return Resolution{};
 }
 
 Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
@@ -379,8 +391,8 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
     case SearchPhase::RpathChain: {
       std::size_t own = 0;
       const auto chain = effective_rpath_chain(session, requester_index, own);
-      const DirProbe hit = probe_dirs(chain, name, machine);
-      if (!hit.found()) return Resolution{{}, HowFound::NotFound};
+      DirProbe hit = probe_dirs(chain, name, machine);
+      if (!hit.found()) return Resolution{};
       // Melding dialects historically label only the first own entry as
       // the requester's rpath (musl has no RPATH/RUNPATH distinction to
       // report); non-melding labels every own DT_RPATH entry.
@@ -389,7 +401,7 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
                                : (hit.dir < own);
       return Resolution{paths_->str(hit.id),
                         own_hit ? HowFound::Rpath : HowFound::RpathAncestor,
-                        hit.id};
+                        hit.id, std::move(hit.accepted)};
     }
     case SearchPhase::LdLibraryPath: {
       std::vector<support::PathId> dirs;
@@ -397,30 +409,34 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
       for (const auto& dir : session.env->ld_library_path) {
         dirs.push_back(intern_dir(dir));
       }
-      const DirProbe hit = probe_dirs(dirs, name, machine);
-      if (!hit.found()) return Resolution{{}, HowFound::NotFound};
-      return Resolution{paths_->str(hit.id), HowFound::LdLibraryPath, hit.id};
+      DirProbe hit = probe_dirs(dirs, name, machine);
+      if (!hit.found()) return Resolution{};
+      return Resolution{paths_->str(hit.id), HowFound::LdLibraryPath, hit.id,
+                        std::move(hit.accepted)};
     }
     case SearchPhase::Runpath: {
       if (!session.report.load_order[requester_index].object) {
-        return Resolution{{}, HowFound::NotFound};
+        return Resolution{};
       }
-      const DirProbe hit = probe_dirs(
+      DirProbe hit = probe_dirs(
           object_dirs(session, requester_index, /*runpath=*/true), name,
           machine);
-      if (!hit.found()) return Resolution{{}, HowFound::NotFound};
-      return Resolution{paths_->str(hit.id), HowFound::Runpath, hit.id};
+      if (!hit.found()) return Resolution{};
+      return Resolution{paths_->str(hit.id), HowFound::Runpath, hit.id,
+                        std::move(hit.accepted)};
     }
     case SearchPhase::SystemPaths: {
       if (rules_.uses_ld_cache && config_.use_ld_cache) {
         ensure_ld_cache();
         if (const auto it = ld_cache_.find(name); it != ld_cache_.end()) {
           // The cache told us where to look; the loader still open()s it.
-          if (probe_file(it->second.id, machine)) {
-            return it->second;
+          if (Accepted hit = probe_file(it->second.id, machine)) {
+            Resolution res = it->second;
+            res.accepted = std::move(hit);
+            return res;
           }
         }
-        return Resolution{{}, HowFound::NotFound};
+        return Resolution{};
       }
       // No cache: sweep ld.so.conf dirs then the trusted defaults in one
       // pass; the boundary index decides the label.
@@ -432,16 +448,16 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
       for (const auto& dir : config_.default_paths) {
         dirs.push_back(intern_dir(dir));
       }
-      const DirProbe hit = probe_dirs(dirs, name, machine);
-      if (!hit.found()) return Resolution{{}, HowFound::NotFound};
+      DirProbe hit = probe_dirs(dirs, name, machine);
+      if (!hit.found()) return Resolution{};
       return Resolution{paths_->str(hit.id),
                         hit.dir < config_.ld_so_conf.size()
                             ? HowFound::LdSoConf
                             : HowFound::DefaultPath,
-                        hit.id};
+                        hit.id, std::move(hit.accepted)};
     }
   }
-  return Resolution{{}, HowFound::NotFound};
+  return Resolution{};
 }
 
 std::size_t Loader::register_object(Session& session, LoadedObject loaded,
@@ -470,17 +486,20 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
 
   // Open + read the executable itself (execve's work).
   const support::PathId exe_id = fs_.intern(exe_path);
-  if (fs_.open(exe_id) == nullptr) {
+  const vfs::FileData* exe_data = fs_.open(exe_id);
+  if (exe_data == nullptr) {
     throw FsError("cannot execute: " + exe_path);
   }
   LoadedObject root;
   root.name = exe_path;
   root.path = exe_path;
-  const support::PathId exe_key = canonicalize(root, exe_id);
-  auto exe_object = fetch_object(exe_id, exe_key);
-  if (!exe_object) {
+  const support::PathId exe_key =
+      canonicalize(root, exe_id, fs_.resolve_canonical(exe_id));
+  if (!elf::looks_like_self(exe_data->bytes)) {
     throw ElfError("not a SELF executable: " + exe_path);
   }
+  const auto exe_object = cached_object(exe_key, *exe_data);
+  fs_.count_read(exe_id);
   // Read the per-application loader cache, if enabled and present. The
   // loader pays one open() for the cache file itself.
   if (config_.use_app_cache) {
@@ -509,8 +528,8 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
     Resolution res;
     if (preload.find('/') != std::string::npos) {
       const support::PathId id = fs_.intern(preload);
-      if (probe_file(id, exe_object->machine, &preload)) {
-        res = Resolution{preload, HowFound::Preload, id};
+      if (Accepted hit = probe_file(id, exe_object->machine, &preload)) {
+        res = Resolution{preload, HowFound::Preload, id, std::move(hit)};
       }
     } else {
       res = search(session, preload, 0);
@@ -529,8 +548,10 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
       continue;
     }
     loaded.path = std::move(res.path);
-    const support::PathId key = canonicalize(loaded, res.id);
-    loaded.object = fetch_object(res.id, key);
+    const support::PathId key =
+        canonicalize(loaded, res.id, res.accepted.canonical);
+    loaded.object = std::move(res.accepted.object);
+    fs_.count_read(res.id);
     session.report.requests.push_back(loaded);
     register_object(session, std::move(loaded), key);
   }
@@ -542,18 +563,12 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
   }
 
   while (!queue.empty()) {
-    const WorkItem item = std::move(queue.front());
+    const WorkItem item = queue.front();
     queue.pop_front();
     process_request(session, item, queue);
   }
 
   session.report.stats = fs_.stats() - before;
-  // Moved, not copied, but without the push_back slack a copy would have
-  // dropped: the service's memo keeps every report it is handed.
-  session.report.load_order.shrink_to_fit();
-  session.report.requests.shrink_to_fit();
-  session.report.missing.shrink_to_fit();
-  session.report.probe_log.shrink_to_fit();
   return std::move(session.report);
 }
 
@@ -566,7 +581,7 @@ HowFound Loader::shadow_search(Session& session, const WorkItem& item) {
   fs_.set_counting(false);
   probe_log_ = nullptr;
   try {
-    return search(session, item.name, item.requester_index).how;
+    return search(session, *item.name, item.requester_index).how;
   } catch (const Error&) {
     return HowFound::NotFound;
   }
@@ -576,14 +591,15 @@ void Loader::process_request(Session& session, const WorkItem& item,
                              std::deque<WorkItem>& queue) {
   const LoadedObject& requester = session.report.load_order[item.requester_index];
 
+  const std::string& name = *item.name;
   LoadedObject request;
-  request.name = item.name;
+  request.name = name;
   request.requested_by = requester.path;
   request.depth = requester.depth + 1;
   request.parent_index = static_cast<std::int64_t>(item.requester_index);
 
   // Dedup by name/soname before touching the filesystem.
-  if (const auto hit = dedup_lookup(session, item.name)) {
+  if (const auto hit = dedup_lookup(session, name)) {
     const LoadedObject& original = session.report.load_order[*hit];
     request.path = original.path;
     request.real_path = original.real_path;
@@ -596,7 +612,7 @@ void Loader::process_request(Session& session, const WorkItem& item,
     return;
   }
 
-  Resolution res = search(session, item.name, item.requester_index);
+  Resolution res = search(session, name, item.requester_index);
   if (res.how == HowFound::NotFound) {
     request.how = HowFound::NotFound;
     session.report.requests.push_back(request);
@@ -606,7 +622,8 @@ void Loader::process_request(Session& session, const WorkItem& item,
   }
 
   request.path = std::move(res.path);
-  const support::PathId key = canonicalize(request, res.id);
+  const support::PathId key =
+      canonicalize(request, res.id, res.accepted.canonical);
 
   // Post-resolution inode dedup (both dialects; this is how musl avoids
   // double-loading a file reached via two different strings).
@@ -617,14 +634,14 @@ void Loader::process_request(Session& session, const WorkItem& item,
     request.how = HowFound::Cache;
     request.object = original.object;
     // Record the requested name as now-known (glibc adds it to l_libname).
-    session.by_name.emplace(item.name, real_hit->second);
+    session.by_name.emplace(name, real_hit->second);
     session.report.requests.push_back(std::move(request));
     return;
   }
 
   request.how = res.how;
-  request.object = fetch_object(res.id, key);
-  assert(request.object && "probe succeeded but fetch failed");
+  request.object = std::move(res.accepted.object);
+  fs_.count_read(res.id);
   session.report.requests.push_back(request);
   const std::size_t index =
       register_object(session, std::move(request), key);
@@ -636,7 +653,7 @@ void Loader::enqueue_needed_deque(Session& session, std::size_t index,
   const auto& obj = session.report.load_order[index];
   if (!obj.object) return;
   for (const auto& entry : obj.object->dyn.needed) {
-    queue.push_back(WorkItem{entry, index});
+    queue.push_back(WorkItem{&entry, index});
   }
 }
 
@@ -680,10 +697,10 @@ LoadedObject Loader::dlopen(LoadReport& report, const std::string& caller_path,
 
   const vfs::SyscallStats before = fs_.stats();
   std::deque<WorkItem> queue;
-  queue.push_back(WorkItem{name, caller_index});
+  queue.push_back(WorkItem{&name, caller_index});
   const std::size_t first_request = session.report.requests.size();
   while (!queue.empty()) {
-    const WorkItem item = std::move(queue.front());
+    const WorkItem item = queue.front();
     queue.pop_front();
     process_request(session, item, queue);
   }

@@ -30,6 +30,17 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// A report for the load memo, which keeps it for the pool's lifetime:
+/// without the push_back slack the loader leaves in its vectors.
+std::shared_ptr<const loader::LoadReport> memo_report(
+    loader::LoadReport report) {
+  report.load_order.shrink_to_fit();
+  report.requests.shrink_to_fit();
+  report.missing.shrink_to_fit();
+  report.probe_log.shrink_to_fit();
+  return std::make_shared<const loader::LoadReport>(std::move(report));
+}
+
 }  // namespace
 
 std::string_view request_kind_name(RequestKind kind) {
@@ -522,12 +533,10 @@ void SessionPool::execute(Shard& shard, Command& command) {
       if (reprice_) {
         auto trace = std::make_shared<vfs::OpTrace>();
         vfs::FileSystem::TraceScope scope(session.fs(), *trace);
-        entry.report =
-            std::make_shared<const loader::LoadReport>(session.load(exe));
+        entry.report = memo_report(session.load(exe));
         entry.trace = std::move(trace);
       } else {
-        entry.report =
-            std::make_shared<const loader::LoadReport>(session.load(exe));
+        entry.report = memo_report(session.load(exe));
       }
       {
         std::unique_lock memo_lock(memo.mutex);

@@ -32,6 +32,29 @@ TEST_F(LoaderEdgeTest, OriginInNeededEntryExpands) {
   EXPECT_EQ(report.load_order[1].how, HowFound::AbsolutePath);
 }
 
+TEST_F(LoaderEdgeTest, OneLoaderExpandsOriginNeededEntryPerExecutable) {
+  // A loader interns each absolute needed path once, keyed by its
+  // expansion: the same $ORIGIN entry in two executables names two files.
+  for (const std::string app : {"/a", "/b"}) {
+    install_object(fs_, app + "/lib/libx.so", make_library("libx.so"));
+    install_object(fs_, app + "/bin/tool",
+                   make_executable({"$ORIGIN/../lib/libx.so"}));
+  }
+  Loader loader(fs_);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(loader.load("/a/bin/tool").load_order[1].path, "/a/lib/libx.so");
+    EXPECT_EQ(loader.load("/b/bin/tool").load_order[1].path, "/b/lib/libx.so");
+  }
+}
+
+TEST_F(LoaderEdgeTest, RelativeNeededPathThrowsAtEveryLoad) {
+  install_object(fs_, "/lib/libx.so", make_library("libx.so"));
+  install_object(fs_, "/bin/app", make_executable({"lib/libx.so"}));
+  Loader loader(fs_);
+  EXPECT_THROW(loader.load("/bin/app"), FsError);
+  EXPECT_THROW(loader.load("/bin/app"), FsError);
+}
+
 TEST_F(LoaderEdgeTest, RelativeSearchDirResolvesAgainstRoot) {
   install_object(fs_, "/opt/libx.so", make_library("libx.so"));
   install_object(fs_, "/bin/app", make_executable({"libx.so"}, {"opt"}));

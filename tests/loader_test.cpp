@@ -377,6 +377,69 @@ TEST_F(LoaderTest, NonElfFileInSearchPathSkipped) {
   EXPECT_EQ(report.load_order[1].path, "/l2/libx.so");
 }
 
+// A probe reads a candidate's architecture from the loader's parsed-object
+// cache, so a second load answers from verdicts the first one cached. The
+// three tests below pin what that may and may not change.
+
+TEST_F(LoaderTest, CachedProbeVerdictsRepeatOnTheSameLoader) {
+  elf::Object lib32 = make_library("libx.so");
+  lib32.machine = elf::Machine::X86;
+  install_object(fs_, "/lib32/libx.so", lib32);
+  fs_.write_file("/junk/libx.so", std::string("not an object"));
+  install_object(fs_, "/lib64dir/libx.so", make_library("libx.so"));
+  install_object(
+      fs_, "/bin/app",
+      make_executable({"libx.so"}, {"/lib32", "/junk", "/lib64dir"}));
+  SearchConfig config;
+  config.record_probes = true;
+  auto loader = glibc(config);
+  const auto first = loader.load("/bin/app");
+  const auto second = loader.load("/bin/app");
+  ASSERT_TRUE(first.success);
+  EXPECT_EQ(first.load_order[1].path, "/lib64dir/libx.so");
+  const std::vector<std::string> probes = {
+      "trying /lib32/libx.so ... wrong architecture, skipped",
+      "trying /junk/libx.so ... not an object, skipped",
+      "trying /lib64dir/libx.so ... found"};
+  EXPECT_EQ(first.probe_log, probes);
+  EXPECT_EQ(first.stats.open_calls, 4u);  // exe + three candidates
+  EXPECT_EQ(describe(second), describe(first));
+  // A fresh loader (nothing cached) agrees with both.
+  EXPECT_EQ(describe(glibc(config).load("/bin/app")), describe(first));
+}
+
+TEST_F(LoaderTest, MalformedCandidateThrowsAtEveryLoad) {
+  // A parse that fails caches nothing, so the probe re-reads the image and
+  // throws again on the next load of the same loader.
+  fs_.write_file("/bad/libx.so", std::string("SELF1\nbogus\nend\n"));
+  install_object(fs_, "/good/libx.so", make_library("libx.so"));
+  install_object(fs_, "/bin/app",
+                 make_executable({"libx.so"}, {"/bad", "/good"}));
+  auto loader = glibc();
+  EXPECT_THROW(loader.load("/bin/app"), ElfError);
+  EXPECT_THROW(loader.load("/bin/app"), ElfError);
+}
+
+TEST_F(LoaderTest, RewrittenWrongArchitectureCandidateNeedsInvalidate) {
+  elf::Object lib32 = make_library("libx.so");
+  lib32.machine = elf::Machine::X86;
+  install_object(fs_, "/lib32/libx.so", lib32);
+  install_object(fs_, "/lib64dir/libx.so", make_library("libx.so"));
+  install_object(fs_, "/bin/app",
+                 make_executable({"libx.so"}, {"/lib32", "/lib64dir"}));
+  auto loader = glibc();
+  ASSERT_EQ(loader.load("/bin/app").load_order[1].path, "/lib64dir/libx.so");
+
+  // Rebuilt for x86_64 in place. Like every parsed object, the skipped
+  // one's cached verdict stands until invalidate().
+  install_object(fs_, "/lib32/libx.so", make_library("libx.so"));
+  EXPECT_EQ(loader.load("/bin/app").load_order[1].path, "/lib64dir/libx.so");
+  loader.invalidate();
+  const auto report = loader.load("/bin/app");
+  ASSERT_TRUE(report.success);
+  EXPECT_EQ(report.load_order[1].path, "/lib32/libx.so");
+}
+
 // -------------------------------------------- system paths & ld.so.cache
 
 TEST_F(LoaderTest, DefaultPathFallback) {

@@ -198,6 +198,56 @@ TEST(SessionPool, MemoizationStaysOnUnderLatencyModelWithRepricing) {
   EXPECT_GE(stats.memo_misses, 1u);
 }
 
+// The memo keeps the report a miss returns for the pool's lifetime, so that
+// report carries none of the push_back slack a direct load leaves behind,
+// on a model-free pool and on a re-pricing one alike.
+TEST(SessionPool, MemoKeepsReportsWithoutVectorSlack) {
+  const auto build = [] {
+    loader::SearchConfig search;
+    search.record_probes = true;
+    WorldBuilder builder;
+    builder.search(search);
+    for (const char* lib : {"liba.so", "libb.so", "libc.so", "libd.so"}) {
+      builder.install(std::string("/app/lib/") + lib, make_library(lib));
+    }
+    builder.install("/bin/app",
+                    make_executable({"liba.so", "libb.so", "libc.so",
+                                     "libd.so", "libmissing.so"},
+                                    {"/app/lib"}));
+    return builder.build();
+  };
+  const std::string exe = "/bin/app";
+
+  // Not vacuous: the loader's own report (five objects, five requests,
+  // one of them missing) has slack in its vectors.
+  Session direct = build();
+  const loader::LoadReport loaded = direct.load(exe);
+  ASSERT_EQ(loaded.missing.size(), 1u);
+  ASSERT_FALSE(loaded.probe_log.empty());
+  EXPECT_GT(loaded.load_order.capacity(), loaded.load_order.size());
+
+  for (const bool reprice : {false, true}) {
+    SCOPED_TRACE(reprice ? "re-pricing pool" : "model-free pool");
+    Session base = build();
+    if (reprice) base.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+    SessionPool pool(std::move(base));
+    ASSERT_EQ(pool.repricing_active(), reprice);
+    const auto kept = pool.submit_load_shared(1, exe).get();  // the miss
+    EXPECT_EQ(digest_sans_time(*kept), digest_sans_time(loaded));
+    EXPECT_EQ(kept->probe_log, loaded.probe_log);
+    EXPECT_EQ(kept->load_order.capacity(), kept->load_order.size());
+    EXPECT_EQ(kept->requests.capacity(), kept->requests.size());
+    EXPECT_EQ(kept->missing.capacity(), kept->missing.size());
+    EXPECT_EQ(kept->probe_log.capacity(), kept->probe_log.size());
+    if (!reprice) {
+      // A model-free hit hands out the very object the memo keeps.
+      EXPECT_EQ(pool.submit_load_shared(2, exe).get().get(), kept.get());
+    }
+    pool.drain();
+    EXPECT_EQ(pool.stats().memo_misses, 1u);
+  }
+}
+
 TEST(SessionPool, RepricedHitOverPrestagedMountPricesLikeExecution) {
   // A sandbox of the samba host under NFS with a 20-module Pynamic image
   // at "/". Marked NodeLocal (pre-staged), the image's ops price through
