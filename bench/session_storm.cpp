@@ -274,9 +274,9 @@ struct MultiCoreResult {
   bool memo_active = false;
 };
 
-/// One pool at `workers` ThreadPool workers, with an NfsModel on the base
-/// so every phase exercises memoization UNDER a latency model (hits replay
-/// the recorded charge log through the client's own cloned model). Two
+/// One pool at `workers` ThreadPool workers, with an nfs() model on the
+/// base so every phase exercises memoization UNDER a latency model (hits
+/// replay the recorded op trace through the client's own copied model). Two
 /// timed phases against the same pool:
 ///   cold — every client resolves its own disjoint slice of closures
 ///          (every load a memo miss: sealed fork stamp, PathTable interning,
@@ -290,7 +290,7 @@ MultiCoreResult run_multicore(std::size_t workers, std::size_t clients,
   svc::PoolConfig config = storm_config();
   config.threads = workers;
   core::Session base = make_debian_session();
-  base.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  base.fs().set_latency_model(vfs::LatencyModel::nfs());
   svc::SessionPool pool(std::move(base), config);
   MultiCoreResult result;
 

@@ -10,7 +10,7 @@ namespace {
 
 using namespace depchaos;
 
-double wrap_cost_seconds(std::shared_ptr<vfs::LatencyModel> latency) {
+double wrap_cost_seconds(vfs::LatencyModel latency) {
   auto session =
       core::WorldBuilder().latency(std::move(latency)).pynamic({}).build();
   session.fs().clear_caches();
@@ -23,8 +23,8 @@ void print_report() {
   using depchaos::bench::row;
 
   heading("Shrinkwrap tool cost (paper: ~4 s warm, >1 min cold NFS)");
-  const double warm = wrap_cost_seconds(std::make_shared<vfs::LocalDiskModel>());
-  const double cold = wrap_cost_seconds(std::make_shared<vfs::NfsModel>());
+  const double warm = wrap_cost_seconds(vfs::LatencyModel::local_disk());
+  const double cold = wrap_cost_seconds(vfs::LatencyModel::nfs());
   row("wrap 900-dep / 213 MiB binary, warm local cache",
       fmt(warm, 3) + " s (simulated)");
   row("wrap same binary, cold NFS", fmt(cold, 3) + " s (simulated)");

@@ -31,8 +31,6 @@ class Digraph {
   const std::string& label(NodeId id) const { return labels_[id]; }
   std::optional<NodeId> find(std::string_view label) const;
 
-  const std::vector<NodeId>& successors(NodeId id) const { return adj_[id]; }
-  std::size_t out_degree(NodeId id) const { return adj_[id].size(); }
   std::size_t in_degree(NodeId id) const { return in_degree_[id]; }
 
   /// All nodes reachable from `root`, including `root` itself (the

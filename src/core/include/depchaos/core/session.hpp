@@ -24,7 +24,6 @@
 #include "depchaos/loader/loader.hpp"
 #include "depchaos/shrinkwrap/libtree.hpp"
 #include "depchaos/shrinkwrap/shrinkwrap.hpp"
-#include "depchaos/vfs/latency.hpp"
 #include "depchaos/vfs/vfs.hpp"
 
 namespace depchaos::core {
@@ -67,8 +66,6 @@ struct SessionConfig {
   loader::Environment env;
   /// Default cluster model for launch().
   launch::ClusterConfig cluster;
-  /// Latency model installed on the filesystem (nullptr = free operations).
-  std::shared_ptr<vfs::LatencyModel> latency;
   /// Worker threads for load_many (0 = hardware concurrency).
   std::size_t threads = 0;
 };
@@ -100,7 +97,7 @@ class Session {
   /// O(1) copy-on-write fork: a child session over a forked world
   /// (vfs::FileSystem::fork — shared immutable base, private overlay),
   /// with the same search config, dialect, environment, and default
-  /// target; a per-view latency model (cloned at fork time); FRESH
+  /// target; a per-view latency model (copied at fork time); FRESH
   /// syscall counters; and the parent's parsed-object /
   /// ld.so caches adopted (safe: parsed objects are immutable, keyed by
   /// PathId in the interner the fork family shares, and the worlds are
@@ -164,12 +161,12 @@ class Session {
   /// Resolve many independent closures in parallel on a support::ThreadPool.
   /// Each worker runs against an isolated O(1) copy-on-write fork of the
   /// world (own syscall counters, own parsed-object cache, latency model
-  /// cloned at batch start) — per-worker setup cost is independent of
+  /// copied at batch start) — per-worker setup cost is independent of
   /// world size, so reports are byte-identical to sequential load() calls; the
   /// per-load VFS stat deltas are aggregated into this session's
-  /// filesystem counters after the batch completes. Caveat: with a
-  /// STATEFUL latency model (NfsModel's attribute cache), every batch
-  /// entry observes the cache state as of batch start — back-to-back
+  /// filesystem counters after the batch completes. Caveat: under
+  /// LatencyModel::nfs(), whose attribute cache warms as it prices, every
+  /// batch entry observes the cache state as of batch start — back-to-back
   /// sequential load() calls would instead warm one shared cache, so
   /// sim_time_s can differ there; all other report fields are identical
   /// either way.
@@ -238,9 +235,6 @@ class Session {
 
  private:
   std::string resolve_exe(std::string_view exe) const;
-  /// fork_sealed() without adopting this loader's caches — sandbox() starts
-  /// cold since its namespace surgery would invalidate the copies anyway.
-  Session stamp_cold() const;
 
   SessionConfig config_;
   // Heap-held so Session stays movable while Loader keeps a stable

@@ -64,10 +64,12 @@ class WorldBuilder {
   WorldBuilder& search(loader::SearchConfig config);
   WorldBuilder& environment(loader::Environment env);
   WorldBuilder& cluster(launch::ClusterConfig config);
-  WorldBuilder& latency(std::shared_ptr<vfs::LatencyModel> model);
-  WorldBuilder& nfs() { return latency(std::make_shared<vfs::NfsModel>()); }
+  /// The latency model build() installs on the world (build_image() does
+  /// not).
+  WorldBuilder& latency(vfs::LatencyModel model);
+  WorldBuilder& nfs() { return latency(vfs::LatencyModel::nfs()); }
   WorldBuilder& local_disk() {
-    return latency(std::make_shared<vfs::LocalDiskModel>());
+    return latency(vfs::LatencyModel::local_disk());
   }
   WorldBuilder& threads(std::size_t n);
   /// Override the default target executable.
@@ -84,17 +86,11 @@ class WorldBuilder {
   const std::optional<workload::EmacsApp>& emacs_info() const {
     return emacs_;
   }
-  const std::optional<workload::SambaScenario>& samba_info() const {
-    return samba_;
-  }
   const std::optional<workload::RocmScenario>& rocm_info() const {
     return rocm_;
   }
   const std::optional<workload::ParadoxScenario>& paradox_info() const {
     return paradox_;
-  }
-  const std::optional<workload::InstalledSystem>& debian_info() const {
-    return debian_;
   }
 
   /// Open a Session on the composed world (consumes the builder's world).
@@ -109,14 +105,13 @@ class WorldBuilder {
  private:
   vfs::FileSystem fs_;
   SessionConfig config_;
+  std::optional<vfs::LatencyModel> latency_;
   std::string default_exe_;
   std::string note_;
   std::optional<workload::PynamicApp> pynamic_;
   std::optional<workload::EmacsApp> emacs_;
-  std::optional<workload::SambaScenario> samba_;
   std::optional<workload::RocmScenario> rocm_;
   std::optional<workload::ParadoxScenario> paradox_;
-  std::optional<workload::InstalledSystem> debian_;
 };
 
 }  // namespace depchaos::core

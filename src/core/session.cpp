@@ -15,7 +15,6 @@ Session::Session(vfs::FileSystem fs, SessionConfig config,
     : config_(std::move(config)),
       fs_(std::make_unique<vfs::FileSystem>(std::move(fs))),
       default_exe_(std::move(default_exe)) {
-  if (config_.latency) fs_->set_latency_model(config_.latency);
   loader_ = std::make_unique<loader::Loader>(*fs_, config_.search,
                                              config_.dialect);
 }
@@ -37,7 +36,7 @@ Session Session::sandbox(const SandboxSpec& spec) {
   // its own lazily — resolving against the HOST's ld.so.cache is precisely
   // the class of bug the container scenarios model.
   seal();
-  Session child = stamp_cold();
+  Session child(fs_->fork_sealed(), config_, default_exe_);
   vfs::FileSystem& cfs = child.fs();
   if (spec.image) {
     if (spec.writable_image_overlay) {
@@ -62,20 +61,11 @@ Session Session::fork() {
 }
 
 Session Session::fork_sealed() const {
-  Session child = stamp_cold();
+  Session child(fs_->fork_sealed(), config_, default_exe_);
   // Adoption reads the sealed parent's caches const-ly (plain map copies
   // of immutable parsed objects) — safe under concurrent fork_sealed().
   child.loader_->adopt_caches(*loader_);
   return child;
-}
-
-Session Session::stamp_cold() const {
-  SessionConfig config = config_;
-  // The stamped filesystem carries its own per-view latency model (cloned
-  // by FileSystem::fork_sealed); a non-null config.latency would overwrite
-  // it in the constructor with the parent's shared instance.
-  config.latency.reset();
-  return Session(fs_->fork_sealed(), std::move(config), default_exe_);
 }
 
 Session::WhatIfReport Session::whatif(std::string_view exe,
@@ -132,7 +122,7 @@ std::vector<Session::LoadReport> Session::load_many(
 
   // One isolated world FORK per worker (not per entry): an O(1)
   // copy-on-write view with private syscall counters, a private
-  // parsed-object cache, and private latency-model state cloned from
+  // parsed-object cache, and private latency-model state copied from
   // batch start by fork(). Loads never write, so no worker pays a single
   // byte of world copy; each load's stats are a delta on its own counters,
   // and report content does not depend on cache warmth, so every report

@@ -22,9 +22,8 @@ WorldBuilder& WorldBuilder::emacs(const workload::EmacsConfig& config) {
 }
 
 WorldBuilder& WorldBuilder::samba() {
-  samba_ = workload::make_samba_scenario(fs_);
-  default_exe_ = samba_->exe_path;
-  note_ = "executable: " + samba_->exe_path;
+  default_exe_ = workload::make_samba_scenario(fs_).exe_path;
+  note_ = "executable: " + default_exe_;
   return *this;
 }
 
@@ -45,11 +44,12 @@ WorldBuilder& WorldBuilder::paradox() {
 
 WorldBuilder& WorldBuilder::debian(
     const workload::InstalledSystemConfig& config) {
-  debian_ = workload::generate_installed_system(config);
-  workload::materialize_installed_system(fs_, *debian_);
+  const workload::InstalledSystem system =
+      workload::generate_installed_system(config);
+  workload::materialize_installed_system(fs_, system);
   default_exe_ = "/usr/bin/bin0";
-  note_ = "installed system: " + std::to_string(debian_->binary_deps.size()) +
-          " binaries, " + std::to_string(debian_->num_shared_objects) +
+  note_ = "installed system: " + std::to_string(system.binary_deps.size()) +
+          " binaries, " + std::to_string(system.num_shared_objects) +
           " shared objects";
   return *this;
 }
@@ -105,8 +105,8 @@ WorldBuilder& WorldBuilder::cluster(launch::ClusterConfig config) {
   return *this;
 }
 
-WorldBuilder& WorldBuilder::latency(std::shared_ptr<vfs::LatencyModel> model) {
-  config_.latency = std::move(model);
+WorldBuilder& WorldBuilder::latency(vfs::LatencyModel model) {
+  latency_ = std::move(model);
   return *this;
 }
 
@@ -121,6 +121,7 @@ WorldBuilder& WorldBuilder::target(std::string exe) {
 }
 
 Session WorldBuilder::build() {
+  if (latency_) fs_.set_latency_model(std::move(latency_));
   return Session(std::move(fs_), std::move(config_), std::move(default_exe_));
 }
 

@@ -72,8 +72,9 @@ struct DialectRules {
   bool melds_rpath_runpath;
   /// Probe SearchConfig::hwcaps subdirectories before each plain directory.
   bool probes_hwcaps;
-  /// Consult the ld.so.cache during SystemPaths (subject to
-  /// SearchConfig::use_ld_cache); otherwise probe the directories.
+  /// Consult the ld.so.cache during SystemPaths (lookups in the
+  /// ld_so_conf and default dirs cost no probes); otherwise probe the
+  /// directories with open() like any other.
   bool uses_ld_cache;
 };
 
@@ -108,9 +109,6 @@ struct SearchConfig {
   /// glibc-hwcaps style subdirectories probed inside each search dir,
   /// best first (e.g. {"glibc-hwcaps/x86-64-v3", "glibc-hwcaps/x86-64-v2"}).
   std::vector<std::string> hwcaps;
-  /// Model ld.so.cache: lookups in ld_so_conf/default dirs cost no probes.
-  /// When false every directory is probed with open() like any other.
-  bool use_ld_cache = true;
   /// For dedup (cache) hits, additionally classify how the requester's OWN
   /// search would have fared — uncounted — so libtree can render Listing 1:
   /// a library satisfied only because an earlier subtree loaded it shows up

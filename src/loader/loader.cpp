@@ -426,7 +426,7 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
                         std::move(hit.accepted)};
     }
     case SearchPhase::SystemPaths: {
-      if (rules_.uses_ld_cache && config_.use_ld_cache) {
+      if (rules_.uses_ld_cache) {
         ensure_ld_cache();
         if (const auto it = ld_cache_.find(name); it != ld_cache_.end()) {
           // The cache told us where to look; the loader still open()s it.

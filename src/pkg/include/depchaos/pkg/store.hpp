@@ -95,7 +95,6 @@ class Store {
   /// Flip /profiles/current back one generation. Throws if none.
   void rollback();
 
-  int current_generation() const { return current_generation_; }
   std::string profile_path() const { return profiles_root_ + "/current"; }
 
   const std::string& root() const { return root_; }

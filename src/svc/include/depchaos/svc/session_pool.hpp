@@ -39,7 +39,7 @@
 // under fleet traffic (hits are the common case) thousands of concurrent
 // Loads no longer serialize on one mutex.
 //
-// Memoization under latency models: per-view cache warmth (NfsModel's
+// Memoization under a latency model: per-view cache warmth (nfs()'s
 // attribute cache) shows up in sim_time_s, so a memoized report cannot be
 // handed out verbatim when the base carries a LatencyModel. Instead, the
 // miss run records its vfs::OpTrace — every counted operation with its
@@ -310,7 +310,7 @@ class SessionPool {
   /// Which shard serves this client (submission-order domain).
   std::size_t shard_of(ClientId client) const;
   /// True when memo hits charge the miss run's op trace to the client's
-  /// fork, priced by its own latency models (base carries a LatencyModel).
+  /// fork, priced by its own latency model (base carries a LatencyModel).
   bool repricing_active() const { return reprice_; }
   /// The shared base. Const access is safe while the pool is quiescent
   /// (ctor, or after drain() with no concurrent submits): admissions
@@ -333,7 +333,8 @@ class SessionPool {
   void enqueue(ClientId client, Command command);
   void execute(Shard& shard, Command& command);
   void notify(Shard& shard, Command& command);  // the Admission completion
-  void retire();  // one admitted command is done: count it off pending_
+  // `n` admitted commands are done: count them off pending_.
+  void retire(std::size_t n = 1);
   void wake_touched(const Admission& admission);
   void wake(Shard& shard);  // start a strand for what the shard has queued
   std::size_t sweep_idle(Shard& shard);  // returns forks evicted

@@ -184,13 +184,13 @@ struct SessionPool::MemoShard {
 SessionPool::SessionPool(core::Session base, PoolConfig config)
     : config_(config), base_(std::move(base)) {
   config_.shards = std::max<std::size_t>(1, config_.shards);
-  // A latency model's per-view state (NfsModel's attribute cache) shows up
+  // A latency model's per-view state (nfs()'s attribute cache) shows up
   // in sim_time_s, so memo hits cannot reuse the stored report verbatim:
   // misses record their op trace and hits replay it through the client's
-  // own models. (Counters and load orders are warmth-transparent by the
+  // own model. (Counters and load orders are warmth-transparent by the
   // PR-3 dentry-cache contract, so everything else memoizes as-is. Ops
-  // are priced only when the shared model is installed, which is why
-  // reprice_ keys on latency_model() alone.)
+  // are priced only when a model is installed, which is why reprice_
+  // keys on latency_model() alone.)
   reprice_ = base_.fs().latency_model() != nullptr;
   // Seal the fork family: freeze the base's overlay and dentry snapshot
   // once (observably what the old priming fork did) so every admission is
@@ -334,8 +334,8 @@ void SessionPool::wake(Shard& shard) {
   }
 }
 
-void SessionPool::retire() {
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+void SessionPool::retire(std::size_t n) {
+  if (pending_.fetch_sub(n, std::memory_order_acq_rel) == n) {
     std::lock_guard lock(quiesce_mutex_);
     quiesce_cv_.notify_all();
   }
@@ -391,7 +391,6 @@ std::size_t SessionPool::drain_cycle(Shard& shard) {
   for (Command& command : batch) {
     execute(shard, command);
     notify(shard, command);
-    retire();
   }
   std::size_t evicted = 0;
   {
@@ -403,6 +402,8 @@ std::size_t SessionPool::drain_cycle(Shard& shard) {
     shard.evicted += evicted;
     shard.batch_sizes.record(static_cast<double>(batch.size()));
   }
+  // Retired after the bookkeeping, so stats() after drain() reads it whole.
+  retire(batch.size());
   return batch.size();
 }
 

@@ -1,14 +1,13 @@
-// Latency models for the simulated filesystem.
+// The latency model of the simulated filesystem.
 //
 // The paper's evaluation is, at heart, about the cost of metadata syscalls
 // (stat/openat) issued by the dynamic loader: cheap on a warm local
-// filesystem, ruinous on cold NFS at scale (§V, Fig 6, Table II). These
-// models attach a cost in simulated seconds to each VFS operation.
+// filesystem, ruinous on cold NFS at scale (§V, Fig 6, Table II). The
+// model attaches a cost in simulated seconds to each VFS operation.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -69,85 +68,48 @@ class OpTrace {
   std::unordered_map<support::PathId, std::uint32_t> keys_;
 };
 
-/// Cost model interface. Implementations may keep client-side cache state;
-/// `clear_client_cache` models a cold start (fresh node, dropped caches).
+/// What one counted operation costs, in simulated seconds: a cold cost per
+/// OpKind, a cached-hit cost, and whether the model keeps a client
+/// attribute cache of the paths it has seen. A copy carries the cache
+/// (FileSystem::fork and the deep copy copy the model), so every view warms
+/// its own. The two presets are the only models:
+///  * local_disk(): local disk or a warm page cache; every operation pays
+///    its fixed cost and nothing is cached.
+///  * nfs(): NFS as configured at LLNL (§V-A). The first touch of an
+///    existing path pays a round trip to the metadata server, later touches
+///    hit the attribute cache, and data reads always go to the server.
+///    There is no negative caching: every probe of a missing path pays the
+///    round trip, every time, which is precisely what makes long RPATH
+///    searches so expensive on shared filesystems.
 class LatencyModel {
  public:
-  virtual ~LatencyModel() = default;
+  static LatencyModel local_disk();
+  static LatencyModel nfs();
 
-  /// Cost, in simulated seconds, of one operation on `path`.
-  /// `hit` is whether the path existed.
-  virtual double cost(OpKind op, bool hit, const std::string& path) = 0;
+  /// Cost of one operation on `path`; `hit` is whether the path existed.
+  /// Caches the path when it existed and the model keeps a cache.
+  double cost(OpKind op, bool hit, support::PathId path);
 
-  virtual void clear_client_cache() {}
+  /// local_disk()'s fixed cost of `op`: what every operation served by a
+  /// node-local mount costs, whatever the view's model.
+  static double local_disk_cost(OpKind op);
 
-  /// Duplicate this model (parameters AND current client-cache state) for
-  /// a forked view — what lets batched parallel loads charge latency
-  /// without sharing mutable cache state across threads.
-  virtual std::shared_ptr<LatencyModel> clone() const = 0;
+  /// Forget every cached path (a cold start: fresh node, dropped caches).
+  void clear_client_cache() { cache_.clear(); }
 
-  virtual std::string name() const = 0;
-};
-
-/// Local disk / warm page cache: every metadata op is cheap and uniform.
-class LocalDiskModel final : public LatencyModel {
- public:
-  struct Params {
-    double stat_us = 1.2;
-    double open_us = 2.5;
-    double read_us = 8.0;
-    double readlink_us = 1.0;
-  };
-
-  LocalDiskModel() = default;
-  explicit LocalDiskModel(Params params) : params_(params) {}
-
-  double cost(OpKind op, bool hit, const std::string& path) override;
-  std::shared_ptr<LatencyModel> clone() const override {
-    return std::make_shared<LocalDiskModel>(*this);
-  }
-  std::string name() const override { return "local-disk"; }
-
- private:
-  Params params_;
-};
-
-/// NFS with a client-side attribute cache.
-///
-/// First touch of a path pays a full round trip to the metadata server;
-/// subsequent touches hit the attribute cache. Negative caching (caching
-/// the *absence* of a file) is disabled by default, matching the LLNL
-/// configuration described in §V-A: every failed probe of a nonexistent
-/// path pays the full round trip, every time. This is precisely what makes
-/// long RPATH searches so expensive on shared filesystems.
-class NfsModel final : public LatencyModel {
- public:
-  struct Params {
-    double rtt_us = 180.0;        // cold metadata round trip
-    double cached_us = 1.5;       // client attribute-cache hit
-    double read_us = 60.0;        // data read round trip
-    bool negative_caching = false;
-  };
-
-  NfsModel() = default;
-  explicit NfsModel(Params params) : params_(params) {}
-
-  double cost(OpKind op, bool hit, const std::string& path) override;
-  void clear_client_cache() override;
-  std::shared_ptr<LatencyModel> clone() const override {
-    return std::make_shared<NfsModel>(*this);
-  }
-  std::string name() const override { return "nfs"; }
-
-  const Params& params() const { return params_; }
-
-  /// Number of operations that had to go to the server (cache misses).
+  /// Operations that paid the cold cost: under nfs(), the ones that had to
+  /// go to the server.
   std::uint64_t server_round_trips() const { return server_round_trips_; }
 
  private:
-  Params params_;
-  std::unordered_set<std::string> attr_cache_;
-  std::unordered_set<std::string> negative_cache_;
+  LatencyModel(const std::array<double, 4>& cold_us, double cached_us,
+               bool caches)
+      : cold_us_(cold_us), cached_us_(cached_us), caches_(caches) {}
+
+  std::array<double, 4> cold_us_;  // per OpKind, in microseconds
+  double cached_us_;               // an attribute-cache hit
+  bool caches_;                    // keeps an attribute cache
+  std::unordered_set<support::PathId> cache_;
   std::uint64_t server_round_trips_ = 0;
 };
 

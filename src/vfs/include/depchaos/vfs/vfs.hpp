@@ -15,7 +15,7 @@
 // copy with an entry absent IS the whiteout record — directory children
 // lists are authoritative, so removals and renames need no separate
 // tombstones). Inode numbers, symlink hop limits, syscall counters, and
-// latency models are all per-view: a forked-then-mutated world is
+// the latency model's cache are all per-view: a forked-then-mutated world is
 // observably byte-identical to a deep-copied-then-mutated one, which is
 // what lets core::Session::load_many hand every worker a private world
 // without paying O(world size) per worker.
@@ -57,7 +57,7 @@
 // client forks of one shared base concurrently):
 //  * A VIEW is single-threaded. Even const read paths touch per-view
 //    mutable state — the positive/negative dentry memo, the syscall
-//    counters, a local latency model's warmth — so one FileSystem view
+//    counters, the latency model's attribute cache — so one FileSystem view
 //    must never be shared between threads without external serialization.
 //    Give every thread its own fork; that is the whole design.
 //  * The SHARED substrate between sibling forks is safe for any number of
@@ -172,11 +172,11 @@ enum class MountKind : std::uint8_t {
 
 std::string_view mount_kind_name(MountKind kind);
 
-/// Latency class of a mount (set_mount_latency): which cost model — and,
+/// Latency class of a mount (set_mount_latency): which cost — and,
 /// downstream, which simulated metadata server — serves operations that
 /// resolve inside it. `Shared` = the view's latency model (the shared
-/// parallel FS / NFS storm path). `NodeLocal` = the view's node-local
-/// model (a pre-staged image on node-local storage: cheap, no storm).
+/// parallel FS / NFS storm path). `NodeLocal` = LatencyModel::local_disk()'s
+/// fixed cost (a pre-staged image on node-local storage: cheap, no storm).
 /// Only the SHARED substrate of a mount is ever node-local: per-view
 /// overlay divergence always pays the shared-FS price (the PR-5 rule that
 /// broadcast/pre-staging cannot absorb rank-private state).
@@ -200,9 +200,8 @@ class FileSystem {
 
   /// Deep copy: flattens the layer chain into a fresh single-layer world.
   /// The O(world) path — prefer fork() when the copy is read-mostly. The
-  /// latency model pointer is SHARED by a copy (matching the historical
-  /// copy semantics); callers needing isolated latency state re-install a
-  /// clone, or use fork() which clones automatically.
+  /// copy gets its own copy of the latency model, cache included, like a
+  /// fork.
   FileSystem(const FileSystem& other);
   FileSystem& operator=(const FileSystem& other);
   FileSystem(FileSystem&&) = default;
@@ -213,7 +212,8 @@ class FileSystem {
   /// Subsequent mutations on either side are private to that side. The
   /// child gets the same inode numbering a deep copy would (so post-fork
   /// node allocations are byte-identical either way), zeroed syscall
-  /// counters, and its own clones of this view's latency models.
+  /// counters, and its own copy of this view's latency model (cache
+  /// included).
   FileSystem fork();
 
   /// Perform fork()'s parent-side mutations once: freeze the overlay,
@@ -224,7 +224,7 @@ class FileSystem {
   void seal();
 
   /// Lock-free fork fast path over a seal()ed view: stamps a new sibling
-  /// view (same inode numbering, zeroed counters, cloned latency models,
+  /// view (same inode numbering, zeroed counters, copied latency model,
   /// shared dentry snapshot — byte-identical to what fork() would return)
   /// without touching the parent. Safe to call concurrently from many
   /// threads on one sealed view. Throws FsError when the view is not
@@ -414,8 +414,8 @@ class FileSystem {
   /// Charges every record of `trace` (recorded by any view of this fork
   /// family) to THIS view in trace order, through the same accounting as
   /// executing the operations: counters and failed probes, sim_time_s
-  /// priced op by op through this view's latency models (warming their
-  /// client caches), and the installed trace, which receives the records
+  /// priced op by op through this view's latency model (warming its
+  /// client cache), and the installed trace, which receives the records
   /// as they are. Obeys set_counting(). Replaying the trace of an
   /// operation this view would issue identically leaves the view's
   /// counters bit-identical to executing it.
@@ -442,16 +442,17 @@ class FileSystem {
   const SyscallStats& stats() const { return stats_; }
   void reset_stats() { stats_ = SyscallStats{}; }
 
-  /// Attach/replace the latency model (nullptr = free operations).
-  void set_latency_model(std::shared_ptr<LatencyModel> model) {
+  /// Attach/replace the latency model (nullopt = free operations).
+  void set_latency_model(std::optional<LatencyModel> model) {
     latency_ = std::move(model);
   }
-  LatencyModel* latency_model() const { return latency_.get(); }
+  const LatencyModel* latency_model() const {
+    return latency_ ? &*latency_ : nullptr;
+  }
 
-  /// Drop client caches in the latency models (cold start).
+  /// Drop the latency model's client cache (cold start).
   void clear_caches() {
     if (latency_) latency_->clear_client_cache();
-    if (local_latency_) local_latency_->clear_client_cache();
   }
 
   /// Disable/enable syscall accounting (counters AND latency). Used for
@@ -611,9 +612,9 @@ class FileSystem {
   /// are unaffected by it.
   void charge(OpKind op, bool hit, PathId path, InodeNum ino = 0);
   /// The one accounting rule charge() and replay() share: append to the
-  /// installed trace, count, and price — node-local operations through
-  /// the node-local model (lazily a default LocalDiskModel), the rest
-  /// through the shared model, free when no shared model is installed.
+  /// installed trace, count, and price — node-local operations at
+  /// LatencyModel::local_disk_cost, the rest through the view's model;
+  /// everything is free when no model is installed.
   void account(OpKind op, bool hit, bool shared, bool node_local,
                PathId path);
   /// Was this operation served by a MountLatency::NodeLocal mount? Hits
@@ -645,10 +646,7 @@ class FileSystem {
 
   std::size_t live_inodes_ = 0;
   SyscallStats stats_;
-  std::shared_ptr<LatencyModel> latency_;
-  // Cost model for NodeLocal-served ops (lazy LocalDiskModel when null at
-  // first use). Shared by copies, cloned by fork(), like latency_.
-  std::shared_ptr<LatencyModel> local_latency_;
+  std::optional<LatencyModel> latency_;
   bool counting_ = true;
 
   // Interner shared by the whole fork family (deep copies join it too —

@@ -3,49 +3,32 @@
 namespace depchaos::vfs {
 namespace {
 constexpr double kMicro = 1e-6;
+// Cold costs in microseconds, indexed by OpKind (stat, open, read,
+// readlink). An NFS read is one data round trip, never cached.
+constexpr std::array<double, 4> kLocalDiskUs = {1.2, 2.5, 8.0, 1.0};
+constexpr std::array<double, 4> kNfsUs = {180.0, 180.0, 60.0, 180.0};
+}  // namespace
+
+LatencyModel LatencyModel::local_disk() {
+  return LatencyModel(kLocalDiskUs, /*cached_us=*/0, /*caches=*/false);
 }
 
-double LocalDiskModel::cost(OpKind op, bool /*hit*/,
-                            const std::string& /*path*/) {
-  switch (op) {
-    case OpKind::Stat:
-      return params_.stat_us * kMicro;
-    case OpKind::Open:
-      return params_.open_us * kMicro;
-    case OpKind::Read:
-      return params_.read_us * kMicro;
-    case OpKind::Readlink:
-      return params_.readlink_us * kMicro;
-  }
-  return 0;
+LatencyModel LatencyModel::nfs() {
+  return LatencyModel(kNfsUs, /*cached_us=*/1.5, /*caches=*/true);
 }
 
-double NfsModel::cost(OpKind op, bool hit, const std::string& path) {
-  if (op == OpKind::Read) {
-    // Data reads always go to the server in this model; the attribute cache
-    // only covers metadata.
-    ++server_round_trips_;
-    return params_.read_us * kMicro;
-  }
-  if (hit) {
-    if (attr_cache_.contains(path)) return params_.cached_us * kMicro;
-    attr_cache_.insert(path);
-    ++server_round_trips_;
-    return params_.rtt_us * kMicro;
-  }
-  // Miss: with negative caching the client remembers "not there"; without it
-  // (the LLNL default per §V-A) every probe of a missing path is a full RTT.
-  if (params_.negative_caching) {
-    if (negative_cache_.contains(path)) return params_.cached_us * kMicro;
-    negative_cache_.insert(path);
+double LatencyModel::cost(OpKind op, bool hit, support::PathId path) {
+  // Only the metadata of existing paths is cached: reads always go to the
+  // server, and without negative caching so does every failed probe.
+  if (caches_ && hit && op != OpKind::Read && !cache_.insert(path).second) {
+    return cached_us_ * kMicro;
   }
   ++server_round_trips_;
-  return params_.rtt_us * kMicro;
+  return cold_us_[static_cast<std::size_t>(op)] * kMicro;
 }
 
-void NfsModel::clear_client_cache() {
-  attr_cache_.clear();
-  negative_cache_.clear();
+double LatencyModel::local_disk_cost(OpKind op) {
+  return kLocalDiskUs[static_cast<std::size_t>(op)] * kMicro;
 }
 
 }  // namespace depchaos::vfs

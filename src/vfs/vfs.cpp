@@ -108,7 +108,6 @@ FileSystem::FileSystem(const FileSystem& other) {
   live_inodes_ = other.live_inodes_;
   stats_ = other.stats_;
   latency_ = other.latency_;
-  local_latency_ = other.local_latency_;
   counting_ = other.counting_;
   // The interner is world-independent, so the copy joins the family table;
   // the dentry cache is a per-view memo and starts cold.
@@ -192,8 +191,7 @@ FileSystem FileSystem::fork_sealed() const {
   child.counting_ = counting_;
   child.paths_ = paths_;  // one interner per fork family
   child.dentry_enabled_ = dentry_enabled_;
-  if (latency_) child.latency_ = latency_->clone();
-  if (local_latency_) child.local_latency_ = local_latency_->clone();
+  child.latency_ = latency_;
   child.dentry_shared_ = dentry_shared_;  // null while the cache is off
   // Mount table: share read-only backings, stamp sealed children of
   // writable ones so per-view divergence stays in the view. Mount indices
@@ -515,11 +513,8 @@ void FileSystem::account(OpKind op, bool hit, bool shared, bool node_local,
     ++stats_.failed_probes;
   }
   if (!latency_) return;
-  if (node_local && !local_latency_) {
-    local_latency_ = std::make_shared<LocalDiskModel>();
-  }
-  LatencyModel& model = node_local ? *local_latency_ : *latency_;
-  stats_.sim_time_s += model.cost(op, hit, paths_->str(path));
+  stats_.sim_time_s += node_local ? LatencyModel::local_disk_cost(op)
+                                  : latency_->cost(op, hit, path);
 }
 
 InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,

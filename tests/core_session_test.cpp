@@ -271,7 +271,7 @@ TEST(LoadManyTest, AggregatesStatDeltasIntoSessionCounters) {
   EXPECT_EQ(after.failed_probes - before.failed_probes, failed);
 }
 
-TEST(LoadManyTest, WorksWithClonableLatencyModelAndChargesTime) {
+TEST(LoadManyTest, WorksWithLatencyModelAndChargesTime) {
   WorldBuilder builder;
   const auto exes = install_fleet(builder, 4);
   auto session = builder.local_disk().build();

@@ -132,9 +132,9 @@ TEST(FsForkTest, ForkIsO1AndLayerDepthTracksGenerations) {
   EXPECT_EQ(after_write.layer_depth(), 3u);
 }
 
-TEST(FsForkTest, ForkClonesLatencyModelPerView) {
+TEST(FsForkTest, ForkCopiesLatencyModelPerView) {
   FileSystem base;
-  base.set_latency_model(std::make_shared<NfsModel>());
+  base.set_latency_model(LatencyModel::nfs());
   base.write_file("/f", "x");
   FileSystem child = base.fork();
   ASSERT_NE(child.latency_model(), nullptr);
@@ -561,7 +561,7 @@ TEST(SessionForkTest, SiblingForksAreMutuallyIsolated) {
   EXPECT_FALSE(parent.fs().exists("/only/in/b"));
 }
 
-TEST(SessionForkTest, ForkClonesStatefulLatencyModel) {
+TEST(SessionForkTest, ForkCopiesStatefulLatencyModel) {
   auto parent = small_world().nfs().build();
   auto child = parent.fork();
   ASSERT_NE(child.fs().latency_model(), nullptr);

@@ -35,7 +35,7 @@ TEST(Integration, SpackToStoreToShrinkwrapToLaunch) {
   const auto dag = concretizer.concretize("app");
 
   vfs::FileSystem fs;
-  fs.set_latency_model(std::make_shared<vfs::NfsModel>());
+  fs.set_latency_model(vfs::LatencyModel::nfs());
   pkg::store::Store store(fs, "/spack/store");
   const auto installed = spack::install_dag(store, dag);
 

@@ -20,7 +20,7 @@ class LaunchTest : public ::testing::Test {
   void SetUp() override { app_ = build_world(fs_); }
 
   static workload::PynamicApp build_world(vfs::FileSystem& fs) {
-    fs.set_latency_model(std::make_shared<vfs::NfsModel>());
+    fs.set_latency_model(vfs::LatencyModel::nfs());
     workload::PynamicConfig config;
     config.num_modules = 120;  // scaled-down Pynamic
     config.exe_extra_bytes = 8ull << 20;

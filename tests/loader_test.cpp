@@ -475,9 +475,7 @@ TEST_F(LoaderTest, LdCacheCostsOneOpenPerHit) {
 TEST_F(LoaderTest, NoCacheModeProbesDirectories) {
   install_object(fs_, "/usr/lib/libsys.so", make_library("libsys.so"));
   install_object(fs_, "/bin/app", make_executable({"libsys.so"}));
-  SearchConfig config;
-  config.use_ld_cache = false;
-  auto loader = glibc(config);
+  auto loader = musl();  // musl has no ld.so.cache
   const auto report = loader.load("/bin/app");
   ASSERT_TRUE(report.success);
   // defaults: /lib64, /usr/lib64, /lib fail before /usr/lib hits; + exe.
@@ -500,7 +498,9 @@ TEST_F(LoaderTest, StaleCacheInvalidatedExplicitly) {
 
 TEST_F(LoaderTest, LdCacheSpellsPathsLikeTheDirectorySweep) {
   // ld.so.cache entries carry the interned spelling of their path, so any
-  // spelling of a conf dir reports what the cache-off sweep reports.
+  // spelling of a conf dir reports what musl's cache-less sweep reports
+  // (both dialects run the same phases for an exe without RPATH or
+  // environment).
   install_object(fs_, "/opt/lib/libsys.so",
                  make_library("libsys.so", {"libdep.so"}));
   install_object(fs_, "/opt/lib/libdep.so", make_library("libdep.so"));
@@ -511,8 +511,7 @@ TEST_F(LoaderTest, LdCacheSpellsPathsLikeTheDirectorySweep) {
     config.ld_so_conf = {conf};
     config.record_probes = true;
     auto cached = glibc(config);
-    config.use_ld_cache = false;
-    auto swept = glibc(config);
+    auto swept = musl(config);
     const auto a = cached.load("/bin/app");
     const auto b = swept.load("/bin/app");
     ASSERT_TRUE(a.success && b.success) << conf;

@@ -158,10 +158,10 @@ TEST(SessionPool, MemoizationStaysOnUnderLatencyModelWithRepricing) {
   install_fleet(twin_b, 3);
 
   Session base = twin_b.build();
-  base.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  base.fs().set_latency_model(vfs::LatencyModel::nfs());
   SessionPool pool(std::move(base));
   // A stateful model does not disable the memo: hits replay the miss
-  // run's op trace through the hitting client's OWN cloned models.
+  // run's op trace through the hitting client's OWN copied model.
   EXPECT_TRUE(pool.repricing_active());
 
   const std::string exe = "/apps/a0/bin/app";
@@ -174,7 +174,7 @@ TEST(SessionPool, MemoizationStaysOnUnderLatencyModelWithRepricing) {
   pool.drain();  // counters update after promises are fulfilled
 
   Session reference = twin_a.build();
-  reference.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  reference.fs().set_latency_model(vfs::LatencyModel::nfs());
   reference.seal();  // mirror the pool's ctor seal
   Session ref1 = reference.fork_sealed();
   const auto ref_cold = ref1.load(exe);
@@ -229,7 +229,7 @@ TEST(SessionPool, MemoKeepsReportsWithoutVectorSlack) {
   for (const bool reprice : {false, true}) {
     SCOPED_TRACE(reprice ? "re-pricing pool" : "model-free pool");
     Session base = build();
-    if (reprice) base.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+    if (reprice) base.fs().set_latency_model(vfs::LatencyModel::nfs());
     SessionPool pool(std::move(base));
     ASSERT_EQ(pool.repricing_active(), reprice);
     const auto kept = pool.submit_load_shared(1, exe).get();  // the miss
@@ -644,6 +644,29 @@ TEST(SessionPool, IdleSweepPaysOnlyForTheForksItEvicts) {
       << "before " << before_us << " us, after " << after_us << " us";
 }
 
+// drain() returns only after the cycles that ran its commands have swept
+// idle forks and recorded their batch sizes, so stats() read right after it
+// sees no cycle counted in drain_cycles but missing from drain_batch.
+TEST(SessionPool, DrainReturnsAfterItsCyclesAreRecorded) {
+  PoolConfig config;
+  config.shards = 1;
+  config.threads = 1;
+  config.idle_evict_cycles = 1;
+  config.queue_high_water = 1'000'000;
+  SessionPool pool(make_world(1), config);
+  ClientId next_id = 2;
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 2000; ++i) pool.submit_query(next_id++);
+    pool.drain();
+    pool.submit_query(1).get();
+    pool.drain();
+    const PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.drain_cycles, stats.drain_batch.cycles)
+        << "round " << round;
+    EXPECT_EQ(stats.admitted, stats.executed) << "round " << round;
+  }
+}
+
 // ------------------------------- the property: concurrent == sequential
 
 struct ScriptStep {
@@ -782,7 +805,7 @@ TEST(SessionPoolProperty, RandomizedMemoRepricingMatchesSequentialForks) {
   }
 
   Session base = twin_b.build();
-  base.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  base.fs().set_latency_model(vfs::LatencyModel::nfs());
   PoolConfig config;
   config.shards = 4;
   config.threads = 4;
@@ -797,7 +820,7 @@ TEST(SessionPoolProperty, RandomizedMemoRepricingMatchesSequentialForks) {
   }
 
   Session reference = twin_a.build();
-  reference.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  reference.fs().set_latency_model(vfs::LatencyModel::nfs());
   reference.seal();  // mirror the pool's ctor seal
   for (std::size_t c = 0; c < kClients; ++c) {
     Session session = reference.fork_sealed();
@@ -852,7 +875,7 @@ TEST(SessionPoolProperty, RandomRepricedShrinkwrapTurnsMatchSequentialForks) {
   }
 
   Session base = twin_b.build();
-  base.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  base.fs().set_latency_model(vfs::LatencyModel::nfs());
   PoolConfig config;
   config.shards = 4;
   config.threads = 4;
@@ -875,7 +898,7 @@ TEST(SessionPoolProperty, RandomRepricedShrinkwrapTurnsMatchSequentialForks) {
   }
 
   Session reference = twin_a.build();
-  reference.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  reference.fs().set_latency_model(vfs::LatencyModel::nfs());
   reference.seal();  // mirror the pool's ctor seal
   for (std::size_t c = 0; c < kClients; ++c) {
     Session session = reference.fork_sealed();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "depchaos/core/world.hpp"
 #include "depchaos/elf/patcher.hpp"
 #include "depchaos/loader/loader.hpp"
 #include "depchaos/vfs/vfs.hpp"
@@ -307,7 +311,7 @@ TEST(Vfs, PeekIsUncounted) {
 
 TEST(Vfs, CountingToggleSuppressesEverything) {
   FileSystem fs;
-  fs.set_latency_model(std::make_shared<LocalDiskModel>());
+  fs.set_latency_model(LatencyModel::local_disk());
   fs.write_file("/f", std::string("x"));
   fs.reset_stats();
   fs.set_counting(false);
@@ -318,11 +322,11 @@ TEST(Vfs, CountingToggleSuppressesEverything) {
   EXPECT_EQ(fs.stats().sim_time_s, 0.0);
 }
 
-// ---------------------------------------------------------- latency models
+// ----------------------------------------------------------- latency model
 
 TEST(Latency, LocalDiskUniformCosts) {
   FileSystem fs;
-  fs.set_latency_model(std::make_shared<LocalDiskModel>());
+  fs.set_latency_model(LatencyModel::local_disk());
   fs.write_file("/f", std::string("x"));
   fs.reset_stats();
   (void)fs.stat("/f");
@@ -333,8 +337,7 @@ TEST(Latency, LocalDiskUniformCosts) {
 
 TEST(Latency, NfsColdThenWarm) {
   FileSystem fs;
-  auto nfs = std::make_shared<NfsModel>();
-  fs.set_latency_model(nfs);
+  fs.set_latency_model(LatencyModel::nfs());
   fs.write_file("/f", std::string("x"));
   fs.reset_stats();
   (void)fs.stat("/f");
@@ -344,10 +347,9 @@ TEST(Latency, NfsColdThenWarm) {
   EXPECT_GT(cold, warm_delta * 10);
 }
 
-TEST(Latency, NfsNegativeCachingOffRepays) {
+TEST(Latency, NfsFailedProbesRepay) {
   FileSystem fs;
-  auto nfs = std::make_shared<NfsModel>();  // negative_caching = false
-  fs.set_latency_model(nfs);
+  fs.set_latency_model(LatencyModel::nfs());  // no negative caching
   fs.reset_stats();
   (void)fs.stat("/missing");
   const double first = fs.stats().sim_time_s;
@@ -355,23 +357,9 @@ TEST(Latency, NfsNegativeCachingOffRepays) {
   EXPECT_DOUBLE_EQ(fs.stats().sim_time_s, 2 * first);
 }
 
-TEST(Latency, NfsNegativeCachingOnAmortizes) {
-  FileSystem fs;
-  NfsModel::Params params;
-  params.negative_caching = true;
-  fs.set_latency_model(std::make_shared<NfsModel>(params));
-  fs.reset_stats();
-  (void)fs.stat("/missing");
-  const double first = fs.stats().sim_time_s;
-  (void)fs.stat("/missing");
-  const double second = fs.stats().sim_time_s - first;
-  EXPECT_LT(second, first / 10);
-}
-
 TEST(Latency, ClearCachesRestoresColdCost) {
   FileSystem fs;
-  auto nfs = std::make_shared<NfsModel>();
-  fs.set_latency_model(nfs);
+  fs.set_latency_model(LatencyModel::nfs());
   fs.write_file("/f", std::string("x"));
   fs.reset_stats();
   (void)fs.stat("/f");
@@ -384,12 +372,98 @@ TEST(Latency, ClearCachesRestoresColdCost) {
 
 TEST(Latency, ServerRoundTripsTracked) {
   FileSystem fs;
-  auto nfs = std::make_shared<NfsModel>();
-  fs.set_latency_model(nfs);
+  fs.set_latency_model(LatencyModel::nfs());
   fs.write_file("/f", std::string("x"));
   (void)fs.stat("/f");
   (void)fs.stat("/f");
-  EXPECT_EQ(nfs->server_round_trips(), 1u);
+  ASSERT_NE(fs.latency_model(), nullptr);
+  EXPECT_EQ(fs.latency_model()->server_round_trips(), 1u);
+}
+
+// The model's costs, pinned bit for bit. The emacs seconds are recorded
+// values: a changed cost or summation order moves their low bits.
+std::uint64_t bits(double seconds) {
+  return std::bit_cast<std::uint64_t>(seconds);
+}
+
+// The sim_time_s of one stat of `path`, on counters zeroed first (a
+// difference of two sums would round).
+double stat_cost(FileSystem& fs, std::string_view path) {
+  fs.reset_stats();
+  (void)fs.stat(path);
+  return fs.stats().sim_time_s;
+}
+
+constexpr double kLocalStatS = 1.2 * 1e-6;
+constexpr double kNfsRoundTripS = 180.0 * 1e-6;
+constexpr double kNfsCachedS = 1.5 * 1e-6;
+
+TEST(LatencyPinned, EmacsLoadsCostTheRecordedSeconds) {
+  struct Case {
+    const char* name;
+    LatencyModel model;
+    double unwrapped_s;
+    double wrapped_s;
+  };
+  const Case cases[] = {
+      {"local_disk", LatencyModel::local_disk(), 0x1.676ea422898d8p-8,
+       0x1.1e42e1262028p-10},
+      {"nfs", LatencyModel::nfs(), 0x1.5d68c692f6fa3p-2, 0x1.a32b12d33f8p-8},
+  };
+  for (const Case& c : cases) {
+    core::Session session =
+        core::WorldBuilder().latency(c.model).emacs({}).build();
+    const loader::LoadReport unwrapped = session.load();
+    ASSERT_TRUE(unwrapped.success) << c.name;
+    EXPECT_EQ(unwrapped.stats.metadata_calls(), 1861u) << c.name;
+    EXPECT_EQ(bits(unwrapped.stats.sim_time_s), bits(c.unwrapped_s)) << c.name;
+    session.shrinkwrap();
+    const loader::LoadReport wrapped = session.load();
+    ASSERT_TRUE(wrapped.success) << c.name;
+    EXPECT_EQ(wrapped.stats.metadata_calls(), 104u) << c.name;
+    EXPECT_EQ(bits(wrapped.stats.sim_time_s), bits(c.wrapped_s)) << c.name;
+  }
+}
+
+TEST(LatencyPinned, NodeLocalMountCostsALocalDiskStat) {
+  auto image = std::make_shared<FileSystem>();
+  image->write_file("/lib/libx.so", std::string("x"));
+  FileSystem host;
+  host.set_latency_model(LatencyModel::nfs());
+  host.mount_image("/app", image);
+  host.set_mount_latency("/app", MountLatency::NodeLocal);
+  EXPECT_EQ(bits(stat_cost(host, "/app/lib/libx.so")), bits(kLocalStatS));
+  EXPECT_EQ(bits(stat_cost(host, "/app/lib/libx.so")), bits(kLocalStatS));
+  EXPECT_EQ(bits(stat_cost(host, "/app/lib/missing.so")), bits(kLocalStatS));
+  // Outside the mount the view's own model prices: a failed NFS probe.
+  EXPECT_EQ(bits(stat_cost(host, "/missing")), bits(kNfsRoundTripS));
+}
+
+TEST(LatencyPinned, ForksAndCopiesWarmTheirOwnCache) {
+  FileSystem base;
+  base.set_latency_model(LatencyModel::nfs());
+  base.write_file("/f", std::string("x"));
+  base.write_file("/g", std::string("y"));
+  EXPECT_EQ(bits(stat_cost(base, "/f")), bits(kNfsRoundTripS));
+  FileSystem child = base.fork();
+  FileSystem copy(base);
+  for (FileSystem* view : {&child, &copy}) {
+    // The parent's touches came along; the view's own touches stay its own.
+    EXPECT_EQ(bits(stat_cost(*view, "/f")), bits(kNfsCachedS));
+    EXPECT_EQ(bits(stat_cost(*view, "/g")), bits(kNfsRoundTripS));
+    EXPECT_EQ(bits(stat_cost(*view, "/g")), bits(kNfsCachedS));
+  }
+  EXPECT_EQ(bits(stat_cost(base, "/g")), bits(kNfsRoundTripS));
+}
+
+TEST(LatencyPinned, OneCacheEntryPerNormalizedPath) {
+  FileSystem fs;
+  fs.set_latency_model(LatencyModel::nfs());
+  fs.write_file("/a/b", std::string("x"));
+  EXPECT_EQ(bits(stat_cost(fs, "/a//b")), bits(kNfsRoundTripS));
+  EXPECT_EQ(bits(stat_cost(fs, "/a/b")), bits(kNfsCachedS));
+  EXPECT_EQ(bits(stat_cost(fs, "/a/./b")), bits(kNfsCachedS));
+  EXPECT_EQ(fs.latency_model()->server_round_trips(), 1u);
 }
 
 // ----------------------------------------------------------- dentry cache
@@ -467,7 +541,7 @@ void expect_same_stats(const SyscallStats& got, const SyscallStats& want) {
 
 TEST(OpTraceTest, ReplayChargesLikeExecuting) {
   FileSystem base;
-  base.set_latency_model(std::make_shared<NfsModel>());
+  base.set_latency_model(LatencyModel::nfs());
   elf::install_object(base, "/deps/b/libx.so", elf::make_library("libx.so"));
   elf::install_object(
       base, "/bin/app",

@@ -654,15 +654,15 @@ TEST(WireServer, MemoSharedRepliesFromTheEncodeCacheAreByteIdentical) {
 // Under a latency model memo hits are re-priced per client — fresh reports
 // the cache must never serve: each client's reply equals its twin pool's,
 // so no client receives another client's sim_time_s.
-TEST(WireServer, RepricedRepliesUnderNfsModelMatchTheTwinPool) {
+TEST(WireServer, RepricedRepliesUnderNfsMatchTheTwinPool) {
   WorldBuilder twin_a;
   const auto exes = install_fleet(twin_a, 3);
   WorldBuilder twin_b;
   install_fleet(twin_b, 3);
   Session base_a = twin_a.build();
-  base_a.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  base_a.fs().set_latency_model(vfs::LatencyModel::nfs());
   Session base_b = twin_b.build();
-  base_b.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  base_b.fs().set_latency_model(vfs::LatencyModel::nfs());
   SessionPool local(std::move(base_a));
   SessionPool served(std::move(base_b));
   ASSERT_TRUE(served.repricing_active());

@@ -783,9 +783,9 @@ bool discover_pynamic_app(const vfs::FileSystem& fs,
 int cmd_launch(const std::vector<std::string>& args) {
   if (args.size() < 2) usage();
   core::SessionConfig config;
-  config.latency = std::make_shared<vfs::NfsModel>();
   config.cluster.spindle_broadcast = has_flag(args, "--spindle");
   auto session = open_session(args, std::move(config));
+  session.fs().set_latency_model(vfs::LatencyModel::nfs());
   const int ranks =
       static_cast<int>(parse_long(args, "--ranks=", 512, 1, 10'000'000));
 
