@@ -37,7 +37,6 @@ void print_startup() {
   if (static_image.ok) {
     elf::install_object(session.fs(), "/bin/emacs-static",
                         static_image.merged);
-    session.invalidate();
     const auto report = session.load("/bin/emacs-static");
     row("static image",
         std::to_string(report.stats.metadata_calls()) + " ops (one open)");

@@ -43,7 +43,6 @@ Row measure(const std::string& name, core::Session& session) {
   // Environment immunity: plant an impostor first in LD_LIBRARY_PATH.
   elf::install_object(session.fs(), "/evil/libpynamic_module_0.so",
                       elf::make_library("libpynamic_module_0.so"));
-  session.invalidate();
   const auto hostile = session.load(
       "", loader::Environment::with_library_path({"/evil"}));
   const auto* module0 = hostile.find_loaded("libpynamic_module_0.so");

@@ -29,7 +29,6 @@ void print_figure() {
       };
   for (const auto& [label, dirs] : orders) {
     workload::set_paradox_search_order(session.fs(), scenario, dirs);
-    session.invalidate();
     const auto report = session.load();
     const auto* a = report.find_loaded("liba.so");
     const auto* b = report.find_loaded("libb.so");
@@ -45,7 +44,6 @@ void print_figure() {
   patcher.set_needed(scenario.exe_path,
                      {scenario.good_a_path, scenario.good_b_path});
   patcher.set_runpath(scenario.exe_path, {});
-  session.invalidate();
   const auto wrapped = session.load();
   row("absolute DT_NEEDED (shrinkwrapped)",
       workload::paradox_satisfied(wrapped, scenario) ? "OK — paradox resolved"

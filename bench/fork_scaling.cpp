@@ -79,7 +79,6 @@ bool reports_identical(const loader::LoadReport& a,
   return a.stats.stat_calls == b.stats.stat_calls &&
          a.stats.open_calls == b.stats.open_calls &&
          a.stats.read_calls == b.stats.read_calls &&
-         a.stats.readlink_calls == b.stats.readlink_calls &&
          a.stats.failed_probes == b.stats.failed_probes &&
          a.stats.sim_time_s == b.stats.sim_time_s &&
          a.probe_log == b.probe_log;

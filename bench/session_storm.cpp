@@ -104,8 +104,8 @@ std::string digest(const loader::LoadReport& r) {
   }
   out << '|' << r.requests.size() << ',' << r.missing.size() << ','
       << r.stats.stat_calls << ',' << r.stats.open_calls << ','
-      << r.stats.read_calls << ',' << r.stats.readlink_calls << ','
-      << r.stats.failed_probes << ',' << r.stats.sim_time_s;
+      << r.stats.read_calls << ',' << r.stats.failed_probes << ','
+      << r.stats.sim_time_s;
   return out.str();
 }
 

@@ -111,7 +111,6 @@ int main() {
     modules.load("physics/1.0");
     report_line("Modules (loaded)", session.load("", modules.environment()));
     modules.unload("physics/1.0");
-    session.invalidate();
     report_line("Modules (unloaded)",
                 session.load("", modules.environment()));
   }

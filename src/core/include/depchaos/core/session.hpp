@@ -129,10 +129,10 @@ class Session {
 
   /// Build a per-job container view: fork this session and assemble the
   /// mount namespace from `spec`. The sandbox starts with COLD loader
-  /// caches — its ld.so.cache must be rebuilt from the sandbox namespace;
-  /// resolving against the host's cache is precisely the class of bug the
-  /// container scenarios model. Loads, shrinkwraps, and patches inside
-  /// the sandbox never leak into this session's world.
+  /// caches because its ld.so.cache must be rebuilt from the sandbox
+  /// namespace; resolving against the host's cache is precisely the class
+  /// of bug the container scenarios model. Loads, shrinkwraps, and
+  /// patches inside the sandbox never leak into this session's world.
   Session sandbox(const SandboxSpec& spec);
 
   // ---- the rig ------------------------------------------------------------
@@ -229,9 +229,6 @@ class Session {
 
   /// Serialize the world to a DCWORLD1 snapshot.
   std::string save() const;
-
-  /// Drop the loader's parsed-object/ld.so caches (after patching).
-  void invalidate() { loader_->invalidate(); }
 
  private:
   std::string resolve_exe(std::string_view exe) const;

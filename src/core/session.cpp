@@ -32,9 +32,9 @@ Session Session::from_snapshot(std::string_view image, SessionConfig config) {
 
 Session Session::sandbox(const SandboxSpec& spec) {
   // No cache adoption: the namespace surgery below would stale the host's
-  // parsed-object / ld.so caches, so the sandbox starts cold and rebuilds
-  // its own lazily — resolving against the HOST's ld.so.cache is precisely
-  // the class of bug the container scenarios model.
+  // ld.so.cache, so the sandbox starts cold and builds its own lazily —
+  // resolving against the HOST's ld.so.cache is precisely the class of bug
+  // the container scenarios model.
   seal();
   Session child(fs_->fork_sealed(), config_, default_exe_);
   vfs::FileSystem& cfs = child.fs();

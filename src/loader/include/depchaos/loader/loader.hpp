@@ -269,10 +269,10 @@ class Loader {
     const Environment* env = nullptr;
   };
 
-  /// The parsed object of the opened SELF image `data`, from the cache
-  /// under its inode-proxy key `key`, parsed and cached on first sight. A
-  /// parse that throws ElfError caches nothing, so it throws again on the
-  /// next sight.
+  /// The parsed object of the opened SELF image `data`: the cache entry
+  /// under its inode-proxy key `key` while that entry was parsed from the
+  /// same bytes, else a fresh parse that replaces it. A parse that throws
+  /// ElfError caches nothing, so it throws again on the next sight.
   std::shared_ptr<const elf::Object> cached_object(support::PathId key,
                                                    const vfs::FileData& data);
   /// Set `loaded.real_path` from `canonical`, the realpath id of `id` (its
@@ -350,12 +350,14 @@ class Loader {
   // Parsed-object cache keyed by canonical PathId, filled the first time a
   // probe passes a file's magic check (whatever its architecture) or a
   // load opens its executable; probes read their architecture verdicts
-  // from it. Loads never write binaries and Patcher edits go through the
-  // VFS, so code that rewrites a binary and loads again calls invalidate()
-  // or constructs a fresh Loader; until then probes and loads see the old
-  // parse.
-  std::unordered_map<support::PathId, std::shared_ptr<const elf::Object>>
-      cache_;
+  // from it. An entry is reused only while the opened file still holds
+  // the bytes it was parsed from, so a rewritten binary is parsed afresh
+  // at its next open, as ld.so reads every object at each exec.
+  struct Parsed {
+    std::string bytes;  // what `object` was parsed from
+    elf::Object object;
+  };
+  std::unordered_map<support::PathId, std::shared_ptr<const Parsed>> cache_;
   struct StringHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {
@@ -365,27 +367,23 @@ class Loader {
   // Absolute DT_NEEDED spellings (after $ORIGIN expansion) -> interned id,
   // so a wrapped binary's entries are interned once per loader rather than
   // once per load. Interning is lexical and the PathTable is append-only,
-  // so an entry never goes stale: invalidate() and adopt_caches() leave it
-  // alone. Bounded by the distinct absolute entries this loader has seen.
+  // so an entry never goes stale. Bounded by the distinct absolute
+  // entries this loader has seen.
   std::unordered_map<std::string, support::PathId, StringHash, std::equal_to<>>
       absolute_ids_;
-  // ld.so.cache: name -> (path, from ld_so_conf or default).
-  std::unordered_map<std::string, Resolution> ld_cache_;
-  bool ld_cache_built_ = false;
+  // ld.so.cache: name -> (path, from ld_so_conf or default). Built at the
+  // first system-path lookup ("ldconfig ran then") and kept for the
+  // loader's life, so a library installed later is missed until a new
+  // Loader builds its own; adopt_caches() hands it on to a fork.
+  std::optional<std::unordered_map<std::string, Resolution>> ld_cache_;
   // Active probe log during a load() (null when record_probes is off).
   std::vector<std::string>* probe_log_ = nullptr;
 
  public:
-  /// Drop parsed-object and ld.so caches (after patching binaries), and
-  /// with them the probes' cached architecture verdicts.
-  void invalidate();
-
   /// Seed this loader's parsed-object and ld.so caches from another loader
   /// whose filesystem is identical to ours — the fork boundary in
-  /// core::Session::fork(). Safe because parsed objects are immutable
-  /// shared_ptr<const> values and a freshly forked world is byte-identical
-  /// to its parent; after either side patches binaries, the usual
-  /// invalidate() convention applies to that side's loader only.
+  /// core::Session::fork(). Safe because cache entries are immutable and
+  /// each is reused only for the bytes it was parsed from.
   void adopt_caches(const Loader& other);
 };
 

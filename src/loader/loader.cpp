@@ -104,16 +104,9 @@ Loader::Loader(vfs::FileSystem& fs, SearchConfig config, Dialect dialect)
       dialect_(dialect),
       rules_(rules(dialect)) {}
 
-void Loader::invalidate() {
-  cache_.clear();
-  ld_cache_.clear();
-  ld_cache_built_ = false;
-}
-
 void Loader::adopt_caches(const Loader& other) {
   cache_ = other.cache_;
   ld_cache_ = other.ld_cache_;
-  ld_cache_built_ = other.ld_cache_built_;
 }
 
 std::string_view Loader::expand_origin(std::string_view entry,
@@ -154,13 +147,14 @@ std::string_view Loader::expand_origin(std::string_view entry,
 std::shared_ptr<const elf::Object> Loader::cached_object(
     support::PathId key, const vfs::FileData& data) {
   auto it = cache_.find(key);
-  if (it == cache_.end()) {
+  if (it == cache_.end() || it->second->bytes != data.bytes) {
     it = cache_
-             .emplace(key, std::make_shared<const elf::Object>(
-                               elf::parse(data.bytes)))
+             .insert_or_assign(key, std::make_shared<const Parsed>(Parsed{
+                                        data.bytes, elf::parse(data.bytes)}))
              .first;
   }
-  return it->second;
+  // Aliasing: a handed-out object keeps its whole entry alive.
+  return {it->second, &it->second->object};
 }
 
 support::PathId Loader::canonicalize(LoadedObject& loaded, support::PathId id,
@@ -248,19 +242,18 @@ Loader::DirProbe Loader::probe_dirs(std::span<const support::PathId> dirs,
 }
 
 void Loader::ensure_ld_cache() {
-  if (ld_cache_built_) return;
-  ld_cache_built_ = true;
-  ld_cache_.clear();
+  if (ld_cache_) return;
+  ld_cache_.emplace();
   auto scan = [&](const std::vector<std::string>& dirs, HowFound how) {
     for (const auto& dir : dirs) {
       if (!fs_.exists(dir)) continue;
       const support::PathId dir_id = intern_dir(dir);
       for (const auto& name : fs_.list_dir(dir)) {
-        if (ld_cache_.contains(name)) continue;
+        if (ld_cache_->contains(name)) continue;
         // Spelled by the interned id, like the directory sweep, so a conf
         // dir given as "/usr/lib/" or "/usr//lib" reports "/usr/lib/x".
         const support::PathId cand = paths_->child(dir_id, name);
-        ld_cache_.emplace(name, Resolution{paths_->str(cand), how, cand, {}});
+        ld_cache_->emplace(name, Resolution{paths_->str(cand), how, cand, {}});
       }
     }
   };
@@ -428,7 +421,7 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
     case SearchPhase::SystemPaths: {
       if (rules_.uses_ld_cache) {
         ensure_ld_cache();
-        if (const auto it = ld_cache_.find(name); it != ld_cache_.end()) {
+        if (const auto it = ld_cache_->find(name); it != ld_cache_->end()) {
           // The cache told us where to look; the loader still open()s it.
           if (Accepted hit = probe_file(it->second.id, machine)) {
             Resolution res = it->second;

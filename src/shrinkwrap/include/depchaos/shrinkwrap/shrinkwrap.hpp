@@ -73,8 +73,8 @@ struct RecordedLoad {
   const vfs::OpTrace& trace;
 };
 
-/// Shrinkwrap the executable in place. The loader's caches are invalidated
-/// so subsequent loads observe the rewritten binary.
+/// Shrinkwrap the executable in place; the next load reads the rewritten
+/// binary.
 ///
 /// `recorded`, when given, stands in for the resolving load: it must be
 /// that very load (`exe_path` under `options.env` on a view with this

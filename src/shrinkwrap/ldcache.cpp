@@ -29,7 +29,6 @@ LdCacheReport make_loader_cache(vfs::FileSystem& fs, loader::Loader& loader,
     }
   }
   fs.write_file(report.cache_path, contents);
-  loader.invalidate();
   return report;
 }
 

@@ -47,7 +47,6 @@ NeedyReport make_needy(vfs::FileSystem& fs, loader::Loader& loader,
   std::sort(report.search_dirs.begin(), report.search_dirs.end());
   patcher.set_runpath(exe_path, report.search_dirs);
   patcher.set_rpath(exe_path, {});
-  loader.invalidate();
 
   report.lifted = std::move(sonames);
   report.ok = true;

@@ -50,7 +50,6 @@ WrapReport shrinkwrap(vfs::FileSystem& fs, loader::Loader& loader,
       augmented.dyn.needed.push_back(entry);
     }
     patcher.write(exe_path, augmented);
-    loader.invalidate();
     exe = augmented;
   }
 
@@ -116,7 +115,6 @@ WrapReport shrinkwrap(vfs::FileSystem& fs, loader::Loader& loader,
       elf::Object restored = exe;
       restored.dyn.needed = report.old_needed;
       patcher.write(exe_path, restored);
-      loader.invalidate();
     }
     return report;
   }
@@ -159,7 +157,6 @@ WrapReport shrinkwrap(vfs::FileSystem& fs, loader::Loader& loader,
     exe.dyn.runpath.clear();
   }
   patcher.write(exe_path, exe);
-  loader.invalidate();
   return report;
 }
 

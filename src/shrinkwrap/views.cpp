@@ -44,7 +44,6 @@ ViewReport make_dependency_view(vfs::FileSystem& fs, loader::Loader& loader,
 
   patcher.set_rpath(exe_path, {report.view_dir});
   patcher.set_runpath(exe_path, {});
-  loader.invalidate();
 
   report.inode_cost = fs.inode_count() - inodes_before;
   report.ok = report.conflicts.empty();

@@ -14,7 +14,7 @@
 // patterns in a u64):
 //
 //   request:   magic  u32   0x44435750 ("DCWP" read as bytes P,W,C,D)
-//              version u16  1
+//              version u16  2
 //              kind    u8   WireKind
 //              reserved u8  must be 0
 //              client  u64  caller-chosen ClientId (the fork identity;
@@ -78,7 +78,7 @@
 namespace depchaos::svc {
 
 inline constexpr std::uint32_t kWireMagic = 0x44435750u;  // "DCWP"
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kWireRequestHeaderBytes = 28;
 inline constexpr std::size_t kWireResponseHeaderBytes = 20;
 

@@ -142,7 +142,6 @@ void put_stats(std::string& out, const vfs::SyscallStats& stats) {
   put_u64(out, stats.stat_calls);
   put_u64(out, stats.open_calls);
   put_u64(out, stats.read_calls);
-  put_u64(out, stats.readlink_calls);
   put_u64(out, stats.failed_probes);
   put_f64(out, stats.sim_time_s);
 }
@@ -152,7 +151,6 @@ vfs::SyscallStats get_stats(Cursor& in) {
   stats.stat_calls = in.u64();
   stats.open_calls = in.u64();
   stats.read_calls = in.u64();
-  stats.readlink_calls = in.u64();
   stats.failed_probes = in.u64();
   stats.sim_time_s = in.f64();
   return stats;

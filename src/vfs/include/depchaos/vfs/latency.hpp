@@ -18,10 +18,9 @@ namespace depchaos::vfs {
 
 /// The metadata operations the loader issues while searching for libraries.
 enum class OpKind : std::uint8_t {
-  Stat,      // stat/access-style existence probe
-  Open,      // openat of a candidate (or final) file
-  Read,      // reading file contents after a successful open
-  Readlink,  // symlink traversal
+  Stat,  // stat/access-style existence probe
+  Open,  // openat of a candidate (or final) file
+  Read,  // reading file contents after a successful open
 };
 
 /// One recorded counted operation (stat, open or read). `path` is a dense
@@ -102,11 +101,11 @@ class LatencyModel {
   std::uint64_t server_round_trips() const { return server_round_trips_; }
 
  private:
-  LatencyModel(const std::array<double, 4>& cold_us, double cached_us,
+  LatencyModel(const std::array<double, 3>& cold_us, double cached_us,
                bool caches)
       : cold_us_(cold_us), cached_us_(cached_us), caches_(caches) {}
 
-  std::array<double, 4> cold_us_;  // per OpKind, in microseconds
+  std::array<double, 3> cold_us_;  // per OpKind, in microseconds
   double cached_us_;               // an attribute-cache hit
   bool caches_;                    // keeps an attribute cache
   std::unordered_set<support::PathId> cache_;

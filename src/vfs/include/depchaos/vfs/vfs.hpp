@@ -99,7 +99,7 @@
 //    with a Linux-style 40-hop loop limit.
 //  * Mutating setup APIs (write_file, mkdir_p, symlink, rename, remove) are
 //    NOT counted as syscalls: they represent package-manager installation,
-//    not process startup. The counted operations are stat/open/read/readlink.
+//    not process startup. The counted operations are stat/open/read.
 #pragma once
 
 #include <cstdint>
@@ -146,7 +146,6 @@ struct SyscallStats {
   std::uint64_t stat_calls = 0;
   std::uint64_t open_calls = 0;
   std::uint64_t read_calls = 0;
-  std::uint64_t readlink_calls = 0;
   std::uint64_t failed_probes = 0;  // stat/open of nonexistent paths
   double sim_time_s = 0;            // accumulated latency-model cost
 
@@ -342,7 +341,7 @@ class FileSystem {
 
   // ----- counted process-startup operations --------------------------------
 
-  /// stat(2): follow symlinks, count one metadata op (plus readlink costs).
+  /// stat(2): follow symlinks, count one metadata op.
   /// The string overloads intern the path and take the PathId one.
   std::optional<Stat> stat(std::string_view path) { return stat(intern(path)); }
   std::optional<Stat> stat(PathId id);

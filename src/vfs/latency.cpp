@@ -3,10 +3,10 @@
 namespace depchaos::vfs {
 namespace {
 constexpr double kMicro = 1e-6;
-// Cold costs in microseconds, indexed by OpKind (stat, open, read,
-// readlink). An NFS read is one data round trip, never cached.
-constexpr std::array<double, 4> kLocalDiskUs = {1.2, 2.5, 8.0, 1.0};
-constexpr std::array<double, 4> kNfsUs = {180.0, 180.0, 60.0, 180.0};
+// Cold costs in microseconds, indexed by OpKind (stat, open, read). An
+// NFS read is one data round trip, never cached.
+constexpr std::array<double, 3> kLocalDiskUs = {1.2, 2.5, 8.0};
+constexpr std::array<double, 3> kNfsUs = {180.0, 180.0, 60.0};
 }  // namespace
 
 LatencyModel LatencyModel::local_disk() {

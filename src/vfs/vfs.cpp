@@ -33,7 +33,6 @@ SyscallStats& SyscallStats::operator+=(const SyscallStats& other) {
   stat_calls += other.stat_calls;
   open_calls += other.open_calls;
   read_calls += other.read_calls;
-  readlink_calls += other.readlink_calls;
   failed_probes += other.failed_probes;
   sim_time_s += other.sim_time_s;
   return *this;
@@ -44,7 +43,6 @@ SyscallStats SyscallStats::operator-(const SyscallStats& before) const {
   delta.stat_calls = stat_calls - before.stat_calls;
   delta.open_calls = open_calls - before.open_calls;
   delta.read_calls = read_calls - before.read_calls;
-  delta.readlink_calls = readlink_calls - before.readlink_calls;
   delta.failed_probes = failed_probes - before.failed_probes;
   delta.sim_time_s = sim_time_s - before.sim_time_s;
   return delta;
@@ -504,9 +502,6 @@ void FileSystem::account(OpKind op, bool hit, bool shared, bool node_local,
       break;
     case OpKind::Read:
       ++stats_.read_calls;
-      break;
-    case OpKind::Readlink:
-      ++stats_.readlink_calls;
       break;
   }
   if (!hit && (op == OpKind::Stat || op == OpKind::Open)) {

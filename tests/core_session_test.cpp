@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "depchaos/core/world.hpp"
@@ -37,7 +38,6 @@ void expect_reports_identical(const loader::LoadReport& a,
   EXPECT_EQ(a.stats.stat_calls, b.stats.stat_calls);
   EXPECT_EQ(a.stats.open_calls, b.stats.open_calls);
   EXPECT_EQ(a.stats.read_calls, b.stats.read_calls);
-  EXPECT_EQ(a.stats.readlink_calls, b.stats.readlink_calls);
   EXPECT_EQ(a.stats.failed_probes, b.stats.failed_probes);
   EXPECT_DOUBLE_EQ(a.stats.sim_time_s, b.stats.sim_time_s);
   EXPECT_EQ(a.probe_log, b.probe_log);
@@ -139,6 +139,31 @@ TEST(SessionTest, ShrinkwrapVerifyLibtreeFlow) {
   const std::string tree = session.libtree();
   EXPECT_NE(tree.find("/bin/app"), std::string::npos);
   EXPECT_NE(tree.find("/l/libx.so"), std::string::npos);
+}
+
+TEST(SessionTest, WrappedLoadReparsesOnlyTheRewrittenExecutable) {
+  // Shrinkwrap rewrites the exe alone, so the load after it parses the exe
+  // again and takes all 103 emacs libraries from the warm cache.
+  auto session = WorldBuilder().emacs({}).build();
+  const auto before = session.load();
+  ASSERT_EQ(before.load_order.size(), 104u);
+  std::unordered_map<std::string, const elf::Object*> parsed;
+  for (const auto& obj : before.load_order) {
+    parsed.emplace(obj.real_path, obj.object.get());
+  }
+  ASSERT_TRUE(session.shrinkwrap().ok());
+  const auto after = session.load();
+  ASSERT_TRUE(after.success);
+  EXPECT_EQ(after.stats.metadata_calls(), 104u);
+  ASSERT_EQ(after.load_order.size(), 104u);
+  EXPECT_NE(after.load_order[0].object.get(),
+            parsed.at(after.load_order[0].real_path));
+  std::size_t reused = 0;
+  for (std::size_t i = 1; i < after.load_order.size(); ++i) {
+    const auto& obj = after.load_order[i];
+    if (obj.object.get() == parsed.at(obj.real_path)) ++reused;
+  }
+  EXPECT_EQ(reused, 103u);
 }
 
 TEST(SessionTest, SessionEnvironmentAppliesToLoads) {

@@ -98,7 +98,6 @@ TEST(Integration, LayeredSystemLikeLassen) {
 
   // Without the module the app breaks — the composition fragility of §II-E.
   modules.unload("gcc/12");
-  loader.invalidate();
   EXPECT_FALSE(
       loader.load(installed.prefix + "/bin/mycode", modules.environment())
           .success);

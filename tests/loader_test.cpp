@@ -28,7 +28,6 @@ std::string describe(const LoadReport& report) {
   out += std::to_string(stats.stat_calls) + " " +
          std::to_string(stats.open_calls) + " " +
          std::to_string(stats.read_calls) + " " +
-         std::to_string(stats.readlink_calls) + " " +
          std::to_string(stats.failed_probes) + "\n";
   for (const auto& line : report.probe_log) out += line + "\n";
   return out;
@@ -378,8 +377,9 @@ TEST_F(LoaderTest, NonElfFileInSearchPathSkipped) {
 }
 
 // A probe reads a candidate's architecture from the loader's parsed-object
-// cache, so a second load answers from verdicts the first one cached. The
-// three tests below pin what that may and may not change.
+// cache, so a second load answers from verdicts the first one cached. An
+// entry is reused only while its file holds the bytes it was parsed from.
+// The tests below pin what that may and may not change.
 
 TEST_F(LoaderTest, CachedProbeVerdictsRepeatOnTheSameLoader) {
   elf::Object lib32 = make_library("libx.so");
@@ -420,7 +420,7 @@ TEST_F(LoaderTest, MalformedCandidateThrowsAtEveryLoad) {
   EXPECT_THROW(loader.load("/bin/app"), ElfError);
 }
 
-TEST_F(LoaderTest, RewrittenWrongArchitectureCandidateNeedsInvalidate) {
+TEST_F(LoaderTest, RewrittenWrongArchitectureCandidateIsReadAgain) {
   elf::Object lib32 = make_library("libx.so");
   lib32.machine = elf::Machine::X86;
   install_object(fs_, "/lib32/libx.so", lib32);
@@ -430,14 +430,72 @@ TEST_F(LoaderTest, RewrittenWrongArchitectureCandidateNeedsInvalidate) {
   auto loader = glibc();
   ASSERT_EQ(loader.load("/bin/app").load_order[1].path, "/lib64dir/libx.so");
 
-  // Rebuilt for x86_64 in place. Like every parsed object, the skipped
-  // one's cached verdict stands until invalidate().
+  // Rebuilt for x86_64 in place: the skipped candidate's cached verdict
+  // goes with its old bytes, so the next load of this loader takes it.
   install_object(fs_, "/lib32/libx.so", make_library("libx.so"));
-  EXPECT_EQ(loader.load("/bin/app").load_order[1].path, "/lib64dir/libx.so");
-  loader.invalidate();
   const auto report = loader.load("/bin/app");
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.load_order[1].path, "/lib32/libx.so");
+}
+
+TEST_F(LoaderTest, PatchedExecutableIsReadAgainAndLibrariesKeepTheirParse) {
+  install_object(fs_, "/l/liba.so", make_library("liba.so"));
+  install_object(fs_, "/l/libb.so", make_library("libb.so"));
+  install_object(fs_, "/bin/app", make_executable({"liba.so"}, {"/l"}));
+  auto loader = glibc();
+  const auto before = loader.load("/bin/app");
+  ASSERT_EQ(before.load_order.size(), 2u);
+
+  elf::Patcher(fs_).add_needed("/bin/app", "libb.so");
+  const auto after = loader.load("/bin/app");
+  ASSERT_TRUE(after.success);
+  ASSERT_EQ(after.load_order.size(), 3u);
+  EXPECT_EQ(after.load_order[2].path, "/l/libb.so");
+  EXPECT_NE(after.load_order[0].object, before.load_order[0].object);
+  // The untouched library is served from the cache, not parsed again.
+  EXPECT_EQ(after.load_order[1].object, before.load_order[1].object);
+}
+
+TEST_F(LoaderTest, CandidateRewrittenMalformedThrowsUntilItsBytesReturn) {
+  install_object(fs_, "/l/libx.so", make_library("libx.so"));
+  install_object(fs_, "/bin/app", make_executable({"libx.so"}, {"/l"}));
+  auto loader = glibc();
+  const auto good = loader.load("/bin/app");
+  ASSERT_TRUE(good.success);
+  const std::string bytes = fs_.peek("/l/libx.so")->bytes;
+
+  fs_.write_file("/l/libx.so", std::string("SELF1\nbogus\nend\n"));
+  EXPECT_THROW(loader.load("/bin/app"), ElfError);
+  EXPECT_THROW(loader.load("/bin/app"), ElfError);
+
+  fs_.write_file("/l/libx.so", bytes);
+  const auto again = loader.load("/bin/app");
+  EXPECT_EQ(describe(again), describe(good));
+  EXPECT_EQ(again.load_order[1].object, good.load_order[1].object);
+}
+
+TEST_F(LoaderTest, ForkRewritingALibraryLeavesItsParentsParse) {
+  install_object(fs_, "/l/libx.so", make_library("libx.so"));
+  install_object(fs_, "/bin/app", make_executable({"libx.so"}, {"/l"}));
+  auto parent = glibc();
+  const auto first = parent.load("/bin/app");
+  ASSERT_TRUE(first.success);
+
+  vfs::FileSystem forked = fs_.fork();
+  Loader child(forked);
+  child.adopt_caches(parent);
+  elf::Object hotfix = make_library("libx.so");
+  hotfix.symbols.push_back(
+      elf::Symbol{"libx_hotfix", elf::SymbolBinding::Global, true});
+  install_object(forked, "/l/libx.so", hotfix);
+
+  const auto in_parent = parent.load("/bin/app");
+  const auto in_child = child.load("/bin/app");
+  ASSERT_TRUE(in_parent.success && in_child.success);
+  EXPECT_EQ(in_parent.load_order[1].object, first.load_order[1].object);
+  EXPECT_TRUE(in_child.load_order[1].object->defines_strong("libx_hotfix"));
+  // The untouched executable keeps the parse the fork adopted.
+  EXPECT_EQ(in_child.load_order[0].object, first.load_order[0].object);
 }
 
 // -------------------------------------------- system paths & ld.so.cache
@@ -482,7 +540,7 @@ TEST_F(LoaderTest, NoCacheModeProbesDirectories) {
   EXPECT_GT(report.stats.open_calls, 2u);
 }
 
-TEST_F(LoaderTest, StaleCacheInvalidatedExplicitly) {
+TEST_F(LoaderTest, StaleCacheNewLibraryLoadsThroughANewLoader) {
   install_object(fs_, "/usr/lib/libsys.so", make_library("libsys.so"));
   install_object(fs_, "/bin/app", make_executable({"libsys.so"}));
   auto loader = glibc();
@@ -490,8 +548,10 @@ TEST_F(LoaderTest, StaleCacheInvalidatedExplicitly) {
   elf::Patcher patcher(fs_);
   patcher.set_needed("/bin/app", {"libnew.so"});
   install_object(fs_, "/usr/lib/libnew.so", make_library("libnew.so"));
-  loader.invalidate();
-  const auto report = loader.load("/bin/app");
+  // The rewritten exe is read again, but this loader's ld.so.cache
+  // predates libnew.so; a new Loader builds a cache that has it.
+  EXPECT_FALSE(loader.load("/bin/app").success);
+  const auto report = glibc().load("/bin/app");
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.load_order[1].name, "libnew.so");
 }

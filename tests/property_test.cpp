@@ -166,7 +166,6 @@ TEST_P(RandomWorldTest, WrappedResistsImpostorEnvironment) {
     elf::install_object(world.fs, "/impostors/" + soname,
                         elf::make_library(soname));
   }
-  loader.invalidate();
   const auto hostile = loader.load(
       world.exe_path, loader::Environment::with_library_path({"/impostors"}));
   ASSERT_TRUE(hostile.success);

@@ -111,7 +111,6 @@ TEST(Sandbox, PerJobOverlayDivergence) {
       elf::Symbol{"libdeps_hotfix_v3", elf::SymbolBinding::Global, true});
   elf::install_object(job_a.fs(), scenario.image_mount + "/lib/libdeps.so",
                       hotfix);
-  job_a.invalidate();
 
   const auto report_a = job_a.load();
   const auto report_b = job_b.load();

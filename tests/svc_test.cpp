@@ -71,7 +71,6 @@ std::string digest(const loader::LoadReport& r) {
   out << "req=" << r.requests.size() << " miss=" << r.missing.size()
       << " stat=" << r.stats.stat_calls << " open=" << r.stats.open_calls
       << " read=" << r.stats.read_calls
-      << " readlink=" << r.stats.readlink_calls
       << " failed=" << r.stats.failed_probes << " t=" << r.stats.sim_time_s
       << '\n';
   return out.str();

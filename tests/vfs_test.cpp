@@ -534,7 +534,6 @@ void expect_same_stats(const SyscallStats& got, const SyscallStats& want) {
   EXPECT_EQ(got.stat_calls, want.stat_calls);
   EXPECT_EQ(got.open_calls, want.open_calls);
   EXPECT_EQ(got.read_calls, want.read_calls);
-  EXPECT_EQ(got.readlink_calls, want.readlink_calls);
   EXPECT_EQ(got.failed_probes, want.failed_probes);
   EXPECT_EQ(got.sim_time_s, want.sim_time_s);
 }

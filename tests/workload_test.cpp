@@ -273,7 +273,6 @@ TEST(Paradox, NoSearchOrderSatisfiesBoth) {
   };
   for (const auto& order : orders) {
     set_paradox_search_order(fs, scenario, order);
-    loader.invalidate();
     const auto report = loader.load(scenario.exe_path);
     EXPECT_FALSE(paradox_satisfied(report, scenario))
         << "order unexpectedly satisfied the paradox";
@@ -289,7 +288,6 @@ TEST(Paradox, ShrinkwrapResolvesIt) {
   patcher.set_needed(scenario.exe_path,
                      {scenario.good_a_path, scenario.good_b_path});
   patcher.set_runpath(scenario.exe_path, {});
-  loader.invalidate();
   const auto report = loader.load(scenario.exe_path);
   ASSERT_TRUE(report.success);
   EXPECT_TRUE(paradox_satisfied(report, scenario));
