@@ -63,17 +63,17 @@
 //
 // Backpressure: each shard's queue is bounded; past the high-water mark
 // submits fail fast with svc::Overloaded carrying a retry-after hint
-// derived from the shard's recent per-command service time. Release/reset
+// derived from the shard's recent per-command service time. Reset
 // commands bypass the bound so an overloaded pool can still shed state.
 //
 // Fork lifecycle: a client's pool state is exactly its fork. A client
-// without one is pristine: model-free memo hits and release() serve it
+// without one is pristine: model-free memo hits and reset() serve it
 // without forking, and every other request forks the base O(1) on first
-// need. release() and reset() are one command that drops the fork; the
-// next request re-forks lazily. An idle sweep runs every drain cycle and
-// evicts pristine forks idle past `idle_evict_cycles` (re-forked O(1) on
-// the next request); mutated forks keep their divergence as it is (a
-// shrinkwrapped world must survive its owner's coffee break).
+// need. reset() drops the fork; the next request re-forks lazily. An idle
+// sweep runs every drain cycle and evicts pristine forks idle for 1024 of
+// their shard's drain cycles (re-forked O(1) on the next request); mutated
+// forks keep their divergence as it is (a shrinkwrapped world must survive
+// its owner's coffee break).
 //
 //   svc::SessionPool pool(core::WorldBuilder().debian().build());
 //   auto f = pool.submit_load(client_id, "/usr/bin/bin7");
@@ -112,7 +112,7 @@ enum class RequestKind : std::uint8_t {
   Shrinkwrap,
   LaunchFleet,
   Query,
-  Control,  // release / reset
+  Control,  // reset
 };
 inline constexpr std::size_t kRequestKinds = 7;
 std::string_view request_kind_name(RequestKind kind);
@@ -141,18 +141,11 @@ struct PoolConfig {
   std::size_t threads = 0;
   /// Per-shard pending-command bound; submits past it throw Overloaded.
   std::size_t queue_high_water = 1024;
-  /// Idle sweep: a pristine fork untouched for this many of its shard's
-  /// drain cycles is evicted; mutated forks are kept. 0 = never.
-  std::uint64_t idle_evict_cycles = 1024;
-  /// Tests and scripted drivers: no worker drains are scheduled; queues
-  /// advance only when pump() is called, making backpressure and idle
-  /// eviction deterministic.
-  bool manual_drain = false;
   /// Test-only fault injection: invoked right before each worker-pool
   /// drain submission; throwing simulates a submit failure (pool shutting
-  /// down). Admission must stay exception-safe: the command is rejected,
-  /// pending_ is given back, and drain() still quiesces — the regression
-  /// gate for the pending_-leak bug.
+  /// down). No strand will run what the shard has queued, so those
+  /// commands fail through their futures, count as rejected, and drain()
+  /// still returns.
   std::function<void()> drain_submit_fault;
 };
 
@@ -258,10 +251,9 @@ class SessionPool {
       launch::FleetConfig fleet);
   std::future<QueryResult> submit_query(ClientId client);
 
-  // ---- fork lifecycle (bypass the high-water mark: they shed state) -------
-  /// Drop the client's fork; its next request re-forks the base lazily.
-  std::future<void> release(ClientId client);
-  /// The same command as release(): the client is pristine again.
+  // ---- fork lifecycle (bypasses the high-water mark: it sheds state) -------
+  /// Drop the client's fork: it is pristine again, and its next request
+  /// re-forks the base lazily.
   std::future<void> reset(ClientId client);
 
   // ---- batched admission (front ends) -------------------------------------
@@ -298,12 +290,6 @@ class SessionPool {
   // ---- control ------------------------------------------------------------
   /// Block until every admitted command has completed (quiescence).
   void drain();
-  /// Run one drain cycle per shard on the calling thread, skipping shards a
-  /// worker strand owns right now. Under PoolConfig::manual_drain this is
-  /// the only way queues advance; otherwise whatever a shard still has
-  /// queued after its cycle (submits that arrived meanwhile) is handed to
-  /// a worker strand. Returns commands run.
-  std::size_t pump();
 
   PoolStats stats() const;
   const PoolConfig& config() const { return config_; }
@@ -325,7 +311,6 @@ class SessionPool {
 
   Shard& shard_for(ClientId client);
   MemoShard& memo_shard_for(const std::string& key);
-  void schedule_drain(Shard& shard);     // under shard.mutex
   std::size_t drain_cycle(Shard& shard);  // strand body; returns commands run
   /// Build the command around `cmd`, enqueue it, return its future.
   template <typename Cmd>
@@ -335,8 +320,9 @@ class SessionPool {
   void notify(Shard& shard, Command& command);  // the Admission completion
   // `n` admitted commands are done: count them off pending_.
   void retire(std::size_t n = 1);
-  void wake_touched(const Admission& admission);
-  void wake(Shard& shard);  // start a strand for what the shard has queued
+  /// Start a strand for what the shard has queued, unless one is in
+  /// flight; if none can be scheduled, fail the queued commands.
+  void wake(Shard& shard);
   std::size_t sweep_idle(Shard& shard);  // returns forks evicted
   void finish(Shard& shard, RequestKind kind, bool error, bool memo_hit,
               double wait_s, double service_s);

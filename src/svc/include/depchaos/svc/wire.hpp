@@ -14,7 +14,7 @@
 // patterns in a u64):
 //
 //   request:   magic  u32   0x44435750 ("DCWP" read as bytes P,W,C,D)
-//              version u16  2
+//              version u16  3
 //              kind    u8   WireKind
 //              reserved u8  must be 0
 //              client  u64  caller-chosen ClientId (the fork identity;
@@ -28,7 +28,7 @@
 //
 // Request payloads: Load/Whatif/Shrinkwrap carry the exe path as raw
 // bytes (empty = the world's default exe); LoadMany a u32 count then
-// length-prefixed strings; Query/Release/Reset/Shutdown are empty.
+// length-prefixed strings; Query/Reset/Shutdown are empty.
 // Response payloads: Ok carries the canonical encoding of the result
 // type (encode_load_report and friends below — the SAME bytes a caller
 // would get by encoding the in-process submit_* result, which is what
@@ -52,7 +52,7 @@
 // flight or more than max_frame_bytes of replies unsent, so a client that
 // pipelines and never reads meets TCP backpressure instead of growing
 // server memory. Graceful shutdown stops accepting, flushes every in-flight
-// response (bounded by drain_deadline_s), then drains the pool.
+// response (for at most 10 s), then drains the pool.
 //
 //   svc::SessionPool pool(std::move(base));
 //   svc::WireServer server(pool);               // ephemeral port
@@ -78,7 +78,7 @@
 namespace depchaos::svc {
 
 inline constexpr std::uint32_t kWireMagic = 0x44435750u;  // "DCWP"
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::size_t kWireRequestHeaderBytes = 28;
 inline constexpr std::size_t kWireResponseHeaderBytes = 20;
 
@@ -91,9 +91,8 @@ enum class WireKind : std::uint8_t {
   Whatif = 2,
   Shrinkwrap = 3,
   Query = 4,
-  Release = 5,
-  Reset = 6,
-  Shutdown = 7,
+  Reset = 5,
+  Shutdown = 6,
 };
 inline constexpr std::uint8_t kWireKindMax =
     static_cast<std::uint8_t>(WireKind::Shutdown);
@@ -170,11 +169,6 @@ struct WireConfig {
   /// A connection sitting on a PARTIAL frame longer than this gets an
   /// error frame and a close (idle connections between frames are fine).
   double read_deadline_s = 30.0;
-  /// Graceful-stop bound: how long stop() waits for in-flight responses
-  /// to finish flushing before force-closing the stragglers.
-  double drain_deadline_s = 10.0;
-  /// listen(2) backlog.
-  int backlog = 64;
 };
 
 /// Counters a running server exposes (joins the PoolStats dashboard).
@@ -228,9 +222,10 @@ class WireServer {
   std::uint16_t port() const { return port_; }
 
   /// Graceful shutdown: stop accepting, finish in-flight requests and
-  /// flush their responses (bounded by drain_deadline_s), close every
-  /// connection, then drain the pool. Idempotent; safe to call while a
-  /// remote Shutdown frame is doing the same thing.
+  /// flush their responses (for at most 10 s, then the stragglers are
+  /// force-closed), close every connection, then drain the pool.
+  /// Idempotent; safe to call while a remote Shutdown frame is doing the
+  /// same thing.
   void stop();
 
   /// Block until the server has stopped (a remote Shutdown frame or a
@@ -334,9 +329,8 @@ class WireServer {
 class WireClient {
  public:
   /// Connects (getaddrinfo; numeric IPs and names both work). Throws
-  /// WireError on failure. `timeout_s` bounds each blocking recv.
-  WireClient(const std::string& host, std::uint16_t port,
-             double timeout_s = 30.0);
+  /// WireError on failure. Each blocking recv gives up after 30 s.
+  WireClient(const std::string& host, std::uint16_t port);
   ~WireClient();
 
   WireClient(const WireClient&) = delete;
@@ -351,7 +345,6 @@ class WireClient {
   shrinkwrap::WrapReport shrinkwrap(ClientId client,
                                     const std::string& exe = {});
   QueryResult query(ClientId client);
-  void release(ClientId client);
   void reset(ClientId client);
   /// Ask the server to shut down gracefully (responds before stopping).
   void shutdown();

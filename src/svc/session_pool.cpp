@@ -17,6 +17,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The idle sweep evicts a pristine fork untouched for this many of its
+/// shard's drain cycles.
+constexpr std::uint64_t kIdleEvictCycles = 1024;
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -100,7 +104,7 @@ struct FleetCmd {
 struct QueryCmd {
   std::promise<QueryResult> done;
 };
-struct ControlCmd {  // release and reset: drop the client's fork
+struct ControlCmd {  // reset: drop the client's fork
   std::promise<void> done;
 };
 
@@ -245,7 +249,9 @@ SessionPool::Admission::Admission(SessionPool& pool,
 
 SessionPool::Admission::~Admission() {
   t_admission = outer_;
-  pool_.wake_touched(*this);
+  for (std::size_t i = 0; i < touched_.size(); ++i) {
+    if (touched_[i]) pool_.wake(*pool_.shards_[i]);
+  }
 }
 
 template <typename Cmd>
@@ -270,8 +276,8 @@ void SessionPool::enqueue(ClientId client, Command command) {
   }
   {
     std::lock_guard lock(shard.mutex);
-    // Control commands (release/reset) shed state and bypass the bound —
-    // an overloaded pool must stay able to shrink itself.
+    // Control commands (reset) shed state and bypass the bound — an
+    // overloaded pool must stay able to shrink itself.
     if (command.kind() != RequestKind::Control &&
         shard.queue.size() >= config_.queue_high_water) {
       ++shard.rejected;
@@ -281,31 +287,11 @@ void SessionPool::enqueue(ClientId client, Command command) {
     }
     pending_.fetch_add(1, std::memory_order_acq_rel);
     shard.queue.push_back(std::move(command));
-    if (admission) {
-      admission->touched_[shard.index] = true;  // woken when the scope ends
-    } else if (!config_.manual_drain) {
-      try {
-        schedule_drain(shard);
-      } catch (...) {
-        // The worker-pool submit failed (e.g. pool shutting down): nothing
-        // will ever run this command, so undo the admission completely —
-        // our command is still at the back (mutex held), pending_ must be
-        // given back (waking a blocked drain() if we were the last), and
-        // the submitter gets the exception instead of a forever-pending
-        // future. Without this the counter leaked and drain() hung.
-        shard.queue.pop_back();
-        ++shard.rejected;
-        retire();
-        throw;
-      }
-    }
   }
-}
-
-void SessionPool::wake_touched(const Admission& admission) {
-  if (config_.manual_drain) return;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (admission.touched_[i]) wake(*shards_[i]);
+  if (admission) {
+    admission->touched_[shard.index] = true;  // woken when the scope ends
+  } else {
+    wake(shard);
   }
 }
 
@@ -314,13 +300,20 @@ void SessionPool::wake(Shard& shard) {
   std::exception_ptr error;
   {
     std::lock_guard lock(shard.mutex);
-    if (shard.queue.empty()) return;
+    // Strand invariant: at most one drain task per shard in flight, so
+    // commands for one client never execute concurrently or out of order.
+    if (shard.queue.empty() || shard.draining) return;
     try {
-      schedule_drain(shard);
+      if (config_.drain_submit_fault) config_.drain_submit_fault();
+      pool_->submit([this, &shard] {
+        while (drain_cycle(shard) != 0) {
+        }
+      });
+      shard.draining = true;  // the task waits for this lock to run
     } catch (...) {
-      // No strand will run what is queued (no drain is in flight, or
-      // schedule_drain would have returned early): fail those commands
-      // through their futures instead of leaving drain() waiting on them.
+      // The worker-pool submit failed (e.g. pool shutting down) and no
+      // strand is in flight: fail what is queued through its futures
+      // instead of leaving drain() waiting on it.
       error = std::current_exception();
       orphans.swap(shard.queue);
       shard.rejected += orphans.size();
@@ -353,27 +346,6 @@ void SessionPool::notify(Shard& shard, Command& command) {
   }
 }
 
-void SessionPool::schedule_drain(Shard& shard) {
-  // Caller holds shard.mutex. Strand invariant: at most one drain task per
-  // shard in flight, so commands for one client never execute concurrently
-  // or out of order.
-  if (shard.draining) return;
-  shard.draining = true;
-  try {
-    if (config_.drain_submit_fault) config_.drain_submit_fault();
-    pool_->submit([this, &shard] {
-      while (drain_cycle(shard) != 0) {
-      }
-    });
-  } catch (...) {
-    // A failed submit must not wedge the strand: leaving `draining` set
-    // with no task in flight would silence every future schedule_drain
-    // for this shard.
-    shard.draining = false;
-    throw;
-  }
-}
-
 std::size_t SessionPool::drain_cycle(Shard& shard) {
   std::deque<Command> batch;
   {
@@ -387,7 +359,7 @@ std::size_t SessionPool::drain_cycle(Shard& shard) {
   }
   // Execute the whole batch outside the queue lock — submissions keep
   // landing while the strand works, and they will be picked up by the
-  // next cycle of the same task (the while-loop in schedule_drain).
+  // next cycle of the same task (the while-loop in wake).
   for (Command& command : batch) {
     execute(shard, command);
     notify(shard, command);
@@ -407,31 +379,7 @@ std::size_t SessionPool::drain_cycle(Shard& shard) {
   return batch.size();
 }
 
-std::size_t SessionPool::pump() {
-  std::size_t ran = 0;
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard lock(shard->mutex);
-      if (shard->draining) continue;  // a worker strand owns it right now
-      shard->draining = true;
-    }
-    ran += drain_cycle(*shard);
-    {
-      std::lock_guard lock(shard->mutex);
-      shard->draining = false;
-    }
-    // A submit that landed while this thread owned the strand saw it
-    // draining and scheduled nothing: hand it to a worker strand.
-    if (!config_.manual_drain) wake(*shard);
-  }
-  return ran;
-}
-
 void SessionPool::drain() {
-  if (config_.manual_drain) {
-    while (pending_.load(std::memory_order_acquire) != 0) pump();
-    return;
-  }
   std::unique_lock lock(quiesce_mutex_);
   quiesce_cv_.wait(lock, [this] {
     return pending_.load(std::memory_order_acquire) == 0;
@@ -669,11 +617,10 @@ std::size_t SessionPool::sweep_idle(Shard& shard) {
   // Caller holds shard.client_mutex. A pristine fork carries no
   // divergence: drop it, re-fork O(1) on the next request. A mutated fork
   // stays as it is.
-  if (config_.idle_evict_cycles == 0) return 0;
   std::size_t evicted = 0;
   while (!shard.idle.empty()) {
     const auto it = shard.clients.find(shard.idle.front());
-    if (shard.cycles - it->second.last_active < config_.idle_evict_cycles) {
+    if (shard.cycles - it->second.last_active < kIdleEvictCycles) {
       break;
     }
     shard.clients.erase(it);
@@ -725,12 +672,8 @@ std::future<QueryResult> SessionPool::submit_query(ClientId client) {
   return submit_command(client, QueryCmd{});
 }
 
-std::future<void> SessionPool::release(ClientId client) {
-  return submit_command(client, ControlCmd{});
-}
-
 std::future<void> SessionPool::reset(ClientId client) {
-  return release(client);
+  return submit_command(client, ControlCmd{});
 }
 
 // ---- observability --------------------------------------------------------

@@ -25,6 +25,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// How long a graceful stop waits for in-flight responses to flush before
+/// force-closing the stragglers.
+constexpr double kDrainDeadlineS = 10.0;
+/// listen(2) backlog.
+constexpr int kListenBacklog = 64;
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -485,7 +491,7 @@ WireServer::WireServer(SessionPool& pool, WireConfig config)
     throw WireError("bind " + config_.host + ":" +
                     std::to_string(config_.port) + ": " + what);
   }
-  if (::listen(listen_fd_, config_.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string what = strerror(errno);
     ::close(listen_fd_);
     throw WireError("listen: " + what);
@@ -612,9 +618,6 @@ void WireServer::dispatch(Connection& conn, SessionPool::Admission& admission,
         break;
       case WireKind::Query:
         reply = pool_.submit_query(client);
-        break;
-      case WireKind::Release:
-        reply = pool_.release(client);
         break;
       case WireKind::Reset:
         reply = pool_.reset(client);
@@ -908,7 +911,7 @@ void WireServer::io_loop() {
     settle_connections();
     const Clock::time_point now = Clock::now();
     const double drain_left_s =
-        config_.drain_deadline_s - seconds_between(drain_start, now);
+        kDrainDeadlineS - seconds_between(drain_start, now);
     if (draining && (connections_.empty() || drain_left_s < 0)) break;
 
     // Sleep until a socket, a completion (wake pipe) or the nearest
@@ -998,8 +1001,7 @@ void WireServer::io_loop() {
 
 // ---- client ----------------------------------------------------------------
 
-WireClient::WireClient(const std::string& host, std::uint16_t port,
-                       double timeout_s) {
+WireClient::WireClient(const std::string& host, std::uint16_t port) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
@@ -1029,10 +1031,7 @@ WireClient::WireClient(const std::string& host, std::uint16_t port,
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout_s);
-  tv.tv_usec = static_cast<suseconds_t>((timeout_s - static_cast<double>(
-                                                         tv.tv_sec)) *
-                                        1e6);
+  tv.tv_sec = 30;  // each blocking recv gives up after 30 s
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
@@ -1165,10 +1164,6 @@ QueryResult WireClient::query(ClientId client) {
   WireResponse response = call(WireKind::Query, client, {});
   response.throw_if_failed();
   return decode_query_result(response.payload);
-}
-
-void WireClient::release(ClientId client) {
-  call(WireKind::Release, client, {}).throw_if_failed();
 }
 
 void WireClient::reset(ClientId client) {

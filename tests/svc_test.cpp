@@ -16,7 +16,6 @@
 #include <random>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "depchaos/core/world.hpp"
@@ -404,13 +403,14 @@ TEST(SessionPool, QueryAndLoadManyAndReset) {
 
   pool.submit_shrinkwrap(7, "/apps/a0/bin/app").get();
   EXPECT_FALSE(pool.submit_query(7).get().pristine);
-  // reset drops the fork like release; the next request re-forks lazily.
+  // reset drops the fork; the next request re-forks lazily.
   pool.reset(7).get();
   pool.drain();
   EXPECT_EQ(pool.stats().clients_live, 0u);
   EXPECT_TRUE(pool.submit_query(7).get().pristine);
 
-  pool.release(7).get();
+  // A pristine fork goes the same way.
+  pool.reset(7).get();
   pool.drain();
   EXPECT_EQ(pool.stats().clients_live, 0u);
 }
@@ -432,40 +432,42 @@ TEST(SessionPool, RequestErrorsLandInFuturesNotWorkers) {
 
 // ----------------------------------------------------- backpressure bounds
 
+// A fresh pool runs no strand, and an Admission scope wakes none until it
+// ends, so inside one on a fresh pool the shard queue holds every command
+// submitted.
 TEST(SessionPool, BackpressureRejectsPastHighWaterWithRetryHint) {
   PoolConfig config;
   config.shards = 1;
   config.queue_high_water = 4;
-  config.manual_drain = true;  // nothing drains until we pump()
   SessionPool pool(make_world(2), config);
 
   std::vector<std::future<loader::LoadReport>> accepted;
-  for (int i = 0; i < 4; ++i) {
-    accepted.push_back(pool.submit_load(1, "/apps/a0/bin/app"));
-  }
-  try {
-    pool.submit_load(1, "/apps/a0/bin/app");
-    FAIL() << "expected Overloaded";
-  } catch (const Overloaded& overloaded) {
-    EXPECT_EQ(overloaded.shard(), 0u);
-    EXPECT_EQ(overloaded.queue_depth(), 4u);
-    EXPECT_GT(overloaded.retry_after_s(), 0.0);
-  }
-  EXPECT_EQ(pool.stats().rejected, 1u);
-  EXPECT_EQ(pool.stats().queue_depths.at(0), 4u);
+  std::future<void> reset;
+  {
+    SessionPool::Admission admission(pool, [](std::uint64_t) {});
+    for (int i = 0; i < 4; ++i) {
+      accepted.push_back(pool.submit_load(1, "/apps/a0/bin/app"));
+    }
+    try {
+      pool.submit_load(1, "/apps/a0/bin/app");
+      FAIL() << "expected Overloaded";
+    } catch (const Overloaded& overloaded) {
+      EXPECT_EQ(overloaded.shard(), 0u);
+      EXPECT_EQ(overloaded.queue_depth(), 4u);
+      EXPECT_GT(overloaded.retry_after_s(), 0.0);
+    }
+    EXPECT_EQ(pool.stats().rejected, 1u);
+    EXPECT_EQ(pool.stats().queue_depths.at(0), 4u);
 
-  // release() bypasses the bound — an overloaded pool can still shed state.
-  auto released = pool.release(1);
-
-  EXPECT_GT(pool.pump(), 0u);
+    // reset() bypasses the bound — an overloaded pool can still shed state.
+    reset = pool.reset(1);
+    EXPECT_EQ(pool.stats().queue_depths.at(0), 5u);
+  }
   pool.drain();
-  released.get();
+  reset.get();
   for (auto& future : accepted) EXPECT_TRUE(future.get().success);
-  // The backlog drained; admission is open again (manual drain: pump the
-  // new command through by hand before reading its future).
-  auto reopened = pool.submit_load(1, "/apps/a0/bin/app");
-  pool.drain();
-  EXPECT_TRUE(reopened.get().success);
+  // The backlog drained; admission is open again.
+  EXPECT_TRUE(pool.submit_load(1, "/apps/a0/bin/app").get().success);
 }
 
 // ------------------------------------------------------ drain-cycle FIFO
@@ -473,13 +475,21 @@ TEST(SessionPool, BackpressureRejectsPastHighWaterWithRetryHint) {
 TEST(SessionPool, OneDrainCycleRunsTheWholeFifoBacklog) {
   PoolConfig config;
   config.shards = 1;
-  config.manual_drain = true;
   SessionPool pool(make_world(2), config);
-  for (int i = 0; i < 3; ++i) pool.submit_load(1, "/apps/a0/bin/app");
-  auto quiet = pool.submit_load(2, "/apps/a1/bin/app");
-  // One cycle swallows the whole backlog.
-  EXPECT_EQ(pool.pump(), 4u);
+  std::future<loader::LoadReport> quiet;
+  {
+    // Queued on a fresh pool; the scope's end wakes the shard once.
+    SessionPool::Admission admission(pool, [](std::uint64_t) {});
+    for (int i = 0; i < 3; ++i) pool.submit_load(1, "/apps/a0/bin/app");
+    quiet = pool.submit_load(2, "/apps/a1/bin/app");
+  }
+  pool.drain();
   EXPECT_TRUE(quiet.get().success);
+  // One cycle swallows the whole backlog.
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.drain_cycles, 1u);
+  EXPECT_EQ(stats.drain_batch.max, 4u);
+  EXPECT_EQ(stats.executed, 4u);
 }
 
 // --------------------------------------------- heterogeneous fleet verbs
@@ -530,29 +540,33 @@ TEST(SessionPool, LaunchFleetConfigRidesAlongWithClustering) {
 
 // ------------------------------------------------- idle fork housekeeping
 
+// Each command below is submitted after the previous one ran, so each runs
+// in a drain cycle of its own: cycle N is the N-th command.
 TEST(SessionPool, IdleSweepEvictsPristineForksAndKeepsMutatedOnesAsTheyAre) {
   PoolConfig config;
   config.shards = 1;
-  config.idle_evict_cycles = 2;
-  config.manual_drain = true;
   SessionPool pool(make_world(3), config);
   const std::string wrapped_exe = "/apps/a1/bin/app";
 
-  pool.submit_load(1, "/apps/a0/bin/app");  // pristine fork (a memo miss)
-  pool.submit_shrinkwrap(2, wrapped_exe);    // mutated fork
-  auto before = pool.submit_query(2);
-  pool.pump();
-  const QueryResult q_before = before.get();
+  // Client 1's pristine fork (a memo miss) is last active in cycle 1.
+  ASSERT_TRUE(pool.submit_load(1, "/apps/a0/bin/app").get().success);
+  ASSERT_TRUE(pool.submit_shrinkwrap(2, wrapped_exe).get().ok());  // mutated
+  const QueryResult q_before = pool.submit_query(2).get();
   ASSERT_FALSE(q_before.pristine);
+  pool.drain();
   ASSERT_EQ(pool.stats().clients_live, 2u);
 
-  // Keep a third client active to advance drain cycles past the idle bar.
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    pool.submit_query(3);
-    pool.pump();
-  }
+  // A third client keeps the shard cycling. The sweep evicts a fork idle
+  // for 1024 cycles: not at the end of cycle 1024, at the end of 1025.
+  while (pool.stats().drain_cycles < 1024) pool.submit_query(3).get();
+  pool.drain();
+  ASSERT_EQ(pool.stats().drain_cycles, 1024u);
+  EXPECT_EQ(pool.stats().evicted, 0u);
+  pool.submit_query(3).get();
+  pool.drain();
 
   const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.drain_cycles, 1025u);
   EXPECT_EQ(stats.evicted, 1u);       // client 1's pristine fork dropped
   EXPECT_EQ(stats.clients_live, 2u);  // client 2's and client 3's forks
   // Client 2's idle fork is exactly as it was: same private bytes, same
@@ -571,19 +585,36 @@ TEST(SessionPool, IdleSweepEvictsPristineForksAndKeepsMutatedOnesAsTheyAre) {
   EXPECT_TRUE(refreshed.get().pristine);
 }
 
-/// Best-of-20 wall time of a manual-drain cycle that runs one memo-hit
-/// Load for client 0.
+/// Best-of-20 wall time of a drain cycle that runs one memo-hit Load for
+/// client 0, from the submit to drain()'s return after the cycle's sweep.
 double one_request_cycle_us(SessionPool& pool, const std::string& exe) {
   double best_us = 1e12;
   for (int round = 0; round < 20; ++round) {
-    pool.submit_load_shared(0, exe);
     const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(pool.pump(), 1u);
+    pool.submit_load_shared(0, exe);
+    pool.drain();
     best_us = std::min(best_us, std::chrono::duration<double, std::micro>(
                                     std::chrono::steady_clock::now() - start)
                                     .count());
   }
   return best_us;
+}
+
+/// Calls `submit(id)` for every id in [first, last], 512 to an Admission
+/// scope with a drain() after each: the queue stays under its high-water
+/// mark, and each scope wakes its shard once, so a chunk takes a drain
+/// cycle or so, not one per command, and the shard stays far below the
+/// 1024-cycle idle bar.
+template <typename Submit>
+void submit_in_chunks(SessionPool& pool, ClientId first, ClientId last,
+                      Submit submit) {
+  for (ClientId id = first; id <= last;) {
+    {
+      SessionPool::Admission admission(pool, [](std::uint64_t) {});
+      for (int i = 0; i < 512 && id <= last; ++i, ++id) submit(id);
+    }
+    pool.drain();
+  }
 }
 
 // A client served only by model-free memo hits never forks, so it leaves
@@ -592,7 +623,6 @@ double one_request_cycle_us(SessionPool& pool, const std::string& exe) {
 TEST(SessionPool, MemoHitOnlyClientsLeaveNoStateForTheSweep) {
   PoolConfig config;
   config.shards = 1;
-  config.manual_drain = true;
   SessionPool pool(make_world(1), config);
   const std::string exe = "/apps/a0/bin/app";
   pool.submit_load_shared(0, exe);  // the miss: client 0 forks
@@ -601,16 +631,13 @@ TEST(SessionPool, MemoHitOnlyClientsLeaveNoStateForTheSweep) {
   const double before_us = one_request_cycle_us(pool, exe);
 
   constexpr ClientId kIds = 100'000;
-  for (ClientId id = 1; id <= kIds; ++id) {
-    pool.submit_load_shared(id, exe);
-    if (id % 512 == 0) pool.pump();
-  }
-  pool.drain();
+  submit_in_chunks(pool, 1, kIds,
+                   [&](ClientId id) { pool.submit_load_shared(id, exe); });
   const double after_us = one_request_cycle_us(pool, exe);
 
   const PoolStats stats = pool.stats();
   EXPECT_EQ(stats.memo_hits, kIds + 40);
-  EXPECT_EQ(stats.clients_live, 1u);  // only client 0 ever forked
+  EXPECT_EQ(stats.forks_wait_free, 1u);  // only client 0 ever forked
   EXPECT_LE(after_us, 10 * before_us + 50)
       << "before " << before_us << " us, after " << after_us << " us";
 }
@@ -620,7 +647,6 @@ TEST(SessionPool, MemoHitOnlyClientsLeaveNoStateForTheSweep) {
 TEST(SessionPool, IdleSweepPaysOnlyForTheForksItEvicts) {
   PoolConfig config;
   config.shards = 1;
-  config.manual_drain = true;
   SessionPool pool(make_world(1), config);
   const std::string exe = "/apps/a0/bin/app";
   pool.submit_load_shared(0, exe);  // the miss: client 0 forks
@@ -629,11 +655,9 @@ TEST(SessionPool, IdleSweepPaysOnlyForTheForksItEvicts) {
   const double before_us = one_request_cycle_us(pool, exe);
 
   constexpr ClientId kIds = 20'000;
-  for (ClientId id = 1; id <= kIds; ++id) {
+  submit_in_chunks(pool, 1, kIds, [&](ClientId id) {
     pool.submit_query(id);  // forks the client
-    if (id % 512 == 0) pool.pump();
-  }
-  pool.drain();
+  });
   const double after_us = one_request_cycle_us(pool, exe);
 
   const PoolStats stats = pool.stats();
@@ -645,21 +669,34 @@ TEST(SessionPool, IdleSweepPaysOnlyForTheForksItEvicts) {
 
 // drain() returns only after the cycles that ran its commands have swept
 // idle forks and recorded their batch sizes, so stats() read right after it
-// sees no cycle counted in drain_cycles but missing from drain_batch.
+// sees no cycle counted in drain_cycles but missing from drain_batch. Each
+// round's last cycle runs one Query and then evicts 2,000 forks, which
+// holds the strand between that command and the batch's bookkeeping.
 TEST(SessionPool, DrainReturnsAfterItsCyclesAreRecorded) {
   PoolConfig config;
   config.shards = 1;
   config.threads = 1;
-  config.idle_evict_cycles = 1;
   config.queue_high_water = 1'000'000;
   SessionPool pool(make_world(1), config);
   ClientId next_id = 2;
   for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 2000; ++i) pool.submit_query(next_id++);
+    {
+      // 2,000 forks, last active in the cycle `forked` reads (or, should a
+      // strand still be finishing, partly in the cycles before it).
+      SessionPool::Admission admission(pool, [](std::uint64_t) {});
+      for (int i = 0; i < 2000; ++i) pool.submit_query(next_id++);
+    }
     pool.drain();
+    const std::uint64_t forked = pool.stats().drain_cycles;
+    // One command per cycle (each is submitted after the previous one ran)
+    // up to one cycle short of the 1024-cycle idle bar; the next cycle
+    // evicts them.
+    for (int cycle = 0; cycle < 1023; ++cycle) pool.submit_query(1).get();
     pool.submit_query(1).get();
     pool.drain();
     const PoolStats stats = pool.stats();
+    ASSERT_EQ(stats.drain_cycles, forked + 1024) << "round " << round;
+    ASSERT_EQ(stats.evicted, 2000u * (round + 1)) << "round " << round;
     EXPECT_EQ(stats.drain_cycles, stats.drain_batch.cycles)
         << "round " << round;
     EXPECT_EQ(stats.admitted, stats.executed) << "round " << round;
@@ -934,7 +971,8 @@ TEST(SessionPoolProperty, RandomRepricedShrinkwrapTurnsMatchSequentialForks) {
 // task; when the worker-pool submit threw (pool shutting down), the
 // counter was never given back, drain() blocked forever, and the shard's
 // `draining` flag stayed set — wedging the strand for every later submit.
-// The fault hook forces exactly that failure.
+// The fault hook forces exactly that failure: the submit returns, and its
+// future carries the failure.
 TEST(SessionPool, FailedDrainSchedulingDoesNotLeakPendingOrWedgeTheShard) {
   std::atomic<int> faults{1};
   PoolConfig config;
@@ -946,9 +984,9 @@ TEST(SessionPool, FailedDrainSchedulingDoesNotLeakPendingOrWedgeTheShard) {
   SessionPool pool(make_world(), config);
   const std::string exe = "/apps/a0/bin/app";
 
-  // The submit surfaces the failure instead of returning a future that
-  // can never complete.
-  EXPECT_THROW(pool.submit_load(1, exe), std::runtime_error);
+  // The future surfaces the failure instead of never completing.
+  auto failed = pool.submit_load(1, exe);
+  EXPECT_THROW(failed.get(), std::runtime_error);
 
   // Before the fix this hung forever on the leaked pending_ count.
   pool.drain();
@@ -966,18 +1004,10 @@ TEST(SessionPool, FailedDrainSchedulingDoesNotLeakPendingOrWedgeTheShard) {
 // histograms, so stats() merges buckets and its cost does not grow with
 // the number of requests served.
 TEST(SessionPool, StatsStaysUnderAMillisecondAfterAMillionRequests) {
-  PoolConfig config;
-  config.manual_drain = true;  // the test thread runs every drain cycle
-  SessionPool pool(make_world(1), config);
+  SessionPool pool(make_world(1));
   constexpr std::size_t kRequests = 1'000'000;
-  constexpr std::size_t kChunk = 1000;  // under the high-water mark
-  for (std::size_t done = 0; done < kRequests; done += kChunk) {
-    for (std::size_t i = 0; i < kChunk; ++i) {
-      pool.release(static_cast<ClientId>(i % 64));
-    }
-    while (pool.pump() != 0) {
-    }
-  }
+  submit_in_chunks(pool, 1, kRequests,
+                   [&](ClientId id) { pool.reset(id % 64); });
   double best_ms = 1e9;
   PoolStats stats;
   for (int round = 0; round < 5; ++round) {
@@ -1070,48 +1100,6 @@ TEST(SessionPool, AdmissionFailsQueuedCommandsWhenTheDrainCannotBeScheduled) {
   EXPECT_THROW(reset.get(), std::runtime_error);
   EXPECT_EQ(completions.load(), 2);
   EXPECT_EQ(pool.stats().rejected, 2u);
-}
-
-// pump() beside worker drains: while a pump() cycle owns the shard, a
-// submit sees it draining and schedules nothing, so pump() must hand what
-// is still queued to a worker strand when its cycle ends. Otherwise B is
-// never run and drain() (so ~SessionPool) hangs.
-TEST(SessionPool, PumpBesideWorkerDrainsHandsLateSubmitsToAStrand) {
-  std::promise<void> a_completing;
-  std::future<void> a_in_completion = a_completing.get_future();
-  std::promise<void> release_a;
-  std::future<void> a_released = release_a.get_future();
-  PoolConfig config;
-  config.shards = 1;
-  config.threads = 1;
-  SessionPool pool(make_world(), config);
-  const std::string exe = "/apps/a0/bin/app";
-
-  std::future<std::shared_ptr<const loader::LoadReport>> a;
-  std::thread pumper;
-  {
-    SessionPool::Admission admission(pool, [&](std::uint64_t tag) {
-      if (tag != 1) return;
-      a_completing.set_value();
-      a_released.wait();
-    });
-    admission.tag(1);
-    a = pool.submit_load_shared(1, exe);  // queued, no strand woken
-    pumper = std::thread([&pool] { pool.pump(); });
-    a_in_completion.wait();  // pump() ran A and blocks in its completion
-  }
-  auto b = pool.submit_load_shared(2, exe);  // the shard is draining
-  release_a.set_value();
-  pumper.join();
-
-  const bool b_ran =
-      b.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
-  if (!b_ran) pool.pump();  // run B here so the destructor cannot hang
-  EXPECT_TRUE(b_ran);
-  EXPECT_TRUE(a.get()->success);
-  EXPECT_TRUE(b.get()->success);
-  pool.drain();
-  EXPECT_EQ(pool.stats().executed, 2u);
 }
 
 }  // namespace

@@ -22,6 +22,8 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -30,6 +32,7 @@
 
 #include "depchaos/core/world.hpp"
 #include "depchaos/elf/patcher.hpp"
+#include "depchaos/launch/launch.hpp"
 #include "depchaos/svc/session_pool.hpp"
 #include "depchaos/svc/wire.hpp"
 
@@ -190,6 +193,44 @@ std::vector<RawResponse> parse_responses(const std::string& bytes) {
   return frames;
 }
 
+/// Holds the strand of a client's shard from outside the pool: a
+/// LaunchFleet whose rank_setup hook blocks until open(). Once constructed,
+/// the strand is inside the hook and the shard queue is empty, so what is
+/// submitted next for that shard waits in the queue. The hook blocks before
+/// the pool records a service time, so twin pools held alike give the same
+/// Overloaded retry-after hint. Declare a Gate after the WireServer it
+/// holds work for: its destructor opens it before the server's stop()
+/// drains the pool.
+class Gate {
+ public:
+  Gate(SessionPool& pool, ClientId client) {
+    auto entered = std::make_shared<std::promise<void>>();
+    std::future<void> in_hook = entered->get_future();
+    launch::FleetConfig fleet;
+    fleet.rank_setup = [entered, opened = opened_](Session&, int) {
+      entered->set_value();
+      opened.wait();
+    };
+    pool.submit_launch_fleet(client, {}, "/apps/a0/bin/app", 1,
+                             std::move(fleet));
+    in_hook.wait();
+  }
+  ~Gate() { open(); }
+
+  Gate(const Gate&) = delete;
+  Gate& operator=(const Gate&) = delete;
+
+  void open() {
+    if (!is_open_) open_.set_value();
+    is_open_ = true;
+  }
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> opened_ = open_.get_future().share();
+  bool is_open_ = false;
+};
+
 // ------------------------------------------------------------------ codecs
 
 TEST(WireCodec, RoundTripsEveryResultType) {
@@ -298,12 +339,6 @@ TEST(WireServer, LoopbackByteIdenticalToInProcessForEveryKind) {
   EXPECT_EQ(response.payload,
             encode_query_result(local.submit_query(id).get()));
 
-  // Release
-  response = client.call(WireKind::Release, id, {});
-  EXPECT_EQ(response.status, WireStatus::Ok);
-  EXPECT_TRUE(response.payload.empty());
-  local.release(id).get();
-
   // A load that throws in the pool (missing exe) crosses the wire as an
   // Error frame carrying the same exception message — never a hang or an
   // unexplained close.
@@ -354,10 +389,9 @@ TEST(WireServer, TypedClientHelpersDecodeWhatTheTwinPoolProduces) {
 // ------------------------------------------------------ overload and order
 
 TEST(WireServer, OverloadedCrossesTheWireWithRetryAfterIntact) {
-  // manual_drain: nothing executes until pump(), so the first request
+  // A gate holds the client's strand on both pools, so the first request
   // parks in the shard queue and the second trips the high-water mark.
   PoolConfig config;
-  config.manual_drain = true;
   config.queue_high_water = 1;
 
   WorldBuilder twin_a;
@@ -365,9 +399,10 @@ TEST(WireServer, OverloadedCrossesTheWireWithRetryAfterIntact) {
   WorldBuilder twin_b;
   install_fleet(twin_b, 2);
 
-  // In-process reference: same two submits on a twin pool.
+  // In-process reference: same gate and two submits on a twin pool.
   SessionPool local(twin_a.build(), config);
   const ClientId id = 5;
+  Gate local_gate(local, id);
   auto parked = local.submit_load_shared(id, exes[0]);
   std::size_t want_shard = 0, want_depth = 0;
   double want_retry = -1.0;
@@ -382,6 +417,7 @@ TEST(WireServer, OverloadedCrossesTheWireWithRetryAfterIntact) {
 
   SessionPool served(twin_b.build(), config);
   WireServer server(served);
+  Gate served_gate(served, id);
   WireClient client("127.0.0.1", server.port());
   const std::uint64_t seq_a = client.send(WireKind::Load, id, exes[0]);
   const std::uint64_t seq_b = client.send(WireKind::Load, id, exes[0]);
@@ -401,8 +437,8 @@ TEST(WireServer, OverloadedCrossesTheWireWithRetryAfterIntact) {
   }
 
   // Un-park A on both pools and compare the payloads.
-  local.pump();
-  served.pump();
+  local_gate.open();
+  served_gate.open();
   WireResponse ok = client.recv_for(seq_a);
   EXPECT_EQ(ok.status, WireStatus::Ok);
   EXPECT_EQ(ok.payload, encode_load_report(*parked.get()));
@@ -436,6 +472,20 @@ TEST(WireServer, MalformedFramesGetErrorFrameThenCloseNeverCrash) {
     std::string f = valid;
     f[6] = 0x7f;  // unknown kind
     cases.push_back({"bad-kind", f});
+  }
+  // The protocol numbers: kind 7 is one past Shutdown, and version 2 is
+  // the one before this.
+  EXPECT_EQ(kWireKindMax + 1, 7);
+  EXPECT_EQ(kWireVersion - 1, 2);
+  {
+    std::string f = valid;
+    f[6] = 7;
+    cases.push_back({"kind-past-max", f});
+  }
+  {
+    std::string f = valid;
+    f[4] = 2;
+    cases.push_back({"previous-version", f});
   }
   {
     std::string f = valid;
@@ -592,12 +642,11 @@ bool eventually(Predicate done) {
 // The IO thread sleeps in poll() while a request is in flight: the parked
 // Load's completion, not a timer, is what will wake it.
 TEST(WireServer, IdleIoThreadSleepsWhileARequestIsParked) {
-  PoolConfig config;
-  config.manual_drain = true;  // the Load stays queued until pump()
-  SessionPool pool(make_world(), config);
+  SessionPool pool(make_world());
   const std::vector<pid_t> before = thread_ids();
   WireServer server(pool);
   const std::vector<pid_t> after = thread_ids();
+  Gate gate(pool, 1);  // the Load stays queued until the gate opens
   std::vector<pid_t> added;
   std::set_difference(after.begin(), after.end(), before.begin(), before.end(),
                       std::back_inserter(added));
@@ -613,7 +662,7 @@ TEST(WireServer, IdleIoThreadSleepsWhileARequestIsParked) {
   std::this_thread::sleep_for(std::chrono::seconds(1));
   EXPECT_LT(voluntary_switches(io) - start, 50);
 
-  pool.pump();
+  gate.open();
   EXPECT_EQ(client.recv_for(seq).status, WireStatus::Ok);
 }
 
@@ -693,10 +742,9 @@ TEST(WireServer, RepricedRepliesUnderNfsMatchTheTwinPool) {
 // the next connection — likely on the very same fd number — only ever sees
 // its own replies.
 TEST(WireServer, StaleCompletionNeverReachesTheNextConnection) {
-  PoolConfig config;
-  config.manual_drain = true;
-  SessionPool pool(make_world(), config);
+  SessionPool pool(make_world());
   WireServer server(pool);
+  Gate gate(pool, 1);  // seq 777 waits behind it
   {
     RawConn doomed(server.port());
     doomed.write_bytes(
@@ -708,13 +756,11 @@ TEST(WireServer, StaleCompletionNeverReachesTheNextConnection) {
 
   WireClient next("127.0.0.1", server.port());
   ASSERT_TRUE(eventually([&] { return server.stats().active == 1; }));
-  pool.pump();  // completes seq 777 for a connection that no longer exists
+  // Seq 777 completes for a connection that no longer exists: the server
+  // admitted it before closing that connection, so drain() waits for it.
+  gate.open();
+  pool.drain();
   const std::uint64_t seq = next.send(WireKind::Load, 2, "/apps/a1/bin/app");
-  // Wait for the pool to hold the Load, not for frames_in: the server
-  // counts a frame before it admits it, so pumping on frames_in could run
-  // an empty cycle and leave the request queued forever.
-  ASSERT_TRUE(eventually([&] { return pool.stats().admitted == 2; }));
-  pool.pump();
   const WireResponse response = next.recv_response();
   EXPECT_EQ(response.seq, seq);
   EXPECT_EQ(response.status, WireStatus::Ok);
