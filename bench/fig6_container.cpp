@@ -15,9 +15,10 @@
 //    reduction ratio within 5% (it is exact today);
 //  * per-rank sandbox setup is O(1) via CoW fork — a fresh sandbox owns
 //    <1% of the image's bytes (no image copies);
-//  * bare-host numbers are internally byte-identical: the sweep's
-//    measure-once extrapolation equals per-rank re-measurement bit for
-//    bit (the cross-branch identity is diffed via BENCH_*.json);
+//  * every series is internally byte-identical: the sweep's measure-once
+//    projection equals re-measurement at each rank count bit for bit, on
+//    the bare host and in both containers (the cross-branch identity is
+//    diffed via BENCH_*.json);
 //  * the shared/overlay split tiles the measured total, with zero
 //    overlay ops for homogeneous ranks;
 //  * measurement is O(#classes), not O(#ranks): homogeneous containerized
@@ -68,22 +69,26 @@ int print_report() {
   const std::vector<int> ranks = {512, 1024, 2048};
   const auto config = app_config();
 
+  // Byte-identity gate: a sweep measures once and projects every rank
+  // count; that must equal launching at each count on its own, bit for
+  // bit, on every substrate.
+  bool sweep_identical = true;
+  const auto same = [&](const launch::LaunchResult& swept,
+                        const launch::LaunchResult& single) {
+    sweep_identical = sweep_identical &&
+                      single.meta_ops_per_rank == swept.meta_ops_per_rank &&
+                      single.bytes_per_rank == swept.bytes_per_rank &&
+                      single.total_time_s == swept.total_time_s;
+  };
+
   // ---- substrate 1: bare host (the paper's Fig 6, measure-once sweep) ----
   core::WorldBuilder builder;
   auto bare = builder.pynamic(config).nfs().build();
   const auto bare_normal = bare.launch_sweep("", ranks);
-  // Byte-identity gate: extrapolating one measurement across the sweep
-  // equals re-measuring at every rank count, bit for bit.
-  bool sweep_identical = true;
   {
     auto probe = core::WorldBuilder().pynamic(config).nfs().build();
     for (std::size_t i = 0; i < ranks.size(); ++i) {
-      const auto single = probe.launch("", ranks[i]);
-      sweep_identical = sweep_identical &&
-                        single.meta_ops_per_rank ==
-                            bare_normal[i].meta_ops_per_rank &&
-                        single.bytes_per_rank == bare_normal[i].bytes_per_rank &&
-                        single.total_time_s == bare_normal[i].total_time_s;
+      same(bare_normal[i], probe.launch("", ranks[i]));
     }
   }
   if (!bare.shrinkwrap().ok()) {
@@ -97,10 +102,18 @@ int print_report() {
   auto host = core::WorldBuilder().nfs().build();
   const auto spec_normal = container_spec(scenario, /*wrapped=*/false);
   const auto spec_wrapped = container_spec(scenario, /*wrapped=*/true);
-  std::vector<core::Session::LaunchResult> cont_normal, cont_wrapped;
-  for (const int r : ranks) {
-    cont_normal.push_back(host.launch_fleet(spec_normal, r));
-    cont_wrapped.push_back(host.launch_fleet(spec_wrapped, r));
+  launch::FleetConfig fleet;
+  fleet.cluster = host.config().cluster;
+  std::vector<launch::LaunchResult> cont_normal, cont_wrapped;
+  for (auto& outcome : launch::sweep(host, spec_normal, "", ranks, fleet)) {
+    cont_normal.push_back(std::move(outcome.launch));
+  }
+  for (auto& outcome : launch::sweep(host, spec_wrapped, "", ranks, fleet)) {
+    cont_wrapped.push_back(std::move(outcome.launch));
+  }
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    same(cont_normal[i], host.launch_fleet(spec_normal, ranks[i]));
+    same(cont_wrapped[i], host.launch_fleet(spec_wrapped, ranks[i]));
   }
 
   // Queueing-engine series (src/mds): the same streams replayed through
@@ -110,22 +123,20 @@ int print_report() {
   // whole sweep (the two engines agree to rounding here — the drift is
   // gated by bench_mds_storm).
   const std::size_t sim_points = smoke_mode() ? ranks.size() : 1;
-  launch::FleetConfig fleet_queueing;
-  fleet_queueing.cluster = host.config().cluster;
+  launch::FleetConfig fleet_queueing = fleet;
+  fleet_queueing.engine = launch::Engine::Queueing;
   std::vector<double> bare_sim, cont_sim;
   {
     auto probe = core::WorldBuilder().pynamic(config).nfs().build();
     const std::vector<int> sim_ranks(ranks.begin(),
                                      ranks.begin() + sim_points);
-    for (const auto& outcome : launch::scaling_sweep_queueing(
-             probe.fs(), probe.loader(), probe.default_exe(), probe.env(),
-             sim_ranks, probe.config().cluster)) {
+    for (const auto& outcome :
+         launch::sweep(probe, {}, "", sim_ranks, fleet_queueing)) {
       bare_sim.push_back(outcome.launch.total_time_s);
     }
-    for (const int r : sim_ranks) {
-      cont_sim.push_back(launch::simulate_fleet_launch_sim(
-                             host, spec_normal, "", r, fleet_queueing)
-                             .launch.total_time_s);
+    for (const auto& outcome :
+         launch::sweep(host, spec_normal, "", sim_ranks, fleet_queueing)) {
+      cont_sim.push_back(outcome.launch.total_time_s);
     }
   }
 

@@ -65,16 +65,16 @@ void print_figure() {
   // trajectory records analytic/queueing agreement over time.
   {
     auto sim_session = make_session();
+    launch::FleetConfig queueing;
+    queueing.cluster = sim_session.config().cluster;
+    queueing.engine = launch::Engine::Queueing;
     const std::vector<int> normal_sim_ranks = {64, 128};
-    const auto normal_sim = launch::scaling_sweep_queueing(
-        sim_session.fs(), sim_session.loader(), sim_session.default_exe(),
-        sim_session.env(), normal_sim_ranks, sim_session.config().cluster);
+    const auto normal_sim =
+        launch::sweep(sim_session, {}, "", normal_sim_ranks, queueing);
     if (!sim_session.shrinkwrap().ok()) {
       std::fprintf(stderr, "shrinkwrap failed in sim sweep\n");
     }
-    const auto wrapped_sim = launch::scaling_sweep_queueing(
-        sim_session.fs(), sim_session.loader(), sim_session.default_exe(),
-        sim_session.env(), ranks, sim_session.config().cluster);
+    const auto wrapped_sim = launch::sweep(sim_session, {}, "", ranks, queueing);
     std::printf("\n  queueing engine (discrete-event MDS) vs formula:\n");
     for (std::size_t i = 0; i < normal_sim.size(); ++i) {
       std::printf("  %6d %14.1f (normal, simulated)\n",

@@ -90,9 +90,10 @@ int print_report() {
   core::WorldBuilder builder;
   auto bare = builder.pynamic(config).nfs().build();
   const auto bare_analytic = bare.launch_sweep("", ranks);
-  const auto bare_sim = launch::scaling_sweep_queueing(
-      bare.fs(), bare.loader(), bare.default_exe(), bare.env(), ranks,
-      bare.config().cluster);
+  launch::FleetConfig bare_queueing;
+  bare_queueing.cluster = bare.config().cluster;
+  bare_queueing.engine = launch::Engine::Queueing;
+  const auto bare_sim = launch::sweep(bare, {}, "", ranks, bare_queueing);
 
   // ---- substrates 2+3: containerized, bare image vs wrapped image ------
   const auto scenario = workload::make_container_launch_scenario(config);
@@ -101,16 +102,13 @@ int print_report() {
   const auto spec_wrapped = container_spec(scenario, /*wrapped=*/true);
   launch::FleetConfig fleet;
   fleet.cluster = host.config().cluster;
-  std::vector<core::Session::LaunchResult> cont_analytic, wrap_analytic;
-  std::vector<launch::SimOutcome> cont_sim, wrap_sim;
-  for (const int r : ranks) {
-    cont_analytic.push_back(host.launch_fleet(spec_normal, "", r, fleet));
-    wrap_analytic.push_back(host.launch_fleet(spec_wrapped, "", r, fleet));
-    cont_sim.push_back(
-        launch::simulate_fleet_launch_sim(host, spec_normal, "", r, fleet));
-    wrap_sim.push_back(
-        launch::simulate_fleet_launch_sim(host, spec_wrapped, "", r, fleet));
-  }
+  launch::FleetConfig queueing = fleet;
+  queueing.engine = launch::Engine::Queueing;
+  const auto cont_analytic = launch::sweep(host, spec_normal, "", ranks, fleet);
+  const auto wrap_analytic =
+      launch::sweep(host, spec_wrapped, "", ranks, fleet);
+  const auto cont_sim = launch::sweep(host, spec_normal, "", ranks, queueing);
+  const auto wrap_sim = launch::sweep(host, spec_wrapped, "", ranks, queueing);
 
   heading("Fig 6, queueing engine vs closed form — three substrates");
   row("modules / needed entries",
@@ -118,7 +116,7 @@ int print_report() {
   row("meta ops per rank (bare)",
       std::to_string(bare_analytic[0].meta_ops_per_rank));
   row("meta ops per rank (container wrapped)",
-      std::to_string(wrap_analytic[0].meta_ops_per_rank));
+      std::to_string(wrap_analytic[0].launch.meta_ops_per_rank));
 
   std::printf("\n  %6s  %-16s %14s %14s %9s\n", "ranks", "substrate",
               "formula (s)", "simulated (s)", "drift");
@@ -136,9 +134,10 @@ int print_report() {
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     bridge_row(ranks[i], "bare", bare_analytic[i].meta_time_s,
                bare_sim[i].launch.meta_time_s);
-    bridge_row(ranks[i], "container", cont_analytic[i].meta_time_s,
+    bridge_row(ranks[i], "container", cont_analytic[i].launch.meta_time_s,
                cont_sim[i].launch.meta_time_s);
-    bridge_row(ranks[i], "container+wrap", wrap_analytic[i].meta_time_s,
+    bridge_row(ranks[i], "container+wrap",
+               wrap_analytic[i].launch.meta_time_s,
                wrap_sim[i].launch.meta_time_s);
   }
 
@@ -251,14 +250,12 @@ BENCHMARK(BM_SimulateStorm)
     ->Unit(benchmark::kMillisecond);
 
 void BM_AnalyticExtrapolate(benchmark::State& state) {
-  launch::RankMeasurement rank;
-  rank.meta_ops = 512;
-  rank.bytes = 4u << 20;
   const launch::ClusterConfig cluster;
+  const int nprocs = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        launch::extrapolate(rank, static_cast<int>(state.range(0)), cluster)
-            .meta_time_s);
+        launch::storm_meta_seconds(512, nprocs, cluster) +
+        launch::storm_data_seconds(4u << 20, nprocs, cluster));
   }
 }
 BENCHMARK(BM_AnalyticExtrapolate)->Arg(2048)->Unit(benchmark::kMicrosecond);

@@ -127,10 +127,12 @@ class Session {
   /// Compatibility spelling for the namespace-scope SandboxSpec above.
   using SandboxSpec = core::SandboxSpec;
 
-  /// Build a per-job container view: fork this session and assemble the
-  /// mount namespace from `spec`. The sandbox starts with COLD loader
-  /// caches because its ld.so.cache must be rebuilt from the sandbox
-  /// namespace; resolving against the host's cache is precisely the class
+  /// Build a per-job container view: fork this session (sealing it, as
+  /// fork() does) and assemble the mount namespace from `spec`; an empty
+  /// spec is a plain fork. The sandbox adopts this session's parsed
+  /// objects (each is reused only for the bytes it was parsed from) but
+  /// not its ld.so.cache, which must be rebuilt from the sandbox
+  /// namespace: resolving against the host's cache is precisely the class
   /// of bug the container scenarios model. Loads, shrinkwraps, and
   /// patches inside the sandbox never leak into this session's world.
   Session sandbox(const SandboxSpec& spec);
@@ -207,8 +209,11 @@ class Session {
   WhatIfReport whatif(std::string_view exe = {}, WrapOptions options = {},
                       TreeOptions tree = {});
 
-  /// Extrapolate an MPI launch of `ranks` processes (Fig 6): the
-  /// one-entry launch::scaling_sweep.
+  /// A bare MPI launch of `ranks` processes (Fig 6): launch::sweep over
+  /// an empty SandboxSpec, so the cold load is measured in a fork and this
+  /// session's counters and caches stay as they were (the session is
+  /// sealed, as fork() seals it). launch_sweep measures once for every
+  /// entry of `rank_counts`.
   LaunchResult launch(int ranks) { return launch({}, ranks); }
   LaunchResult launch(std::string_view exe, int ranks);
   LaunchResult launch(std::string_view exe, int ranks,

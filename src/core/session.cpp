@@ -31,12 +31,14 @@ Session Session::from_snapshot(std::string_view image, SessionConfig config) {
 }
 
 Session Session::sandbox(const SandboxSpec& spec) {
-  // No cache adoption: the namespace surgery below would stale the host's
-  // ld.so.cache, so the sandbox starts cold and builds its own lazily —
-  // resolving against the HOST's ld.so.cache is precisely the class of bug
-  // the container scenarios model.
   seal();
   Session child(fs_->fork_sealed(), config_, default_exe_);
+  // Parsed objects carry over: each is reused only for the bytes it was
+  // parsed from, whatever the mounts below put at its path. The
+  // ld.so.cache does not: the namespace surgery below would stale it, so
+  // the sandbox builds its own — resolving against the HOST's ld.so.cache
+  // is precisely the class of bug the container scenarios model.
+  child.loader_->adopt_parsed(*loader_);
   vfs::FileSystem& cfs = child.fs();
   if (spec.image) {
     if (spec.writable_image_overlay) {
@@ -210,15 +212,23 @@ Session::LaunchResult Session::launch(std::string_view exe, int ranks) {
 
 Session::LaunchResult Session::launch(std::string_view exe, int ranks,
                                       const launch::ClusterConfig& cluster) {
-  return launch::scaling_sweep(*fs_, *loader_, resolve_exe(exe), config_.env,
-                               {ranks}, cluster)
-      .front();
+  launch::FleetConfig config;
+  config.cluster = cluster;
+  return launch::sweep(*this, {}, resolve_exe(exe), {ranks}, config)
+      .front()
+      .launch;
 }
 
 std::vector<Session::LaunchResult> Session::launch_sweep(
     std::string_view exe, const std::vector<int>& rank_counts) {
-  return launch::scaling_sweep(*fs_, *loader_, resolve_exe(exe), config_.env,
-                               rank_counts, config_.cluster);
+  launch::FleetConfig config;
+  config.cluster = config_.cluster;
+  std::vector<LaunchResult> results;
+  for (auto& outcome :
+       launch::sweep(*this, {}, resolve_exe(exe), rank_counts, config)) {
+    results.push_back(std::move(outcome.launch));
+  }
+  return results;
 }
 
 Session::LaunchResult Session::launch_fleet(const SandboxSpec& spec,

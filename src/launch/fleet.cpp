@@ -1,11 +1,12 @@
-// Containerized launch storms (§V-A on the container substrate).
+// The launch pipeline (§V-A, Fig 6, on any substrate).
 //
-// A fleet launch replays the loader inside a PER-RANK sandbox: the app
-// image mounted (optionally behind a per-rank CoW overlay), host dirs
-// masked, per-rank scratch. The sandbox changes *which* metadata ops a
-// rank issues — image mounts redirect probes, masks turn leaks into
-// misses, overlays add rank-private paths — and the measurement splits
-// the stream into shared-image ops (identical across ranks: servable
+// A launch replays the loader inside a PER-RANK sandbox: the app image
+// mounted (optionally behind a per-rank CoW overlay), host dirs masked,
+// per-rank scratch — or, for a bare launch, nothing mounted at all: a
+// plain fork of the host. The sandbox changes *which* metadata ops a rank
+// issues — image mounts redirect probes, masks turn leaks into misses,
+// overlays add rank-private paths — and the measurement splits the
+// stream into shared-substrate ops (identical across ranks: servable
 // once, amenable to a Spindle broadcast or image pre-staging) and
 // per-rank overlay ops (divergence only that rank can resolve).
 //
@@ -18,10 +19,12 @@
 // representative per class is measured (gated by bench/hetero_fleet.cpp
 // against the per-rank reference model in tests/reference/). A fleet
 // without a rank_setup hook is the one-class case: rank 0's sandbox
-// stands in for all nprocs ranks, so a 2048-rank sweep stays a single
-// loader replay.
+// stands in for every rank, so a 2048-rank sweep stays a single loader
+// replay.
 
+#include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -33,9 +36,16 @@ namespace depchaos::launch {
 
 namespace {
 
-void check_fleet_nprocs(int nprocs) {
-  if (nprocs < 1) throw std::invalid_argument("launch: nprocs must be >= 1");
-}
+/// One rank's measured cold load, split by substrate.
+struct RankMeasurement {
+  bool load_succeeded = false;
+  std::uint64_t meta_ops = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t shared_meta_ops = 0;
+  std::uint64_t overlay_meta_ops = 0;
+  std::uint64_t shared_bytes = 0;
+  std::uint64_t overlay_bytes = 0;
+};
 
 /// Measure one sandboxed rank, recording its op stream into `trace` (the
 /// queueing engine's input) and splitting its stat/open records into
@@ -127,20 +137,20 @@ struct RankClass {
   std::vector<int> ranks;  // members, in rank order
 };
 
-/// The class loop: one loader replay per equivalence class, each recording
-/// its class's op stream. `queueing` with prestaged_image marks the image
-/// mount NodeLocal inside the sandbox BEFORE measurement, so the measured
-/// load itself charges node-local latency and flags node-local ops in the
-/// trace.
-std::vector<RankClass> measure_classes(core::Session& session,
+/// The class loop over ranks 0..nprocs-1: one loader replay per
+/// equivalence class, each recording its class's op stream. Under the
+/// queueing engine prestaged_image marks the image mount NodeLocal inside
+/// the sandbox BEFORE measurement, so the measured load itself charges
+/// node-local latency and flags node-local ops in the trace.
+std::vector<RankClass> measure_classes(core::Session& host,
                                        const core::SandboxSpec& spec,
                                        const std::string& exe_path,
-                                       int nprocs, const FleetConfig& config,
-                                       bool queueing) {
+                                       int nprocs, const FleetConfig& config) {
   auto prepare_rank = [&](int r) {
-    core::Session rank_session = session.sandbox(spec);
+    core::Session rank_session = host.sandbox(spec);
     if (config.rank_setup) config.rank_setup(rank_session, r);
-    if (queueing && config.prestaged_image && spec.image) {
+    if (config.engine == Engine::Queueing && config.prestaged_image &&
+        spec.image) {
       rank_session.fs().set_mount_latency(spec.image_mount,
                                           vfs::MountLatency::NodeLocal);
     }
@@ -176,24 +186,31 @@ std::vector<RankClass> measure_classes(core::Session& session,
   return classes;
 }
 
-/// The one projection from classes to the fleet. Totals are exact sums;
-/// the *_per_rank fields are floor-averages of the SPLIT, summed so the
-/// tiling invariant (shared + overlay == total) holds by construction;
-/// timing uses the true (double) means. A one-class fleet divides back to
-/// its class's own counts exactly (every total is far below 2^53), and its
-/// shared + overlay ops are its metadata_calls(): the op trace records
-/// every stat/open with exactly one side.
+/// The members of `cls` among ranks 0..nprocs-1: a prefix of its sorted
+/// member list. Rank r's sandbox and class do not depend on the fleet
+/// size, so a class loop over the largest count serves every smaller one.
+std::span<const int> members_below(const RankClass& cls, int nprocs) {
+  return {cls.ranks.begin(),
+          std::lower_bound(cls.ranks.begin(), cls.ranks.end(), nprocs)};
+}
+
+/// The one projection from classes to an nprocs-rank fleet. Totals are
+/// exact sums; the *_per_rank fields are floor-averages of the SPLIT,
+/// summed so the tiling invariant (shared + overlay == total) holds by
+/// construction; timing uses the true (double) means. A one-class fleet
+/// divides back to its class's own counts exactly (every total is far
+/// below 2^53), and its shared + overlay ops are its metadata_calls(): the
+/// op trace records every stat/open with exactly one side.
 LaunchResult project(const std::vector<RankClass>& classes, int nprocs,
                      const FleetConfig& config) {
   LaunchResult result;
   result.nprocs = nprocs;
-  result.sandboxed = true;
   result.load_succeeded = true;
-  result.ranks_measured = static_cast<int>(classes.size());
-  result.classes_measured = result.ranks_measured;
   std::uint64_t shared_bytes = 0, overlay_bytes = 0;
   for (const RankClass& cls : classes) {
-    const auto size = static_cast<std::uint64_t>(cls.ranks.size());
+    const std::size_t members = members_below(cls, nprocs).size();
+    if (members == 0) continue;
+    const auto size = static_cast<std::uint64_t>(members);
     result.load_succeeded = result.load_succeeded && cls.m.load_succeeded;
     result.fleet_meta_ops += cls.m.meta_ops * size;
     result.fleet_bytes += cls.m.bytes * size;
@@ -201,8 +218,10 @@ LaunchResult project(const std::vector<RankClass>& classes, int nprocs,
     result.fleet_overlay_meta_ops += cls.m.overlay_meta_ops * size;
     shared_bytes += cls.m.shared_bytes * size;
     overlay_bytes += cls.m.overlay_bytes * size;
-    result.class_sizes.push_back(static_cast<int>(cls.ranks.size()));
+    result.class_sizes.push_back(static_cast<int>(members));
   }
+  result.classes_measured = static_cast<int>(result.class_sizes.size());
+  result.ranks_measured = result.classes_measured;
   const auto ranks = static_cast<std::uint64_t>(nprocs);
   result.shared_meta_ops_per_rank = result.fleet_shared_meta_ops / ranks;
   result.overlay_meta_ops_per_rank = result.fleet_overlay_meta_ops / ranks;
@@ -221,44 +240,23 @@ LaunchResult project(const std::vector<RankClass>& classes, int nprocs,
   return result;
 }
 
-}  // namespace
-
-LaunchResult simulate_fleet_launch(core::Session& session,
-                                   const core::SandboxSpec& spec,
-                                   const std::string& exe_path, int nprocs,
-                                   const FleetConfig& config) {
-  validate(config);
-  check_fleet_nprocs(nprocs);
-  if (config.engine == Engine::Queueing) {
-    return simulate_fleet_launch_sim(session, spec, exe_path, nprocs, config)
-        .launch;
-  }
-  return project(measure_classes(session, spec, exe_path, nprocs, config,
-                                 /*queueing=*/false),
-                 nprocs, config);
-}
-
-SimOutcome simulate_fleet_launch_sim(core::Session& session,
-                                     const core::SandboxSpec& spec,
-                                     const std::string& exe_path, int nprocs,
-                                     const FleetConfig& config) {
-  validate(config);
-  check_fleet_nprocs(nprocs);
-  const std::vector<RankClass> classes = measure_classes(
-      session, spec, exe_path, nprocs, config, /*queueing=*/true);
-  SimOutcome out;
-  out.launch = project(classes, nprocs, config);
+/// The queueing engine for an nprocs-rank fleet: a fresh simulator in
+/// which rank r replays its class's captured stream (pointer replication
+/// — no copies), so per-rank alignment with start_delays and
+/// SimResult::ranks is preserved exactly as if every rank had been
+/// measured. The data phase stays analytic — bytes stream from the object
+/// servers, not the metadata queue; the launch headline is the cold first
+/// wave.
+void simulate(SimOutcome& out, const std::vector<RankClass>& classes,
+              int nprocs, const FleetConfig& config) {
   mds::MdsConfig sim_config = mds_config_for(
       config.cluster, config.prestaged_image, config.service, config.cache);
   sim_config.start_delays = config.start_delays;
   mds::MdsSimulator sim(sim_config);
-  // Rank r replays its class's captured stream (pointer replication — no
-  // copies), so per-rank alignment with start_delays and SimResult::ranks
-  // is preserved exactly as if every rank had been measured.
   std::vector<const std::vector<vfs::OpRecord>*> streams(
       static_cast<std::size_t>(nprocs));
   for (const RankClass& cls : classes) {
-    for (const int r : cls.ranks) {
+    for (const int r : members_below(cls, nprocs)) {
       streams[static_cast<std::size_t>(r)] = &cls.trace.ops();
     }
   }
@@ -269,13 +267,55 @@ SimOutcome simulate_fleet_launch_sim(core::Session& session,
     out.sim = sim.run(streams);
     out.wave_makespans.push_back(out.sim.makespan_s);
   }
-  // The data phase stays analytic — bytes stream from the object servers,
-  // not the metadata queue; only the metadata storm is simulated. The
-  // launch headline is the cold first wave.
   out.launch.meta_time_s = out.wave_makespans.front();
   out.launch.total_time_s =
       config.cluster.init_s + out.launch.data_time_s + out.launch.meta_time_s;
+}
+
+}  // namespace
+
+std::vector<SimOutcome> sweep(core::Session& host,
+                              const core::SandboxSpec& spec,
+                              const std::string& exe_path,
+                              const std::vector<int>& rank_counts,
+                              const FleetConfig& config) {
+  validate(config);
+  for (const int nprocs : rank_counts) {
+    if (nprocs < 1) throw std::invalid_argument("launch: nprocs must be >= 1");
+  }
+  std::vector<SimOutcome> out;
+  if (rank_counts.empty()) return out;
+  const std::vector<RankClass> classes = measure_classes(
+      host, spec, exe_path,
+      *std::max_element(rank_counts.begin(), rank_counts.end()), config);
+  const bool sandboxed =
+      spec.image != nullptr || !spec.mask.empty() || !spec.scratch.empty();
+  out.reserve(rank_counts.size());
+  for (const int nprocs : rank_counts) {
+    SimOutcome& entry = out.emplace_back();
+    entry.launch = project(classes, nprocs, config);
+    entry.launch.sandboxed = sandboxed;
+    if (config.engine == Engine::Queueing) {
+      simulate(entry, classes, nprocs, config);
+    }
+  }
   return out;
+}
+
+LaunchResult simulate_fleet_launch(core::Session& session,
+                                   const core::SandboxSpec& spec,
+                                   const std::string& exe_path, int nprocs,
+                                   const FleetConfig& config) {
+  return sweep(session, spec, exe_path, {nprocs}, config).front().launch;
+}
+
+SimOutcome simulate_fleet_launch_sim(core::Session& session,
+                                     const core::SandboxSpec& spec,
+                                     const std::string& exe_path, int nprocs,
+                                     const FleetConfig& config) {
+  FleetConfig queueing = config;
+  queueing.engine = Engine::Queueing;
+  return sweep(session, spec, exe_path, {nprocs}, queueing).front();
 }
 
 }  // namespace depchaos::launch

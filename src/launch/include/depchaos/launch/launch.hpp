@@ -21,14 +21,16 @@
 // wins Fig 6 because it shrinks the measured per-rank op count ~450×, not
 // because the model treats it specially.
 //
-// Containerized launches (simulate_fleet_launch) run the same measurement
-// INSIDE a per-rank sandbox — the app image mounted behind a per-rank CoW
-// overlay, host dirs masked — and split the measured stream into
-// shared-image metadata (identical across ranks, servable once, the part a
-// Spindle-style broadcast or image pre-staging can absorb) and per-rank
-// overlay metadata (rank-private divergence that every rank must resolve
-// itself). Mounts, overlays, and masks change *which* ops a rank issues,
-// not just how many — that is the container cold-start regime.
+// Every launch runs one pipeline (launch::sweep): the rank op stream is
+// measured INSIDE a per-rank sandbox over the host world and split into
+// shared-substrate metadata (identical across ranks, servable once, the
+// part a Spindle-style broadcast or image pre-staging can absorb) and
+// per-rank overlay metadata (rank-private divergence that every rank must
+// resolve itself). A bare-host launch is the empty sandbox: a plain fork
+// of the host, where every op is shared substrate. A container launch
+// mounts the app image behind a per-rank CoW overlay and masks host dirs;
+// mounts, overlays, and masks change *which* ops a rank issues, not just
+// how many — that is the container cold-start regime.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "depchaos/loader/loader.hpp"
 #include "depchaos/mds/sim.hpp"
-#include "depchaos/vfs/vfs.hpp"
 
 namespace depchaos::core {
 class Session;
@@ -94,7 +94,7 @@ struct LaunchResult {
   double meta_time_s = 0;
   double total_time_s = 0;
 
-  // ---- containerized breakdown (simulate_fleet_launch; zero for bare) ----
+  // ---- shared/overlay breakdown (a bare launch is all shared) ----
   /// Ops/bytes served by substrate identical across the fleet (read-only
   /// image mounts, masks, content below the sandbox fork point): servable
   /// once, Spindle/broadcast-amenable. Failed probes count as shared — a
@@ -113,108 +113,53 @@ struct LaunchResult {
   std::uint64_t fleet_bytes = 0;
   std::uint64_t fleet_shared_meta_ops = 0;
   std::uint64_t fleet_overlay_meta_ops = 0;
-  /// Loader replays: 1 for bare launches; for a fleet, one per rank
-  /// equivalence class (== classes_measured).
+  /// Loader replays: one per rank equivalence class (== classes_measured).
   int ranks_measured = 0;
-  /// Rank equivalence classes (equal overlay key and environment), one
-  /// loader replay each; 1 for a fleet without a rank_setup hook. 0 for
-  /// bare launches.
+  /// Rank equivalence classes (equal overlay key and environment) among
+  /// the nprocs ranks, one loader replay each; 1 for a fleet without a
+  /// rank_setup hook, bare launches included.
   int classes_measured = 0;
   /// Ranks per class, in first-appearance (rank) order; sums to nprocs.
-  /// Empty for bare launches.
   std::vector<int> class_sizes;
+  /// The SandboxSpec mounted something (an image, a mask, or scratch);
+  /// false for a bare launch.
   bool sandboxed = false;
 };
 
-/// One rank's measured cold-cache load — independent of the rank count, so
-/// a sweep measures once and extrapolates (scaling_sweep).
-struct RankMeasurement {
-  bool load_succeeded = false;
-  std::uint64_t meta_ops = 0;
-  std::uint64_t bytes = 0;
-  /// Shared/overlay attribution (sandboxed measurement only; zero for
-  /// bare-host measurements, where the split is not meaningful).
-  std::uint64_t shared_meta_ops = 0;
-  std::uint64_t overlay_meta_ops = 0;
-  std::uint64_t shared_bytes = 0;
-  std::uint64_t overlay_bytes = 0;
-};
-
-/// Replay one rank's load (cold client caches) against the filesystem and
-/// record its metadata op count and staged bytes. When `trace` is
-/// non-null the load's op stream is recorded into it — the queueing
-/// engine's input.
-RankMeasurement measure_rank(vfs::FileSystem& fs, loader::Loader& loader,
-                             const std::string& exe_path,
-                             const loader::Environment& env,
-                             vfs::OpTrace* trace = nullptr);
-
-/// The calibrated op/byte -> seconds conversions, shared by the bare
-/// (extrapolate) and containerized (simulate_fleet_launch) models so the
-/// two can never drift apart.
+/// The calibrated op/byte -> seconds conversions of the analytic engine.
 double storm_meta_seconds(double ops, int nprocs, const ClusterConfig&);
 double spindle_meta_seconds(double ops, int nprocs, const ClusterConfig&);
 double storm_data_seconds(double bytes, int nprocs, const ClusterConfig&);
 
-/// Convert a measured rank into the P-rank analytic extrapolation. Pure
-/// arithmetic — extrapolating one measurement across a sweep is
-/// byte-identical to re-measuring at every rank count.
-LaunchResult extrapolate(const RankMeasurement& rank, int nprocs,
-                         const ClusterConfig& config);
-
-/// Bare launch of the same binary across a rank sweep (Fig 6); a single
-/// launch is the one-entry sweep, `scaling_sweep(..., {n}).front()`. The
-/// rank-1 op stream is measured ONCE and extrapolated to every entry (the
-/// counters a load produces do not depend on cache warmth, so this is
-/// byte-identical to re-measuring per entry — asserted in
-/// tests/launch_test.cpp).
-std::vector<LaunchResult> scaling_sweep(vfs::FileSystem& fs,
-                                        loader::Loader& loader,
-                                        const std::string& exe_path,
-                                        const loader::Environment& env,
-                                        const std::vector<int>& rank_counts,
-                                        const ClusterConfig& config = {});
-
-/// A queueing-engine launch: the analytic-compatible LaunchResult (same
-/// counters and data phase; meta_time_s and total_time_s come from the
-/// simulated makespan) plus the full simulator output — queue depths,
-/// latency percentiles, cache and topology accounting the formula cannot
-/// express.
+/// One launch of a sweep: the LaunchResult plus, under the queueing
+/// engine, the full simulator output — queue depths, latency percentiles,
+/// cache and topology accounting the formula cannot express.
 struct SimOutcome {
-  /// Analytic counters/data phase with meta_time_s replaced by the
-  /// simulated FIRST-wave makespan (the cold launch Fig 6 measures).
+  /// Counters and analytic data phase; under Engine::Queueing meta_time_s
+  /// is the simulated FIRST-wave makespan (the cold launch Fig 6
+  /// measures).
   LaunchResult launch;
   /// Full simulator statistics for the LAST wave run (== the only wave
   /// unless FleetConfig::sim_waves > 1, in which case it is the
-  /// cache-warm steady state).
+  /// cache-warm steady state). Empty under Engine::Analytic.
   mds::SimResult sim;
-  /// Makespan of every wave in order; size == sim_waves (1 for bare
-  /// launches, which always run a single wave).
+  /// Makespan of every wave in order; size == sim_waves under
+  /// Engine::Queueing, empty under Engine::Analytic.
   std::vector<double> wave_makespans;
 };
 
 /// Engine glue: the MdsConfig the queueing engine runs for a cluster.
 /// The cluster ALWAYS overrides the service mean (meta_op_cost_s), the
 /// contention exponent (meta_exponent), the topology (prestaged >
-/// spindle_broadcast > direct, mirroring extrapolate_fleet), and the
-/// node-local op cost — so the two engines model the same cluster and can
-/// never drift. The ServiceModel's distribution/spread/alpha/seed and the
-/// CachePolicy are simulator-only degrees of freedom.
+/// spindle_broadcast > direct, mirroring the analytic shared part), and
+/// the node-local op cost — so the two engines model the same cluster and
+/// can never drift. The ServiceModel's distribution/spread/alpha/seed and
+/// the CachePolicy are simulator-only degrees of freedom.
 mds::MdsConfig mds_config_for(const ClusterConfig& cluster, bool prestaged,
                               const mds::ServiceModel& service = {},
                               const mds::CachePolicy& cache = {});
 
-/// scaling_sweep's queueing column: one measured stream, one simulator run
-/// per rank count (cold caches per entry). A bare fleet is homogeneous by
-/// construction, so every op is marked broadcast-amenable (a flat world
-/// has no fork boundary to classify against).
-std::vector<SimOutcome> scaling_sweep_queueing(
-    vfs::FileSystem& fs, loader::Loader& loader, const std::string& exe_path,
-    const loader::Environment& env, const std::vector<int>& rank_counts,
-    const ClusterConfig& config = {}, const mds::ServiceModel& service = {},
-    const mds::CachePolicy& cache = {});
-
-/// Knobs for a containerized fleet launch.
+/// Knobs for a launch (bare or containerized).
 struct FleetConfig {
   ClusterConfig cluster;
   /// Per-rank divergence hook, applied to rank r's sandbox before its
@@ -233,8 +178,10 @@ struct FleetConfig {
   /// spindle_broadcast for the shared part — local beats relayed.)
   bool prestaged_image = false;
   /// Engine::Queueing routes the measured streams through the mds
-  /// simulator instead of the closed-form extrapolation (see
-  /// simulate_fleet_launch_sim for the full simulator output).
+  /// simulator instead of the closed-form extrapolation; with
+  /// prestaged_image the image mount is marked MountLatency::NodeLocal
+  /// inside each rank sandbox BEFORE measurement, so node-local costs are
+  /// charged inside the measured load.
   Engine engine = Engine::Analytic;
   /// Simulator-only knobs (service distribution/seed, client caching);
   /// the mean, exponent, and topology always come from `cluster` /
@@ -254,26 +201,33 @@ struct FleetConfig {
 /// simulator knobs (distribution spread/shape, fanout, cache costs).
 void validate(const FleetConfig& config);
 
-/// Containerized Fig 6: assemble a per-rank sandbox from `spec` (image
-/// mount + per-rank CoW overlay + masks) over `session`'s world, measure
-/// the op stream a rank issues INSIDE it, split shared-image vs per-rank
-/// overlay metadata, and extrapolate the P-rank launch. `exe_path` ""
-/// falls back to the sandbox default (SandboxSpec::exe, then the
-/// session's). Sandbox setup is O(1) per rank via CoW fork — no image
-/// copies (gated by bench/fig6_container.cpp).
+/// Fig 6 across a rank sweep, the one launch pipeline. Each rank's
+/// sandbox is assembled from `spec` over `host`'s world (Session::sandbox:
+/// O(1) CoW fork, no image copies) and `rank_setup` runs in it; ranks
+/// cluster into equivalence classes and ONE cold load per class is
+/// measured, once, for the largest count. An entry of `rank_counts` keeps
+/// the classes that have a rank below it, with only those ranks, and is
+/// projected through the storm formulas (Engine::Analytic) or replayed,
+/// rank r from its class's op stream, through a fresh mds simulator for
+/// `sim_waves` waves with `start_delays` (Engine::Queueing; the data
+/// phase stays analytic, bytes do not queue at the MDS). `exe_path` ""
+/// falls back to the sandbox default (SandboxSpec::exe, then the host's).
+/// A bare launch is the sweep over an empty SandboxSpec: a plain fork of
+/// the host, whose counters and caches the launch never touches.
+std::vector<SimOutcome> sweep(core::Session& host,
+                              const core::SandboxSpec& spec,
+                              const std::string& exe_path,
+                              const std::vector<int>& rank_counts,
+                              const FleetConfig& config = {});
+
+/// One launch of `nprocs` ranks: sweep(..., {nprocs}).front().launch.
 LaunchResult simulate_fleet_launch(core::Session& session,
                                    const core::SandboxSpec& spec,
                                    const std::string& exe_path, int nprocs,
                                    const FleetConfig& config = {});
 
-/// Queueing-engine fleet launch: the same per-class sandboxed measurement,
-/// but each class's full op stream is captured and every rank replays its
-/// class's stream through the mds simulator (a fleet without a rank_setup
-/// hook replicates ONE measured stream across P simulated clients).
-/// With prestaged_image the image mount is marked MountLatency::NodeLocal
-/// inside each rank sandbox BEFORE measurement, so node-local costs are
-/// charged inside the measured load rather than patched in afterwards.
-/// The data phase stays analytic (bytes do not queue at the MDS).
+/// One launch of `nprocs` ranks on the queueing engine, whatever
+/// `config.engine` says: sweep(..., {nprocs}).front().
 SimOutcome simulate_fleet_launch_sim(core::Session& session,
                                      const core::SandboxSpec& spec,
                                      const std::string& exe_path, int nprocs,

@@ -380,10 +380,13 @@ class Loader {
   std::vector<std::string>* probe_log_ = nullptr;
 
  public:
-  /// Seed this loader's parsed-object and ld.so caches from another loader
-  /// whose filesystem is identical to ours — the fork boundary in
-  /// core::Session::fork(). Safe because cache entries are immutable and
-  /// each is reused only for the bytes it was parsed from.
+  /// Seed this loader's parsed-object cache from another loader over the
+  /// same interner (core::Session::sandbox). Safe whatever the two
+  /// namespaces hold: entries are immutable and each is reused only for
+  /// the bytes it was parsed from.
+  void adopt_parsed(const Loader& other) { cache_ = other.cache_; }
+  /// adopt_parsed() plus the ld.so.cache, from a loader whose filesystem
+  /// is identical to ours — the fork boundary in core::Session::fork().
   void adopt_caches(const Loader& other);
 };
 

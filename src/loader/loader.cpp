@@ -105,7 +105,7 @@ Loader::Loader(vfs::FileSystem& fs, SearchConfig config, Dialect dialect)
       rules_(rules(dialect)) {}
 
 void Loader::adopt_caches(const Loader& other) {
-  cache_ = other.cache_;
+  adopt_parsed(other);
   ld_cache_ = other.ld_cache_;
 }
 

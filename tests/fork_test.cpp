@@ -717,15 +717,26 @@ TEST(DentryWarmStart, DisabledCacheStaysDisabledAcrossFork) {
   EXPECT_TRUE(child.exists("/x/y"));
 }
 
-/// One side's answer to a launch: the counted rank stream, or the error.
+/// One side's answer to a launch: the cold load a bare 64-rank launch
+/// measures, run on the view under test so its counted probes stay there,
+/// priced by the public storm formulas; or the error.
 std::string launch_answer(vfs::FileSystem& fs, const std::string& exe) {
   try {
+    fs.clear_caches();
     loader::Loader loader(fs);
-    const auto r = launch::scaling_sweep(fs, loader, exe, {}, {64}).front();
-    return std::to_string(r.load_succeeded) + " meta=" +
-           std::to_string(r.meta_ops_per_rank) +
-           " bytes=" + std::to_string(r.bytes_per_rank) +
-           " t=" + std::to_string(r.total_time_s);
+    const loader::LoadReport report = loader.load(exe);
+    std::uint64_t bytes = 0;
+    for (const auto& obj : report.load_order) {
+      if (const vfs::FileData* data = fs.peek(obj.path)) bytes += data->size();
+    }
+    const std::uint64_t meta = report.stats.metadata_calls();
+    const launch::ClusterConfig cluster;
+    const double t =
+        cluster.init_s +
+        launch::storm_data_seconds(static_cast<double>(bytes), 64, cluster) +
+        launch::storm_meta_seconds(static_cast<double>(meta), 64, cluster);
+    return std::to_string(report.success) + " meta=" + std::to_string(meta) +
+           " bytes=" + std::to_string(bytes) + " t=" + std::to_string(t);
   } catch (const Error& e) {
     return e.what();
   }

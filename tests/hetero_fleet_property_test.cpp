@@ -310,6 +310,108 @@ TEST(HeteroFleetProperty, ClassStreamsReplayLikePerRankStreams) {
   }
 }
 
+TEST(HeteroFleetProperty, SweepMeasuresOnceForTheLargestCount) {
+  // One sweep over {3, 8, 32} ranks runs the class loop once, for 32
+  // ranks; each smaller count keeps the classes that have a rank below
+  // it, with only those ranks. The three classes first appear at ranks 0,
+  // 3 and 4, so the 3-rank entry is one class and the 8-rank entry three,
+  // in first-appearance order. Every entry must equal the per-rank
+  // reference at its own count, on both engines (the queueing pass adds a
+  // straggler and warm-cache waves).
+  core::WorldBuilder builder;
+  auto session = builder.pynamic(small_pynamic()).nfs().build();
+  const auto scenario =
+      workload::make_container_launch_scenario(small_pynamic());
+  const workload::PynamicApp& app = scenario.app;
+  const std::vector<int> counts = {3, 8, 32};
+  const std::vector<std::vector<int>> sizes = {{3}, {3, 3, 2}, {3, 15, 14}};
+  int hook_calls = 0;
+  const auto setup = [&app, &hook_calls](core::Session& sandbox, int rank) {
+    ++hook_calls;
+    const int cls = rank < 3 ? 0 : (rank % 2 == 0 ? 1 : 2);
+    workload::apply_mpmd_rank(sandbox.fs(), sandbox.env(), app, cls, 3);
+  };
+
+  for (const core::SandboxSpec& spec : fleet_specs(session)) {
+    for (const launch::Engine engine :
+         {launch::Engine::Analytic, launch::Engine::Queueing}) {
+      const std::string label =
+          std::string(spec.mask.empty() ? "plain" : "masked") +
+          (engine == launch::Engine::Queueing ? " queueing" : " analytic");
+      launch::FleetConfig fleet;
+      fleet.cluster = session.config().cluster;
+      fleet.rank_setup = setup;
+      fleet.engine = engine;
+      if (engine == launch::Engine::Queueing) {
+        fleet.cache.enabled = true;
+        fleet.sim_waves = 2;
+        fleet.start_delays.assign(32, 0.0);
+        fleet.start_delays[5] = 0.01;
+      }
+      hook_calls = 0;
+      const auto swept = launch::sweep(session, spec, "", counts, fleet);
+      EXPECT_EQ(hook_calls, 32) << label;
+      ASSERT_EQ(swept.size(), counts.size()) << label;
+
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        const std::string at = label + " n=" + std::to_string(counts[i]);
+        const launch::LaunchResult& fast = swept[i].launch;
+        const launch::SimOutcome slow_sim =
+            engine == launch::Engine::Queueing
+                ? reference::per_rank_fleet_launch_sim(session, spec, "",
+                                                       counts[i], fleet)
+                : launch::SimOutcome{reference::per_rank_fleet_launch(
+                                         session, spec, "", counts[i], fleet),
+                                     {},
+                                     {}};
+        const launch::LaunchResult& slow = slow_sim.launch;
+        ASSERT_TRUE(fast.load_succeeded) << at;
+        EXPECT_EQ(fast.nprocs, counts[i]) << at;
+        EXPECT_EQ(fast.class_sizes, sizes[i]) << at;
+        EXPECT_EQ(fast.classes_measured,
+                  static_cast<int>(sizes[i].size()))
+            << at;
+        EXPECT_EQ(fast.ranks_measured, fast.classes_measured) << at;
+        EXPECT_EQ(fast.sandboxed, slow.sandboxed) << at;
+        EXPECT_EQ(fast.load_succeeded, slow.load_succeeded) << at;
+        EXPECT_EQ(fast.meta_ops_per_rank, slow.meta_ops_per_rank) << at;
+        EXPECT_EQ(fast.bytes_per_rank, slow.bytes_per_rank) << at;
+        EXPECT_EQ(fast.shared_meta_ops_per_rank, slow.shared_meta_ops_per_rank)
+            << at;
+        EXPECT_EQ(fast.overlay_meta_ops_per_rank,
+                  slow.overlay_meta_ops_per_rank)
+            << at;
+        EXPECT_EQ(fast.shared_bytes_per_rank, slow.shared_bytes_per_rank)
+            << at;
+        EXPECT_EQ(fast.overlay_bytes_per_rank, slow.overlay_bytes_per_rank)
+            << at;
+        EXPECT_EQ(fast.fleet_meta_ops, slow.fleet_meta_ops) << at;
+        EXPECT_EQ(fast.fleet_bytes, slow.fleet_bytes) << at;
+        EXPECT_EQ(fast.fleet_shared_meta_ops, slow.fleet_shared_meta_ops)
+            << at;
+        EXPECT_EQ(fast.fleet_overlay_meta_ops, slow.fleet_overlay_meta_ops)
+            << at;
+        EXPECT_EQ(fast.data_time_s, slow.data_time_s) << at;
+        EXPECT_EQ(fast.meta_time_s, slow.meta_time_s) << at;
+        EXPECT_EQ(fast.total_time_s, slow.total_time_s) << at;
+        EXPECT_EQ(swept[i].wave_makespans, slow_sim.wave_makespans) << at;
+        EXPECT_EQ(swept[i].sim.server_requests, slow_sim.sim.server_requests)
+            << at;
+        EXPECT_EQ(swept[i].sim.batches, slow_sim.sim.batches) << at;
+        EXPECT_EQ(swept[i].sim.latency_p99_s, slow_sim.sim.latency_p99_s)
+            << at;
+        EXPECT_EQ(swept[i].sim.cache_hits, slow_sim.sim.cache_hits) << at;
+        ASSERT_EQ(swept[i].sim.ranks.size(), slow_sim.sim.ranks.size()) << at;
+        for (std::size_t r = 0; r < slow_sim.sim.ranks.size(); ++r) {
+          EXPECT_EQ(swept[i].sim.ranks[r].finish_s,
+                    slow_sim.sim.ranks[r].finish_s)
+              << "rank " << r << " " << at;
+        }
+      }
+    }
+  }
+}
+
 TEST(HeteroFleetProperty, EnvironmentOnlyDivergenceStillSplitsClasses) {
   // Two ranks with byte-identical overlays but different loader
   // environments resolve differently — the class key must include the

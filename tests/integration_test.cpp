@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "depchaos/core/session.hpp"
 #include "depchaos/elf/patcher.hpp"
-#include "depchaos/launch/launch.hpp"
 #include "depchaos/loader/symbols.hpp"
 #include "depchaos/pkg/bundle.hpp"
 #include "depchaos/pkg/fhs.hpp"
@@ -39,14 +39,12 @@ TEST(Integration, SpackToStoreToShrinkwrapToLaunch) {
   pkg::store::Store store(fs, "/spack/store");
   const auto installed = spack::install_dag(store, dag);
 
-  loader::Loader loader(fs);
-  const auto normal =
-      launch::scaling_sweep(fs, loader, installed.exe_path, {}, {256}).front();
+  core::Session session(std::move(fs));
+  const auto normal = session.launch(installed.exe_path, 256);
   ASSERT_TRUE(normal.load_succeeded);
 
-  ASSERT_TRUE(shrinkwrap::shrinkwrap(fs, loader, installed.exe_path).ok());
-  const auto wrapped =
-      launch::scaling_sweep(fs, loader, installed.exe_path, {}, {256}).front();
+  ASSERT_TRUE(session.shrinkwrap(installed.exe_path).ok());
+  const auto wrapped = session.launch(installed.exe_path, 256);
   ASSERT_TRUE(wrapped.load_succeeded);
   EXPECT_LT(wrapped.meta_ops_per_rank, normal.meta_ops_per_rank);
   EXPECT_LE(wrapped.total_time_s, normal.total_time_s);

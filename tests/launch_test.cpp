@@ -7,7 +7,6 @@
 #include "depchaos/core/world.hpp"
 #include "depchaos/elf/patcher.hpp"
 #include "depchaos/launch/launch.hpp"
-#include "depchaos/shrinkwrap/shrinkwrap.hpp"
 #include "depchaos/support/rng.hpp"
 #include "depchaos/workload/pynamic.hpp"
 #include "depchaos/workload/scenarios.hpp"
@@ -15,37 +14,34 @@
 namespace depchaos::launch {
 namespace {
 
+/// A bare launch of a scaled-down Pynamic app on NFS, through the one
+/// pipeline: Session::launch is launch::sweep over an empty SandboxSpec.
 class LaunchTest : public ::testing::Test {
  protected:
-  void SetUp() override { app_ = build_world(fs_); }
-
-  static workload::PynamicApp build_world(vfs::FileSystem& fs) {
-    fs.set_latency_model(vfs::LatencyModel::nfs());
+  static core::Session build_world() {
     workload::PynamicConfig config;
     config.num_modules = 120;  // scaled-down Pynamic
     config.exe_extra_bytes = 8ull << 20;
-    return workload::generate_pynamic(fs, config);
+    return core::WorldBuilder().pynamic(config).nfs().build();
   }
 
   /// A bare launch at one rank count: the one-entry sweep.
-  LaunchResult launch_at(loader::Loader& loader, int ranks,
-                         const ClusterConfig& cluster = {}) {
-    return scaling_sweep(fs_, loader, app_.exe_path, {}, {ranks}, cluster)
-        .front();
+  LaunchResult launch_at(int ranks, const ClusterConfig& cluster = {}) {
+    return session_.launch("", ranks, cluster);
   }
-  SimOutcome sim_at(loader::Loader& loader, int ranks) {
-    return scaling_sweep_queueing(fs_, loader, app_.exe_path, {}, {ranks})
-        .front();
+  static std::vector<SimOutcome> sim_sweep(core::Session& session,
+                                           const std::vector<int>& ranks) {
+    FleetConfig queueing;
+    queueing.engine = Engine::Queueing;
+    return sweep(session, {}, "", ranks, queueing);
   }
 
-  vfs::FileSystem fs_;
-  workload::PynamicApp app_;
+  core::Session session_ = build_world();
 };
 
 TEST_F(LaunchTest, TimeGrowsWithRankCount) {
-  loader::Loader loader(fs_);
-  const auto r512 = launch_at(loader, 512);
-  const auto r2048 = launch_at(loader, 2048);
+  const auto r512 = launch_at(512);
+  const auto r2048 = launch_at(2048);
   ASSERT_TRUE(r512.load_succeeded);
   EXPECT_GT(r2048.total_time_s, r512.total_time_s);
   // Sublinear: quadrupling ranks should not quadruple the time.
@@ -53,12 +49,11 @@ TEST_F(LaunchTest, TimeGrowsWithRankCount) {
 }
 
 TEST_F(LaunchTest, WrappedBeatsNormalAtEveryScale) {
-  loader::Loader loader(fs_);
   const std::vector<int> ranks = {512, 1024, 2048};
-  const auto normal = scaling_sweep(fs_, loader, app_.exe_path, {}, ranks);
+  const auto normal = session_.launch_sweep("", ranks);
 
-  ASSERT_TRUE(shrinkwrap::shrinkwrap(fs_, loader, app_.exe_path).ok());
-  const auto wrapped = scaling_sweep(fs_, loader, app_.exe_path, {}, ranks);
+  ASSERT_TRUE(session_.shrinkwrap().ok());
+  const auto wrapped = session_.launch_sweep("", ranks);
 
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     EXPECT_LT(wrapped[i].total_time_s, normal[i].total_time_s);
@@ -67,12 +62,11 @@ TEST_F(LaunchTest, WrappedBeatsNormalAtEveryScale) {
 
 TEST_F(LaunchTest, SpeedupGrowsWithScale) {
   // Fig 6's headline: the gap WIDENS as the job grows (5.5x -> 7.2x).
-  loader::Loader loader(fs_);
-  const auto n512 = launch_at(loader, 512);
-  const auto n2048 = launch_at(loader, 2048);
-  ASSERT_TRUE(shrinkwrap::shrinkwrap(fs_, loader, app_.exe_path).ok());
-  const auto w512 = launch_at(loader, 512);
-  const auto w2048 = launch_at(loader, 2048);
+  const auto n512 = launch_at(512);
+  const auto n2048 = launch_at(2048);
+  ASSERT_TRUE(session_.shrinkwrap().ok());
+  const auto w512 = launch_at(512);
+  const auto w2048 = launch_at(2048);
 
   const double speedup_512 = n512.total_time_s / w512.total_time_s;
   const double speedup_2048 = n2048.total_time_s / w2048.total_time_s;
@@ -81,8 +75,7 @@ TEST_F(LaunchTest, SpeedupGrowsWithScale) {
 }
 
 TEST_F(LaunchTest, MetaOpsMeasuredNotModelled) {
-  loader::Loader loader(fs_);
-  const auto result = launch_at(loader, 64);
+  const auto result = launch_at(64);
   // 120 modules, one per directory: ~n^2/2 probes.
   EXPECT_GT(result.meta_ops_per_rank, 120ull * 121 / 2);
   EXPECT_GT(result.bytes_per_rank, 8ull << 20);
@@ -90,10 +83,9 @@ TEST_F(LaunchTest, MetaOpsMeasuredNotModelled) {
 
 TEST_F(LaunchTest, BytesIdenticalBeforeAndAfterWrap) {
   // Shrinkwrap only removes metadata work; the bytes staged are the same.
-  loader::Loader loader(fs_);
-  const auto before = launch_at(loader, 64);
-  ASSERT_TRUE(shrinkwrap::shrinkwrap(fs_, loader, app_.exe_path).ok());
-  const auto after = launch_at(loader, 64);
+  const auto before = launch_at(64);
+  ASSERT_TRUE(session_.shrinkwrap().ok());
+  const auto after = launch_at(64);
   // Wrapped metadata is tiny compared to the original.
   EXPECT_LT(after.meta_ops_per_rank * 20, before.meta_ops_per_rank);
   // Bytes differ only by the rewritten (slightly longer) dynamic section.
@@ -103,12 +95,11 @@ TEST_F(LaunchTest, BytesIdenticalBeforeAndAfterWrap) {
 }
 
 TEST_F(LaunchTest, SpindleBroadcastFlattensMetadataScaling) {
-  loader::Loader loader(fs_);
   ClusterConfig spindle;
   spindle.spindle_broadcast = true;
-  const auto s512 = launch_at(loader, 512, spindle);
-  const auto s2048 = launch_at(loader, 2048, spindle);
-  const auto n2048 = launch_at(loader, 2048);
+  const auto s512 = launch_at(512, spindle);
+  const auto s2048 = launch_at(2048, spindle);
+  const auto n2048 = launch_at(2048);
   // Broadcast beats per-rank resolution at scale...
   EXPECT_LT(s2048.meta_time_s, n2048.meta_time_s);
   // ...and its metadata phase grows only logarithmically.
@@ -116,25 +107,69 @@ TEST_F(LaunchTest, SpindleBroadcastFlattensMetadataScaling) {
 }
 
 TEST_F(LaunchTest, SingleRankHasNoContentionPenalty) {
-  loader::Loader loader(fs_);
-  const auto result = launch_at(loader, 1);
+  const auto result = launch_at(1);
   ClusterConfig config;
   const double raw_meta =
       static_cast<double>(result.meta_ops_per_rank) * config.meta_op_cost_s;
   EXPECT_NEAR(result.meta_time_s, raw_meta, 1e-9);
 }
 
+TEST_F(LaunchTest, BareLaunchIsAForkedColdLoadPricedByTheStormFormulas) {
+  // A bare launch measures its cold load in a fork: the host's counters
+  // (and the latency charges they accumulate) do not move, and the result
+  // is the storm formulas applied to a fork's load counts, bit for bit —
+  // one class of all-shared ops, not sandboxed.
+  const vfs::SyscallStats before = session_.fs().stats();
+  const int ranks = 512;
+  const auto result = launch_at(ranks);
+  const vfs::SyscallStats after = session_.fs().stats();
+  EXPECT_EQ(after.stat_calls, before.stat_calls);
+  EXPECT_EQ(after.open_calls, before.open_calls);
+  EXPECT_EQ(after.read_calls, before.read_calls);
+  EXPECT_EQ(after.failed_probes, before.failed_probes);
+  EXPECT_EQ(after.sim_time_s, before.sim_time_s);
+
+  core::Session fork = session_.fork();
+  fork.fs().clear_caches();
+  const loader::LoadReport report = fork.load();
+  ASSERT_TRUE(report.success);
+  std::uint64_t bytes = 0;
+  for (const auto& obj : report.load_order) {
+    bytes += fork.fs().peek(obj.path)->size();
+  }
+  const std::uint64_t ops = report.stats.metadata_calls();
+  const ClusterConfig cluster;
+  const double data =
+      storm_data_seconds(static_cast<double>(bytes), ranks, cluster);
+  const double meta =
+      storm_meta_seconds(static_cast<double>(ops), ranks, cluster);
+  ASSERT_TRUE(result.load_succeeded);
+  EXPECT_EQ(result.meta_ops_per_rank, ops);
+  EXPECT_EQ(result.bytes_per_rank, bytes);
+  EXPECT_EQ(result.data_time_s, data);
+  EXPECT_EQ(result.meta_time_s, meta);
+  EXPECT_EQ(result.total_time_s, cluster.init_s + data + meta);
+  EXPECT_EQ(result.shared_meta_ops_per_rank, ops);
+  EXPECT_EQ(result.overlay_meta_ops_per_rank, 0u);
+  EXPECT_EQ(result.shared_bytes_per_rank, bytes);
+  EXPECT_EQ(result.overlay_bytes_per_rank, 0u);
+  EXPECT_EQ(result.fleet_meta_ops, ops * ranks);
+  EXPECT_EQ(result.classes_measured, 1);
+  EXPECT_EQ(result.ranks_measured, 1);
+  EXPECT_EQ(result.class_sizes, std::vector<int>{ranks});
+  EXPECT_FALSE(result.sandboxed);
+}
+
 TEST_F(LaunchTest, SweepReusesOneMeasurementByteIdentically) {
-  // scaling_sweep measures the rank-1 op stream once and extrapolates;
-  // re-measuring per entry with a fresh loader must give bit-equal results
+  // A sweep measures the op stream once and projects every entry;
+  // re-measuring per entry on a fresh session must give bit-equal results
   // (counters do not depend on cache warmth, the arithmetic is shared).
-  loader::Loader loader(fs_);
   const std::vector<int> ranks = {64, 512, 1024, 2048};
-  const auto sweep = scaling_sweep(fs_, loader, app_.exe_path, {}, ranks);
+  const auto sweep = session_.launch_sweep("", ranks);
   ASSERT_EQ(sweep.size(), ranks.size());
-  loader::Loader fresh(fs_);
+  core::Session fresh = build_world();
   for (std::size_t i = 0; i < ranks.size(); ++i) {
-    const auto single = launch_at(fresh, ranks[i]);
+    const auto single = fresh.launch(ranks[i]);
     EXPECT_EQ(sweep[i].nprocs, single.nprocs);
     EXPECT_EQ(sweep[i].load_succeeded, single.load_succeeded);
     EXPECT_EQ(sweep[i].meta_ops_per_rank, single.meta_ops_per_rank);
@@ -142,22 +177,21 @@ TEST_F(LaunchTest, SweepReusesOneMeasurementByteIdentically) {
     EXPECT_EQ(sweep[i].data_time_s, single.data_time_s);
     EXPECT_EQ(sweep[i].meta_time_s, single.meta_time_s);
     EXPECT_EQ(sweep[i].total_time_s, single.total_time_s);
+    EXPECT_EQ(sweep[i].class_sizes, std::vector<int>{ranks[i]});
   }
 }
 
 TEST_F(LaunchTest, ThrowingQueueingSweepDetachesItsTrace) {
-  // The sweep records its load into a local trace; a load that throws
-  // (missing executable) must not leave that trace installed on the view,
-  // or the next counted op writes through a dangling pointer.
-  loader::Loader loader(fs_);
-  EXPECT_THROW(scaling_sweep_queueing(fs_, loader, "/apps/pynamic/missing",
-                                      {}, {64}),
+  // The sweep records its load into a trace on the rank's sandbox; a load
+  // that throws (missing executable) must leave nothing installed, and
+  // the host loads afterwards exactly as an untouched twin does.
+  FleetConfig queueing;
+  queueing.engine = Engine::Queueing;
+  EXPECT_THROW(sweep(session_, {}, "/apps/pynamic/missing", {64}, queueing),
                FsError);
-  const loader::LoadReport after = loader.load(app_.exe_path);
+  const loader::LoadReport after = session_.load();
 
-  vfs::FileSystem twin;
-  build_world(twin);
-  const loader::LoadReport expected = loader::Loader(twin).load(app_.exe_path);
+  const loader::LoadReport expected = build_world().load();
   ASSERT_TRUE(after.success);
   ASSERT_EQ(after.load_order.size(), expected.load_order.size());
   for (std::size_t i = 0; i < after.load_order.size(); ++i) {
@@ -440,14 +474,20 @@ TEST(LaunchValidation, RejectsNonPhysicalClusterConfigs) {
                std::invalid_argument);
   EXPECT_THROW(validate(broken([](auto& c) { c.local_meta_op_cost_s = -1; })),
                std::invalid_argument);
-  // The entry points validate too — a broken config cannot reach the
-  // arithmetic through any of them.
-  RankMeasurement rank;
-  rank.meta_ops = 10;
+  // The launch entry points validate too — a broken config or rank count
+  // cannot reach the arithmetic through any of them, and nothing is
+  // measured first (this world has no executable at all).
+  core::Session session{vfs::FileSystem{}};
   EXPECT_THROW(
-      extrapolate(rank, 8, broken([](auto& c) { c.meta_op_cost_s = -1; })),
+      session.launch("/bin/app", 8,
+                     broken([](auto& c) { c.meta_op_cost_s = -1; })),
       std::invalid_argument);
-  EXPECT_THROW(extrapolate(rank, 0, ClusterConfig{}), std::invalid_argument);
+  EXPECT_THROW(session.launch("/bin/app", 0), std::invalid_argument);
+  EXPECT_THROW(session.launch_sweep("/bin/app", {64, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_fleet_launch(session, {}, "/bin/app", -1),
+               std::invalid_argument);
+  EXPECT_TRUE(sweep(session, {}, "/bin/app", {}).empty());
 }
 
 TEST(LaunchValidation, RejectsNonPhysicalFleetConfigs) {
@@ -478,10 +518,9 @@ TEST_F(LaunchTest, QueueingEngineMatchesAnalyticOnFixedService) {
   // Homogeneous fleet + fixed service + no cache: the batch-coalescing
   // server reproduces the closed form exactly, so the two engines agree to
   // rounding on bare launches — the bridge that anchors the simulator.
-  loader::Loader loader(fs_);
   for (const int ranks : {1, 32, 256}) {
-    const auto analytic = launch_at(loader, ranks);
-    const auto sim = sim_at(loader, ranks);
+    const auto analytic = launch_at(ranks);
+    const auto sim = sim_sweep(session_, {ranks}).front();
     ASSERT_TRUE(sim.launch.load_succeeded);
     EXPECT_EQ(sim.launch.meta_ops_per_rank, analytic.meta_ops_per_rank);
     EXPECT_EQ(sim.launch.data_time_s, analytic.data_time_s);
@@ -494,18 +533,41 @@ TEST_F(LaunchTest, QueueingEngineMatchesAnalyticOnFixedService) {
 }
 
 TEST_F(LaunchTest, SweepQueueingMatchesPerCallOutcomes) {
-  loader::Loader loader(fs_);
   const std::vector<int> ranks = {16, 64, 256};
-  const auto sweep =
-      scaling_sweep_queueing(fs_, loader, app_.exe_path, {}, ranks);
+  const auto sweep = sim_sweep(session_, ranks);
   ASSERT_EQ(sweep.size(), ranks.size());
-  loader::Loader fresh(fs_);
+  core::Session fresh = build_world();
   for (std::size_t i = 0; i < ranks.size(); ++i) {
-    const auto single = sim_at(fresh, ranks[i]);
+    const auto single = sim_sweep(fresh, {ranks[i]}).front();
     EXPECT_EQ(sweep[i].launch.meta_time_s, single.launch.meta_time_s);
     EXPECT_EQ(sweep[i].sim.server_requests, single.sim.server_requests);
     EXPECT_EQ(sweep[i].sim.batches, single.sim.batches);
   }
+}
+
+TEST_F(LaunchTest, BareQueueingLaunchRunsWavesAndStragglers) {
+  // A bare fleet is the one-class fleet of an empty sandbox, so the
+  // simulator's waves and stragglers apply to it as to a container fleet.
+  FleetConfig fleet;
+  fleet.engine = Engine::Queueing;
+  fleet.cache.enabled = true;
+  fleet.cache.negative_caching = true;
+  fleet.sim_waves = 2;
+  fleet.start_delays = {0.0, 0.5};
+  const auto out = simulate_fleet_launch_sim(session_, {}, "", 32, fleet);
+  ASSERT_TRUE(out.launch.load_succeeded);
+  EXPECT_FALSE(out.launch.sandboxed);
+  ASSERT_EQ(out.wave_makespans.size(), 2u);
+  EXPECT_EQ(out.launch.meta_time_s, out.wave_makespans[0]);
+  EXPECT_GT(out.wave_makespans[0], 0.5);
+  EXPECT_LT(out.wave_makespans[1], out.wave_makespans[0]);
+  // In the warm wave the straggler is the last rank to finish.
+  ASSERT_EQ(out.sim.ranks.size(), 32u);
+  const auto last = std::max_element(
+      out.sim.ranks.begin(), out.sim.ranks.end(),
+      [](const auto& a, const auto& b) { return a.finish_s < b.finish_s; });
+  EXPECT_EQ(last - out.sim.ranks.begin(), 1);
+  EXPECT_GT(last->finish_s, 0.5);
 }
 
 TEST(FleetLaunch, QueueingEngineSelectableThroughFleetConfig) {

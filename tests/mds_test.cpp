@@ -102,17 +102,13 @@ TEST(MdsSim, PropertyDirectFixedNoCacheMatchesAnalyticExtrapolate) {
     const auto ops = static_cast<std::uint32_t>(rng.between(3, 300));
     const int nprocs = static_cast<int>(rng.between(1, 600));
     launch::ClusterConfig cluster;
-    launch::RankMeasurement rank;
-    rank.load_succeeded = true;
-    rank.meta_ops = ops;
-    const launch::LaunchResult analytic =
-        launch::extrapolate(rank, nprocs, cluster);
+    const double analytic =
+        launch::storm_meta_seconds(static_cast<double>(ops), nprocs, cluster);
 
     MdsSimulator sim(launch::mds_config_for(cluster, /*prestaged=*/false));
     const SimResult sim_result = sim.run_homogeneous(shared_stream(ops),
                                                      nprocs);
-    EXPECT_NEAR(sim_result.makespan_s, analytic.meta_time_s,
-                analytic.meta_time_s * 0.02)
+    EXPECT_NEAR(sim_result.makespan_s, analytic, analytic * 0.02)
         << "ops=" << ops << " nprocs=" << nprocs;
   }
 }

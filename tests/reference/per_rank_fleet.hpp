@@ -24,10 +24,21 @@
 
 namespace depchaos::reference {
 
+/// One rank's measured cold load, split by substrate.
+struct RankMeasurement {
+  bool load_succeeded = false;
+  std::uint64_t meta_ops = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t shared_meta_ops = 0;
+  std::uint64_t overlay_meta_ops = 0;
+  std::uint64_t shared_bytes = 0;
+  std::uint64_t overlay_bytes = 0;
+};
+
 /// One rank's cold load inside its sandbox, recorded into `trace`, with
 /// every stat/open attributed to the shared substrate or the rank's
 /// overlay, and every staged byte likewise.
-inline launch::RankMeasurement measure_rank_in_sandbox(
+inline RankMeasurement measure_rank_in_sandbox(
     core::Session& sandbox, const std::string& exe, vfs::OpTrace& trace) {
   vfs::FileSystem& fs = sandbox.fs();
   fs.clear_caches();
@@ -37,7 +48,7 @@ inline launch::RankMeasurement measure_rank_in_sandbox(
     report = sandbox.load(exe);
   }
 
-  launch::RankMeasurement rank;
+  RankMeasurement rank;
   rank.load_succeeded = report.success;
   rank.meta_ops = report.stats.metadata_calls();
   for (const vfs::OpRecord& op : trace.ops()) {
@@ -69,7 +80,8 @@ inline launch::LaunchResult per_rank_fleet_launch(
   launch::validate(config);
   launch::LaunchResult result;
   result.nprocs = nprocs;
-  result.sandboxed = true;
+  result.sandboxed =
+      spec.image != nullptr || !spec.mask.empty() || !spec.scratch.empty();
   result.load_succeeded = true;
   result.ranks_measured = nprocs;
   if (traces != nullptr) traces->clear();
@@ -82,8 +94,7 @@ inline launch::LaunchResult per_rank_fleet_launch(
                                      vfs::MountLatency::NodeLocal);
     }
     vfs::OpTrace trace;
-    const launch::RankMeasurement m =
-        measure_rank_in_sandbox(sandbox, exe, trace);
+    const RankMeasurement m = measure_rank_in_sandbox(sandbox, exe, trace);
     if (traces != nullptr) traces->push_back(std::move(trace));
     result.load_succeeded = result.load_succeeded && m.load_succeeded;
     result.fleet_meta_ops += m.meta_ops;

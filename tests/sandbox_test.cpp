@@ -29,43 +29,81 @@ Session host_session_for(const ContainerLeakScenario& scenario,
 }
 
 TEST(Sandbox, HostLeakOnlyUnderUnmaskedMountStackingAndFixedByMasking) {
-  vfs::FileSystem host_fs;
-  const auto scenario = workload::make_container_leak_scenario(host_fs);
-  Session host = host_session_for(scenario, std::move(host_fs));
+  // Each scenario runs on a fresh host and on one whose own loader has
+  // built its ld.so.cache (a host tool's load bound libdeps.so to the
+  // host copy through it) before any sandbox is made: a sandbox adopts
+  // the host's parsed objects but never that cache, so masking fixes both.
+  for (const bool warm_host : {false, true}) {
+    SCOPED_TRACE(warm_host ? "host ld.so.cache built" : "fresh host");
+    vfs::FileSystem host_fs;
+    const auto scenario = workload::make_container_leak_scenario(host_fs);
+    elf::install_object(host_fs, "/usr/bin/hosttool",
+                        elf::make_executable({scenario.leak_soname}));
+    Session host = host_session_for(scenario, std::move(host_fs));
+    if (warm_host) {
+      const auto tool = host.load("/usr/bin/hosttool");
+      ASSERT_TRUE(tool.success);
+      const auto* deps = tool.find_loaded(scenario.leak_soname);
+      ASSERT_NE(deps, nullptr);
+      EXPECT_EQ(deps->how, loader::HowFound::LdSoConf);
+      EXPECT_TRUE(deps->path.starts_with(scenario.host_lib_dir));
+    }
 
-  // Outside any sandbox the tool does not even exist: the failure needs a
-  // specific mount stacking to occur at all.
-  EXPECT_THROW(host.load(scenario.exe), Error);
+    // Outside any sandbox the tool does not even exist: the failure needs
+    // a specific mount stacking to occur at all.
+    EXPECT_THROW(host.load(scenario.exe), Error);
 
-  // Image mounted, host dir visible: the HOST's stale copy wins — the
-  // wrong-library load.
-  Session::SandboxSpec leaky;
-  leaky.image = scenario.image;
-  leaky.image_mount = scenario.image_mount;
-  leaky.exe = scenario.exe;
-  Session leaking = host.sandbox(leaky);
-  const auto bad = leaking.load();
-  ASSERT_TRUE(bad.success);
-  EXPECT_TRUE(workload::container_host_leaked(bad, scenario));
-  const auto* leaked = bad.find_loaded(scenario.leak_soname);
-  ASSERT_NE(leaked, nullptr);
-  EXPECT_TRUE(leaked->path.starts_with(scenario.host_lib_dir));
+    // Image mounted, host dir visible: the HOST's stale copy wins — the
+    // wrong-library load.
+    Session::SandboxSpec leaky;
+    leaky.image = scenario.image;
+    leaky.image_mount = scenario.image_mount;
+    leaky.exe = scenario.exe;
+    Session leaking = host.sandbox(leaky);
+    const auto bad = leaking.load();
+    ASSERT_TRUE(bad.success);
+    EXPECT_TRUE(workload::container_host_leaked(bad, scenario));
+    const auto* leaked = bad.find_loaded(scenario.leak_soname);
+    ASSERT_NE(leaked, nullptr);
+    EXPECT_TRUE(leaked->path.starts_with(scenario.host_lib_dir));
 
-  // Same image, host dir masked: the load is CORRECT (not merely failing)
-  // — the container's own copy resolves instead.
-  Session::SandboxSpec masked = leaky;
-  masked.mask = {scenario.host_lib_dir};
-  Session fixed = host.sandbox(masked);
-  const auto good = fixed.load();
-  ASSERT_TRUE(good.success);
-  EXPECT_FALSE(workload::container_host_leaked(good, scenario));
-  const auto* bound = good.find_loaded(scenario.leak_soname);
-  ASSERT_NE(bound, nullptr);
-  EXPECT_TRUE(bound->path.starts_with(scenario.image_mount));
+    // Same image, host dir masked: the load is CORRECT (not merely
+    // failing) — the container's own copy resolves instead.
+    Session::SandboxSpec masked = leaky;
+    masked.mask = {scenario.host_lib_dir};
+    Session fixed = host.sandbox(masked);
+    const auto good = fixed.load();
+    ASSERT_TRUE(good.success);
+    EXPECT_FALSE(workload::container_host_leaked(good, scenario));
+    const auto* bound = good.find_loaded(scenario.leak_soname);
+    ASSERT_NE(bound, nullptr);
+    EXPECT_TRUE(bound->path.starts_with(scenario.image_mount));
 
-  // The host world never noticed any of it.
-  EXPECT_FALSE(host.fs().exists(scenario.exe));
-  EXPECT_TRUE(host.fs().exists(scenario.host_lib_dir + "/libdeps.so"));
+    // The host world never noticed any of it.
+    EXPECT_FALSE(host.fs().exists(scenario.exe));
+    EXPECT_TRUE(host.fs().exists(scenario.host_lib_dir + "/libdeps.so"));
+  }
+}
+
+TEST(Sandbox, AdoptsTheHostsParsedObjects) {
+  // A sandbox reuses what the host loader parsed (each entry only for the
+  // bytes it was parsed from), so its first load parses nothing again.
+  workload::PynamicConfig config;
+  config.num_modules = 12;
+  config.exe_extra_bytes = 0;
+  Session host = WorldBuilder().pynamic(config).build();
+  const auto warm = host.load();
+  ASSERT_TRUE(warm.success);
+  Session plain = host.sandbox({});
+  const auto again = plain.load();
+  ASSERT_TRUE(again.success);
+  ASSERT_EQ(again.load_order.size(), warm.load_order.size());
+  for (std::size_t i = 0; i < warm.load_order.size(); ++i) {
+    EXPECT_EQ(again.load_order[i].path, warm.load_order[i].path);
+    EXPECT_EQ(again.load_order[i].object.get(),
+              warm.load_order[i].object.get())
+        << warm.load_order[i].path;
+  }
 }
 
 TEST(Sandbox, StaleImageShadowsPatchedHostLibrary) {

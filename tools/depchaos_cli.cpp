@@ -92,8 +92,7 @@ void print_usage(std::FILE* out) {
       "       time, --cache enables client metadata caching (--waves=N\n"
       "       relaunches the fleet N times against warm caches), and\n"
       "       --straggler delays one rank's start [default 1s].\n"
-      "       --waves/--straggler/--cache need --engine=sim;\n"
-      "       --waves/--straggler also need --sandbox.\n"
+      "       --waves/--straggler/--cache need --engine=sim.\n"
       "       --ranks-mix=K runs a mixed-Pynamic MPMD fleet — rank r is\n"
       "       program class r%%K, each class shadowing modules into its\n"
       "       private overlay — and the launcher measures ONE loader\n"
@@ -857,10 +856,20 @@ int cmd_launch(const std::vector<std::string>& args) {
     start_delays[static_cast<std::size_t>(rank)] = delay_s;
   }
 
+  launch::FleetConfig fleet;
+  fleet.cluster = session.config().cluster;
+  if (sim_engine) {
+    fleet.engine = launch::Engine::Queueing;
+    fleet.service = service;
+    fleet.cache = cache;
+    fleet.start_delays = std::move(start_delays);
+    fleet.sim_waves = waves;
+  }
+  // A bare launch is the sandbox that mounts nothing: a plain fork of the
+  // host world.
+  core::SandboxSpec spec;
+  workload::PynamicApp mix_app;
   const std::string image_path = flag_value(args, "--sandbox=", "");
-  core::Session::LaunchResult result;
-  mds::SimResult sim;
-  std::vector<double> wave_makespans;
   if (image_path.empty()) {
     // The sandbox-shaping flags would be silently meaningless on a bare
     // launch; refuse instead of printing storm numbers as if they applied
@@ -872,41 +881,23 @@ int cmd_launch(const std::vector<std::string>& args) {
         return 2;
       }
     }
-    for (const char* prefix :
-         {"--mount=", "--mask=", "--waves=", "--straggler=", "--ranks-mix="}) {
+    for (const char* prefix : {"--mount=", "--mask=", "--ranks-mix="}) {
       if (!flag_value(args, prefix, "").empty()) {
         std::fprintf(stderr, "depchaos: %s requires --sandbox=<image>\n",
                      prefix);
         return 2;
       }
     }
-    if (sim_engine) {
-      launch::SimOutcome out =
-          launch::scaling_sweep_queueing(session.fs(), session.loader(),
-                                         args[1], session.env(), {ranks},
-                                         session.config().cluster, service,
-                                         cache)
-              .front();
-      result = out.launch;
-      sim = std::move(out.sim);
-      wave_makespans = std::move(out.wave_makespans);
-    } else {
-      result = session.launch(args[1], ranks);
-    }
   } else {
     // Containerized launch: measure the rank op stream inside a per-rank
     // sandbox assembled from the image world.
-    core::SandboxSpec spec;
     spec.image = load_image_world(image_path);
     spec.image_mount = flag_value(args, "--mount=", "/");
     spec.writable_image_overlay = has_flag(args, "--overlay");
     spec.mask = split_flag(args, "--mask=");
     spec.exe = args[1];
-    launch::FleetConfig fleet;
-    fleet.cluster = session.config().cluster;
     fleet.prestaged_image = has_flag(args, "--prestaged");
     const std::string ranks_mix = flag_value(args, "--ranks-mix=", "");
-    workload::PynamicApp mix_app;
     if (!ranks_mix.empty()) {
       if (!spec.writable_image_overlay) {
         // The class divergence lives in each rank's private overlay; there
@@ -927,21 +918,11 @@ int cmd_launch(const std::vector<std::string>& args) {
         workload::apply_mpmd_rank(s.fs(), s.env(), mix_app, r, classes);
       };
     }
-    if (sim_engine) {
-      fleet.engine = launch::Engine::Queueing;
-      fleet.service = service;
-      fleet.cache = cache;
-      fleet.start_delays = std::move(start_delays);
-      fleet.sim_waves = std::max(1, waves);
-      launch::SimOutcome out = launch::simulate_fleet_launch_sim(
-          session, spec, args[1], ranks, fleet);
-      result = out.launch;
-      sim = std::move(out.sim);
-      wave_makespans = std::move(out.wave_makespans);
-    } else {
-      result = session.launch_fleet(spec, args[1], ranks, fleet);
-    }
   }
+  const launch::SimOutcome out =
+      launch::sweep(session, spec, args[1], {ranks}, fleet).front();
+  const launch::LaunchResult& result = out.launch;
+  const mds::SimResult& sim = out.sim;
   std::printf("ranks=%d  meta_ops/rank=%llu  bytes/rank=%llu\n",
               result.nprocs,
               static_cast<unsigned long long>(result.meta_ops_per_rank),
@@ -951,10 +932,8 @@ int cmd_launch(const std::vector<std::string>& args) {
         "sandboxed: shared-image ops=%llu  per-rank overlay ops=%llu\n",
         static_cast<unsigned long long>(result.shared_meta_ops_per_rank),
         static_cast<unsigned long long>(result.overlay_meta_ops_per_rank));
-    if (result.classes_measured > 0) {
-      std::printf("sandboxed: rank classes=%d  loader replays=%d\n",
-                  result.classes_measured, result.ranks_measured);
-    }
+    std::printf("sandboxed: rank classes=%d  loader replays=%d\n",
+                result.classes_measured, result.ranks_measured);
   }
   if (sim_engine) {
     std::printf("sim: server requests=%llu  batches=%llu  mean batch=%.1f  "
@@ -971,12 +950,13 @@ int cmd_launch(const std::vector<std::string>& args) {
                 static_cast<unsigned long long>(sim.cache_misses),
                 static_cast<unsigned long long>(sim.local_ops),
                 static_cast<unsigned long long>(sim.relayed_ops));
-    if (wave_makespans.size() > 1) {
+    if (out.wave_makespans.size() > 1) {
       // The stats above are the last (cache-warm) wave; the time-to-launch
       // line below is the cold first wave.
-      for (std::size_t w = 0; w < wave_makespans.size(); ++w) {
+      for (std::size_t w = 0; w < out.wave_makespans.size(); ++w) {
         std::printf("sim: wave %zu metadata %.3f s%s\n", w + 1,
-                    wave_makespans[w], w == 0 ? " (cold)" : " (warm cache)");
+                    out.wave_makespans[w],
+                    w == 0 ? " (cold)" : " (warm cache)");
       }
     }
   }
