@@ -98,15 +98,16 @@ class Session {
   /// (vfs::FileSystem::fork — shared immutable base, private overlay),
   /// with the same search config, dialect, environment, and default
   /// target; a per-view latency model (copied at fork time); FRESH
-  /// syscall counters; and the parent's parsed-object /
-  /// ld.so caches adopted (safe: parsed objects are immutable, keyed by
-  /// PathId in the interner the fork family shares, and the worlds are
-  /// identical at the fork point). The support::PathTable is inherited
-  /// too — append-only with lock-free id reads, so a forked fleet interns
-  /// every probed path exactly once fleet-wide. Mutations on either side —
-  /// installs, patches, shrinkwrap — never leak across the boundary, which
-  /// makes forks the primitive for what-if experiments and per-worker
-  /// isolation in load_many.
+  /// syscall counters; and the fork family's one parsed-object cache and
+  /// the parent's ld.so.cache, shared by pointer (loader::Loader::Join:
+  /// nothing copied; an entry is reused only for the bytes it was parsed
+  /// from, so what one fork parses every other reuses and a rewrite
+  /// costs a re-parse, never a stale object). The support::PathTable is
+  /// inherited too — append-only with lock-free id reads, so a forked
+  /// fleet interns every probed path exactly once fleet-wide. Mutations
+  /// on either side — installs, patches, shrinkwrap — never leak across
+  /// the boundary, which makes forks the primitive for what-if
+  /// experiments and per-worker isolation in load_many.
   Session fork();
 
   /// Perform fork()'s parent-side mutations once (vfs::FileSystem::seal):
@@ -119,7 +120,7 @@ class Session {
   bool sealed() const { return fs_->sealed(); }
 
   /// Lock-free fork of a seal()ed session: byte-identical to fork() —
-  /// same world view, config, caches adopted, fresh counters — but const
+  /// same world view, config, caches shared, fresh counters — but const
   /// on the parent, so concurrent callers need no serialization. Throws
   /// when the session is not sealed (vfs::FsError).
   Session fork_sealed() const;
@@ -129,12 +130,12 @@ class Session {
 
   /// Build a per-job container view: fork this session (sealing it, as
   /// fork() does) and assemble the mount namespace from `spec`; an empty
-  /// spec is a plain fork. The sandbox adopts this session's parsed
-  /// objects (each is reused only for the bytes it was parsed from) but
-  /// not its ld.so.cache, which must be rebuilt from the sandbox
-  /// namespace: resolving against the host's cache is precisely the class
-  /// of bug the container scenarios model. Loads, shrinkwraps, and
-  /// patches inside the sandbox never leak into this session's world.
+  /// spec is a plain fork. The sandbox shares the family's parsed-object
+  /// cache (each entry is reused only for the bytes it was parsed from)
+  /// but not this session's ld.so.cache, which must be rebuilt from the
+  /// sandbox namespace: resolving against the host's cache is precisely
+  /// the class of bug the container scenarios model. Loads, shrinkwraps,
+  /// and patches inside the sandbox never leak into this session's world.
   Session sandbox(const SandboxSpec& spec);
 
   // ---- the rig ------------------------------------------------------------
@@ -162,11 +163,12 @@ class Session {
 
   /// Resolve many independent closures in parallel on a support::ThreadPool.
   /// Each worker runs against an isolated O(1) copy-on-write fork of the
-  /// world (own syscall counters, own parsed-object cache, latency model
-  /// copied at batch start) — per-worker setup cost is independent of
-  /// world size, so reports are byte-identical to sequential load() calls; the
-  /// per-load VFS stat deltas are aggregated into this session's
-  /// filesystem counters after the batch completes. Caveat: under
+  /// world (own syscall counters, latency model copied at batch start, the
+  /// family's one parsed-object cache shared by pointer) — per-worker
+  /// setup cost is independent of world size, and reports are
+  /// byte-identical to sequential load() calls; the per-load VFS stat
+  /// deltas are aggregated into this session's filesystem counters after
+  /// the batch completes. Caveat: under
   /// LatencyModel::nfs(), whose attribute cache warms as it prices, every
   /// batch entry observes the cache state as of batch start — back-to-back
   /// sequential load() calls would instead warm one shared cache, so
@@ -236,6 +238,10 @@ class Session {
   std::string save() const;
 
  private:
+  /// A child of `parent` over `fs`, a fork of parent's world: parent's
+  /// config and default target, and a loader that joins parent's family.
+  Session(vfs::FileSystem fs, const Session& parent, loader::Loader::Join join);
+
   std::string resolve_exe(std::string_view exe) const;
 
   SessionConfig config_;

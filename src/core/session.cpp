@@ -30,15 +30,21 @@ Session Session::from_snapshot(std::string_view image, SessionConfig config) {
   return Session(vfs::load_world(image), std::move(config));
 }
 
+Session::Session(vfs::FileSystem fs, const Session& parent,
+                 loader::Loader::Join join)
+    : config_(parent.config_),
+      fs_(std::make_unique<vfs::FileSystem>(std::move(fs))),
+      loader_(std::make_unique<loader::Loader>(*fs_, *parent.loader_, join)),
+      default_exe_(parent.default_exe_) {}
+
 Session Session::sandbox(const SandboxSpec& spec) {
   seal();
-  Session child(fs_->fork_sealed(), config_, default_exe_);
-  // Parsed objects carry over: each is reused only for the bytes it was
-  // parsed from, whatever the mounts below put at its path. The
-  // ld.so.cache does not: the namespace surgery below would stale it, so
-  // the sandbox builds its own — resolving against the HOST's ld.so.cache
-  // is precisely the class of bug the container scenarios model.
-  child.loader_->adopt_parsed(*loader_);
+  // The sandbox joins this session's parsed-object cache (an entry is
+  // reused only for the bytes it was parsed from, whatever the mounts
+  // below put at its path), not its ld.so.cache: the namespace surgery
+  // below would stale it, and resolving against the HOST's ld.so.cache is
+  // precisely the class of bug the container scenarios model.
+  Session child(fs_->fork_sealed(), *this, loader::Loader::Join::Sandbox);
   vfs::FileSystem& cfs = child.fs();
   if (spec.image) {
     if (spec.writable_image_overlay) {
@@ -63,11 +69,9 @@ Session Session::fork() {
 }
 
 Session Session::fork_sealed() const {
-  Session child(fs_->fork_sealed(), config_, default_exe_);
-  // Adoption reads the sealed parent's caches const-ly (plain map copies
-  // of immutable parsed objects) — safe under concurrent fork_sealed().
-  child.loader_->adopt_caches(*loader_);
-  return child;
+  // Join reads this session's loader const-ly: safe under concurrent
+  // fork_sealed().
+  return Session(fs_->fork_sealed(), *this, loader::Loader::Join::Fork);
 }
 
 Session::WhatIfReport Session::whatif(std::string_view exe,
@@ -123,14 +127,14 @@ std::vector<Session::LoadReport> Session::load_many(
   const std::size_t workers = std::min(hardware, paths.size());
 
   // One isolated world FORK per worker (not per entry): an O(1)
-  // copy-on-write view with private syscall counters, a private
-  // parsed-object cache, and private latency-model state copied from
-  // batch start by fork(). Loads never write, so no worker pays a single
-  // byte of world copy; each load's stats are a delta on its own counters,
-  // and report content does not depend on cache warmth, so every report
-  // matches a sequential load() byte for byte — see the header for the
-  // stateful-latency caveat. Forks are taken on this thread (fork mutates
-  // the parent once, freezing its overlay) before any worker runs.
+  // copy-on-write view with private syscall counters and private
+  // latency-model state copied from batch start by fork(). Loads never
+  // write, so no worker pays a single byte of world copy; each load's
+  // stats are a delta on its own counters, and report content does not
+  // depend on cache warmth, so every report matches a sequential load()
+  // byte for byte — see the header for the stateful-latency caveat. Forks
+  // are taken on this thread (fork mutates the parent once, freezing its
+  // overlay) before any worker runs.
   std::vector<vfs::FileSystem> worlds;
   worlds.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) worlds.push_back(fs_->fork());
@@ -140,14 +144,12 @@ std::vector<Session::LoadReport> Session::load_many(
   for (std::size_t w = 0; w < workers; ++w) {
     pool.submit([this, &paths, &reports, &errors, &worlds, w, workers] {
       try {
-        loader::Loader worker(worlds[w], config_.search, config_.dialect);
-        // Adopt the parent loader's parsed-object and ld.so caches instead
-        // of rescanning ld.so.cache per worker: the forked world is
-        // byte-identical at this point, parsed objects are immutable, and
-        // cache warmth never shows in counters (a load charges the open and
-        // read either way) — so reports stay byte-identical to sequential
-        // loads while the per-worker warmup cost drops to a map copy.
-        worker.adopt_caches(*loader_);
+        // The worker joins this session's fork family (its parsed-object
+        // cache, and its ld.so.cache if built, instead of a rescan per
+        // worker). Cache warmth never shows in counters (a load charges
+        // the open and read either way), so reports stay byte-identical
+        // to sequential loads.
+        loader::Loader worker(worlds[w], *loader_, loader::Loader::Join::Fork);
         for (std::size_t i = w; i < paths.size(); i += workers) {
           reports[i] = worker.load(paths[i], config_.env);
         }

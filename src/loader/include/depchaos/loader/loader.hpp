@@ -188,9 +188,28 @@ struct LoadReport {
 class Loader {
  public:
   /// A loader over `fs` that follows `dialect`'s rules(), e.g. its search
-  /// order and dedup keys.
+  /// order and dedup keys, with a parsed-object cache of its own.
   explicit Loader(vfs::FileSystem& fs, SearchConfig config = {},
                   Dialect dialect = Dialect::Glibc);
+
+  /// How a loader joins a fork family (the constructor below).
+  enum class Join : std::uint8_t {
+    /// A fork: the new view holds what the family loader's view held, so
+    /// the family's ld.so.cache, if built, is read too.
+    Fork,
+    /// A sandbox: mounts change the namespace, so the ld.so.cache is
+    /// built afresh from it. Resolving against the host's cache is the
+    /// class of bug the container scenarios model.
+    Sandbox,
+  };
+  /// A loader over `fs`, a fork of `family`'s filesystem, with `family`'s
+  /// config and dialect. It shares the family's one parsed-object cache
+  /// by pointer, so nothing is copied or allocated for it, and under
+  /// Join::Fork the family's immutable ld.so.cache likewise. Safe
+  /// whatever either view holds: each entry is reused only for the bytes
+  /// it was parsed from. Reads `family` const-ly, so concurrent forks of
+  /// one sealed session need no lock.
+  Loader(vfs::FileSystem& fs, const Loader& family, Join join);
 
   /// Simulate process startup: load `exe_path` and its full closure.
   LoadReport load(const std::string& exe_path, const Environment& env = {});
@@ -351,13 +370,20 @@ class Loader {
   // probe passes a file's magic check (whatever its architecture) or a
   // load opens its executable; probes read their architecture verdicts
   // from it. An entry is reused only while the opened file still holds
-  // the bytes it was parsed from, so a rewritten binary is parsed afresh
-  // at its next open, as ld.so reads every object at each exec.
+  // the bytes it was parsed from, and replaced otherwise, so a rewritten
+  // binary is parsed afresh at its next open, as ld.so reads every object
+  // at each exec. One cache serves a whole fork family, like the
+  // interner: the Join constructor hands it on by pointer, and it is
+  // internally synchronized (loader.cpp). It holds one entry per path,
+  // so its size is bounded by the interner, not by forks or loads; views
+  // that disagree on a file's bytes cost each other a re-parse, never a
+  // stale object.
   struct Parsed {
     std::string bytes;  // what `object` was parsed from
     elf::Object object;
   };
-  std::unordered_map<support::PathId, std::shared_ptr<const Parsed>> cache_;
+  struct ParsedCache;
+  std::shared_ptr<ParsedCache> parsed_;
   struct StringHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {
@@ -372,22 +398,13 @@ class Loader {
   std::unordered_map<std::string, support::PathId, StringHash, std::equal_to<>>
       absolute_ids_;
   // ld.so.cache: name -> (path, from ld_so_conf or default). Built at the
-  // first system-path lookup ("ldconfig ran then") and kept for the
-  // loader's life, so a library installed later is missed until a new
-  // Loader builds its own; adopt_caches() hands it on to a fork.
-  std::optional<std::unordered_map<std::string, Resolution>> ld_cache_;
+  // first system-path lookup ("ldconfig ran then") and kept, immutable,
+  // for the loader's life, so a library installed later is missed until a
+  // new Loader builds its own; a Join::Fork loader reads its family's.
+  using LdCache = std::unordered_map<std::string, Resolution>;
+  std::shared_ptr<const LdCache> ld_cache_;
   // Active probe log during a load() (null when record_probes is off).
   std::vector<std::string>* probe_log_ = nullptr;
-
- public:
-  /// Seed this loader's parsed-object cache from another loader over the
-  /// same interner (core::Session::sandbox). Safe whatever the two
-  /// namespaces hold: entries are immutable and each is reused only for
-  /// the bytes it was parsed from.
-  void adopt_parsed(const Loader& other) { cache_ = other.cache_; }
-  /// adopt_parsed() plus the ld.so.cache, from a loader whose filesystem
-  /// is identical to ours — the fork boundary in core::Session::fork().
-  void adopt_caches(const Loader& other);
 };
 
 }  // namespace depchaos::loader

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <mutex>
 
 #include "depchaos/support/strings.hpp"
 
@@ -97,17 +98,30 @@ const LoadedObject* LoadReport::find_loaded(
   return nullptr;
 }
 
+// The parsed-object cache of a fork family (Loader::parsed_). Its lock is
+// held only to find or swap an entry pointer: the byte compare and parsing
+// run outside it, so a racing duplicate parse just stores an equal entry.
+struct Loader::ParsedCache {
+  std::mutex mutex;
+  std::unordered_map<support::PathId, std::shared_ptr<const Parsed>> map;
+};
+
 Loader::Loader(vfs::FileSystem& fs, SearchConfig config, Dialect dialect)
     : fs_(fs),
       paths_(fs.path_table()),
       config_(std::move(config)),
       dialect_(dialect),
-      rules_(rules(dialect)) {}
+      rules_(rules(dialect)),
+      parsed_(std::make_shared<ParsedCache>()) {}
 
-void Loader::adopt_caches(const Loader& other) {
-  adopt_parsed(other);
-  ld_cache_ = other.ld_cache_;
-}
+Loader::Loader(vfs::FileSystem& fs, const Loader& family, Join join)
+    : fs_(fs),
+      paths_(fs.path_table()),
+      config_(family.config_),
+      dialect_(family.dialect_),
+      rules_(family.rules_),
+      parsed_(family.parsed_),
+      ld_cache_(join == Join::Fork ? family.ld_cache_ : nullptr) {}
 
 std::string_view Loader::expand_origin(std::string_view entry,
                                        std::string_view object_path,
@@ -146,15 +160,25 @@ std::string_view Loader::expand_origin(std::string_view entry,
 
 std::shared_ptr<const elf::Object> Loader::cached_object(
     support::PathId key, const vfs::FileData& data) {
-  auto it = cache_.find(key);
-  if (it == cache_.end() || it->second->bytes != data.bytes) {
-    it = cache_
-             .insert_or_assign(key, std::make_shared<const Parsed>(Parsed{
-                                        data.bytes, elf::parse(data.bytes)}))
-             .first;
+  ParsedCache& cache = *parsed_;
+  std::shared_ptr<const Parsed> entry;
+  {
+    std::lock_guard lock(cache.mutex);
+    if (const auto it = cache.map.find(key); it != cache.map.end()) {
+      entry = it->second;
+    }
+  }
+  if (!entry || entry->bytes != data.bytes) {
+    entry = std::make_shared<const Parsed>(
+        Parsed{data.bytes, elf::parse(data.bytes)});
+    // The replaced entry leaves in `replaced`, released after the unlock.
+    std::shared_ptr<const Parsed> replaced = entry;
+    std::lock_guard lock(cache.mutex);
+    std::swap(cache.map[key], replaced);
   }
   // Aliasing: a handed-out object keeps its whole entry alive.
-  return {it->second, &it->second->object};
+  const elf::Object* object = &entry->object;
+  return {std::move(entry), object};
 }
 
 support::PathId Loader::canonicalize(LoadedObject& loaded, support::PathId id,
@@ -243,22 +267,23 @@ Loader::DirProbe Loader::probe_dirs(std::span<const support::PathId> dirs,
 
 void Loader::ensure_ld_cache() {
   if (ld_cache_) return;
-  ld_cache_.emplace();
+  auto cache = std::make_shared<LdCache>();
   auto scan = [&](const std::vector<std::string>& dirs, HowFound how) {
     for (const auto& dir : dirs) {
       if (!fs_.exists(dir)) continue;
       const support::PathId dir_id = intern_dir(dir);
       for (const auto& name : fs_.list_dir(dir)) {
-        if (ld_cache_->contains(name)) continue;
+        if (cache->contains(name)) continue;
         // Spelled by the interned id, like the directory sweep, so a conf
         // dir given as "/usr/lib/" or "/usr//lib" reports "/usr/lib/x".
         const support::PathId cand = paths_->child(dir_id, name);
-        ld_cache_->emplace(name, Resolution{paths_->str(cand), how, cand, {}});
+        cache->emplace(name, Resolution{paths_->str(cand), how, cand, {}});
       }
     }
   };
   scan(config_.ld_so_conf, HowFound::LdSoConf);
   scan(config_.default_paths, HowFound::DefaultPath);
+  ld_cache_ = std::move(cache);
 }
 
 const std::vector<support::PathId>& Loader::object_dirs(Session& session,

@@ -48,8 +48,13 @@
 // own fork (vfs::FileSystem::replay, the accounting charging uses) and
 // reports the fork's counter delta: the report, and the fork's counters
 // and cache warmth afterwards, are bit-identical to the client executing
-// the load, while the resolution work is still done once fleet-wide.
-// Model-free pools keep the zero-copy shared-report fast path.
+// the load, while the resolution work is still done once fleet-wide. A
+// fork as fresh as the miss's charges exactly what the miss charged (a
+// charge is a sum of non-negative costs, so equal stats encode alike,
+// sim_time_s bit for bit); such a hit receives the
+// memo's own report, as every hit does on a model-free pool, so the wire
+// serves its cached encoding. A fork an earlier load warmed is charged
+// less and receives its own copy carrying its own charge.
 //
 // A Shrinkwrap on a pristine fork resolves the closure its load would
 // resolve, which is exactly a memo entry's load: with a re-pricing entry

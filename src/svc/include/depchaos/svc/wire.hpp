@@ -202,12 +202,13 @@ struct WireStats {
 /// (out-of-order completion is the contract; clients match on seq).
 ///
 /// Encode once: a Load reply whose report the pool shares between clients
-/// (the one object every model-free memo hit returns) is encoded the first
-/// time and served from a cache keyed by the report's identity afterwards.
-/// The cache pins the reports it holds, so an address cannot be reused by
-/// another report, and keeps at most max_frame_bytes of encoded payload.
-/// Reports nothing else holds (re-priced hits under a latency model, loads
-/// on diverged forks) are encoded straight into the reply and not cached.
+/// (the one object every model-free memo hit returns, and a re-priced hit
+/// on a fresh fork) is encoded the first time and served from a cache
+/// keyed by the report's identity afterwards. The cache pins the reports
+/// it holds, so an address cannot be reused by another report, and keeps
+/// at most max_frame_bytes of encoded payload. Reports nothing else holds
+/// (re-priced hits on a fork an earlier load warmed, loads on diverged
+/// forks) are encoded straight into the reply and not cached.
 class WireServer {
  public:
   /// Binds and starts serving immediately. Throws WireError if the

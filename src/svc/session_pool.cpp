@@ -170,8 +170,9 @@ struct SessionPool::Shard {
 struct SessionPool::MemoShard {
   struct Entry {
     /// The resolved report. Model-free pools hand this exact object to
-    /// every hit (zero copies); re-pricing pools copy it and set its stats
-    /// to what replaying the trace charged the client's fork.
+    /// every hit (zero copies); re-pricing pools hand it to a hit whose
+    /// replay charged the client's fork what the miss charged, and to any
+    /// other hit a copy whose stats are that replay's charge.
     std::shared_ptr<const loader::LoadReport> report;
     /// The miss run's op trace (null on model-free pools); with the report
     /// it is also a pristine fork's Shrinkwrap's resolving load.
@@ -459,7 +460,8 @@ void SessionPool::execute(Shard& shard, Command& command) {
   // (no copies); under a latency model a hit charges the stored op trace
   // to the client's fork (vfs::FileSystem::replay), so the report's stats
   // and the fork's counters and cache warmth afterwards are bit-identical
-  // to executing the load.
+  // to executing the load, and the hit shares the memo's report whenever
+  // those stats are the miss's own.
   auto run_load =
       [&](const std::string& exe) -> std::shared_ptr<const loader::LoadReport> {
     const std::string key = memo_key(exe);
@@ -472,8 +474,12 @@ void SessionPool::execute(Shard& shard, Command& command) {
         vfs::FileSystem& fs = ensure_session().fs();
         const vfs::SyscallStats before = fs.stats();
         fs.replay(*entry.trace);
+        const vfs::SyscallStats charge = fs.stats() - before;
+        // A fork as fresh as the miss's charges what the miss charged:
+        // it gets the memo's own report, whose encoding the wire caches.
+        if (charge == entry.report->stats) return entry.report;
         auto charged = std::make_shared<loader::LoadReport>(*entry.report);
-        charged->stats = fs.stats() - before;
+        charged->stats = charge;
         return charged;
       }
       memo.misses.fetch_add(1, std::memory_order_relaxed);

@@ -155,6 +155,7 @@ struct SyscallStats {
   /// Field-wise difference: the work done between two snapshots of one
   /// view's counters (`after - before`).
   SyscallStats operator-(const SyscallStats& before) const;
+  bool operator==(const SyscallStats&) const = default;
 };
 
 /// Normalize an absolute path: collapse '//', resolve '.' and '..'

@@ -166,6 +166,43 @@ TEST(SessionTest, WrappedLoadReparsesOnlyTheRewrittenExecutable) {
   EXPECT_EQ(reused, 103u);
 }
 
+TEST(SessionTest, FreshForkReusesItsFamilysParsesInItsFirstWrappedLoad) {
+  // A session pool's tenant turn: one tenant fork of a sealed NFS emacs
+  // base loads the closure; a second fresh fork is Shrinkwrapped from
+  // that recorded load, so it runs no loader before its wrapped load.
+  // The fork family shares one parsed-object cache, so that load parses
+  // the rewritten exe alone and reuses the other tenant's 103 libraries.
+  auto base = WorldBuilder().nfs().emacs({}).build();
+  base.seal();
+  Session tenant = base.fork_sealed();
+  vfs::OpTrace trace;
+  loader::LoadReport first;
+  {
+    vfs::FileSystem::TraceScope scope(tenant.fs(), trace);
+    first = tenant.load();
+  }
+  ASSERT_EQ(first.load_order.size(), 104u);
+  std::unordered_map<std::string, const elf::Object*> parsed;
+  for (const auto& obj : first.load_order) {
+    parsed.emplace(obj.real_path, obj.object.get());
+  }
+
+  Session fresh = base.fork_sealed();
+  const shrinkwrap::RecordedLoad recorded{first, trace};
+  ASSERT_TRUE(fresh.shrinkwrap({}, {}, &recorded).ok());
+  const auto wrapped = fresh.load();
+  ASSERT_TRUE(wrapped.success);
+  EXPECT_EQ(wrapped.stats.metadata_calls(), 104u);
+  ASSERT_EQ(wrapped.load_order.size(), 104u);
+  EXPECT_NE(wrapped.load_order[0].object.get(),
+            parsed.at(wrapped.load_order[0].real_path));
+  std::size_t reused = 0;
+  for (const auto& obj : wrapped.load_order) {
+    if (obj.object.get() == parsed.at(obj.real_path)) ++reused;
+  }
+  EXPECT_EQ(reused, 103u);
+}
+
 TEST(SessionTest, SessionEnvironmentAppliesToLoads) {
   loader::Environment env = loader::Environment::with_library_path({"/env"});
   auto session = WorldBuilder()

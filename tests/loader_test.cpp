@@ -482,8 +482,7 @@ TEST_F(LoaderTest, ForkRewritingALibraryLeavesItsParentsParse) {
   ASSERT_TRUE(first.success);
 
   vfs::FileSystem forked = fs_.fork();
-  Loader child(forked);
-  child.adopt_caches(parent);
+  Loader child(forked, parent, Loader::Join::Fork);
   elf::Object hotfix = make_library("libx.so");
   hotfix.symbols.push_back(
       elf::Symbol{"libx_hotfix", elf::SymbolBinding::Global, true});
@@ -494,8 +493,52 @@ TEST_F(LoaderTest, ForkRewritingALibraryLeavesItsParentsParse) {
   ASSERT_TRUE(in_parent.success && in_child.success);
   EXPECT_EQ(in_parent.load_order[1].object, first.load_order[1].object);
   EXPECT_TRUE(in_child.load_order[1].object->defines_strong("libx_hotfix"));
-  // The untouched executable keeps the parse the fork adopted.
+  // The untouched executable keeps the parse the family shares.
   EXPECT_EQ(in_child.load_order[0].object, first.load_order[0].object);
+}
+
+TEST_F(LoaderTest, ForkRewritingALibraryFirstLeavesEveryViewItsOwnBytes) {
+  // The reverse order: the fork that rewrote libx.so loads first and
+  // replaces the family's entry. Every later load, in any view, must
+  // still see a parse of its own bytes; the entry ping-pongs between the
+  // two versions, which costs re-parses, never a stale object.
+  install_object(fs_, "/l/libx.so", make_library("libx.so"));
+  install_object(fs_, "/bin/app", make_executable({"libx.so"}, {"/l"}));
+  auto parent = glibc();
+  const auto first = parent.load("/bin/app");
+  ASSERT_TRUE(first.success);
+
+  vfs::FileSystem forked = fs_.fork();
+  vfs::FileSystem sibling_fs = fs_.fork();
+  Loader child(forked, parent, Loader::Join::Fork);
+  Loader sibling(sibling_fs, parent, Loader::Join::Fork);
+  elf::Object hotfix = make_library("libx.so");
+  hotfix.symbols.push_back(
+      elf::Symbol{"libx_hotfix", elf::SymbolBinding::Global, true});
+  install_object(forked, "/l/libx.so", hotfix);
+
+  const auto hotfixed = [](const LoadReport& report) {
+    return report.load_order.at(1).object->defines_strong("libx_hotfix");
+  };
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    const auto in_child = child.load("/bin/app");
+    const auto in_parent = parent.load("/bin/app");
+    const auto in_sibling = sibling.load("/bin/app");
+    ASSERT_TRUE(in_child.success && in_parent.success && in_sibling.success);
+    EXPECT_TRUE(hotfixed(in_child));
+    EXPECT_FALSE(hotfixed(in_parent));
+    EXPECT_FALSE(hotfixed(in_sibling));
+    EXPECT_EQ(describe(in_parent), describe(first));
+    EXPECT_EQ(describe(in_sibling), describe(first));
+    // The parent re-parsed its bytes after the child replaced the entry;
+    // the sibling, holding the same bytes, reuses that parse.
+    EXPECT_NE(in_parent.load_order[1].object, in_child.load_order[1].object);
+    EXPECT_EQ(in_sibling.load_order[1].object, in_parent.load_order[1].object);
+    // No view rewrote the executable: one parse serves all three.
+    EXPECT_EQ(in_child.load_order[0].object, first.load_order[0].object);
+    EXPECT_EQ(in_parent.load_order[0].object, first.load_order[0].object);
+  }
 }
 
 // -------------------------------------------- system paths & ld.so.cache

@@ -142,6 +142,61 @@ TEST(SvcStress, ConcurrentForksOfAWarmSealedBaseResolveByteIdentically) {
   EXPECT_TRUE(base.sealed());
 }
 
+// The fork family's one parsed-object cache under disagreement: forks of
+// one sealed base load concurrently, and every other thread first
+// rewrites libcommon.so in its fork to need libextra.so, so the family's
+// libcommon entry flips between two versions while siblings read it.
+// Each report must equal a standalone Loader's (private cache) over the
+// same fork: a stale parse would drop or add libextra.so.
+TEST(SvcStress, ForksRewritingASharedLibraryLoadTheirOwnBytes) {
+  constexpr std::size_t kThreads = 8;
+  constexpr int kRounds = 4;
+
+  WorldBuilder builder;
+  const auto exes = install_fleet(builder, kThreads);
+  builder.install("/usr/lib/libextra.so", make_library("libextra.so"));
+  Session base = builder.build();
+  base.seal();
+
+  std::atomic<int> failures{0};
+  std::atomic<int> extra_loads{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      try {
+        for (int round = 0; round < kRounds; ++round) {
+          Session child = base.fork_sealed();
+          if (t % 2 == 1) {
+            elf::install_object(child.fs(), "/usr/lib/libcommon.so",
+                                make_library("libcommon.so", {"libextra.so"}));
+          }
+          loader::Loader standalone(child.fs(), child.loader().config(),
+                                    child.loader().dialect());
+          for (std::size_t i = 0; i < exes.size(); ++i) {
+            const std::string& exe = exes[(t + i + round) % exes.size()];
+            const auto report = child.load(exe);
+            if (digest(report) != digest(standalone.load(exe))) {
+              failures.fetch_add(1);
+            }
+            if (report.find_loaded("libextra.so") != nullptr) {
+              extra_loads.fetch_add(1);
+            }
+          }
+        }
+      } catch (...) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Exactly the rewriting half loaded libextra.so, every time.
+  EXPECT_EQ(extra_loads.load(),
+            static_cast<int>(kThreads / 2 * kRounds * exes.size()));
+  EXPECT_TRUE(base.sealed());
+}
+
 // The pool under competing submitters: several threads blast loads for
 // overlapping clients/exes at a multi-worker pool. The worker queue, the
 // sharded memo (hit and miss paths racing on cold keys), and strand

@@ -237,13 +237,39 @@ TEST(SessionPool, MemoKeepsReportsWithoutVectorSlack) {
     EXPECT_EQ(kept->requests.capacity(), kept->requests.size());
     EXPECT_EQ(kept->missing.capacity(), kept->missing.size());
     EXPECT_EQ(kept->probe_log.capacity(), kept->probe_log.size());
-    if (!reprice) {
-      // A model-free hit hands out the very object the memo keeps.
-      EXPECT_EQ(pool.submit_load_shared(2, exe).get().get(), kept.get());
-    }
+    // A hit on a fresh client hands out the very object the memo keeps:
+    // a model-free hit always, a re-priced one because a fork as fresh
+    // as the miss's is charged exactly what the miss charged.
+    EXPECT_EQ(pool.submit_load_shared(2, exe).get().get(), kept.get());
     pool.drain();
     EXPECT_EQ(pool.stats().memo_misses, 1u);
   }
+}
+
+TEST(SessionPool, RepricedHitOnAWarmedForkGetsItsOwnCheaperReport) {
+  // The replay of a first hit warms the client's NFS attribute cache, so
+  // its second Load is charged less than the miss: it must get a report
+  // of its own, equal to the memo's but for sim_time_s, and the memo's
+  // report must be left as it was.
+  auto base = make_world();
+  base.fs().set_latency_model(vfs::LatencyModel::nfs());
+  SessionPool pool(std::move(base));
+  ASSERT_TRUE(pool.repricing_active());
+  const std::string exe = "/apps/a3/bin/app";
+  const auto kept = pool.submit_load_shared(1, exe).get();  // the miss
+  const double miss_s = kept->stats.sim_time_s;
+  const auto fresh = pool.submit_load_shared(2, exe).get();
+  EXPECT_EQ(fresh.get(), kept.get());
+  const auto warm = pool.submit_load_shared(2, exe).get();
+  ASSERT_NE(warm.get(), kept.get());
+  EXPECT_LT(warm->stats.sim_time_s, miss_s);
+  EXPECT_EQ(warm->stats.metadata_calls(), kept->stats.metadata_calls());
+  EXPECT_EQ(digest_sans_time(*warm), digest_sans_time(*kept));
+  EXPECT_EQ(kept->stats.sim_time_s, miss_s);
+  pool.drain();
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.memo_misses, 1u);
+  EXPECT_EQ(stats.memo_hits, 2u);
 }
 
 TEST(SessionPool, RepricedHitOverPrestagedMountPricesLikeExecution) {

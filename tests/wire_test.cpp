@@ -736,6 +736,10 @@ TEST(WireServer, RepricedRepliesUnderNfsMatchTheTwinPool) {
   // anything but the report's identity would have shown up above.
   EXPECT_GT(distinct.size(), exes.size());
   EXPECT_EQ(checked, 24u);
+  // Each client's first Load ran on a fresh fork: the three misses and
+  // five hits priced like their miss carried the memo's own report, so
+  // they count as shared; the 16 warm-fork hits are fresh copies.
+  EXPECT_EQ(server.stats().shared_replies, 8u);
 }
 
 // A completion that lands after its connection was torn down is dropped;
